@@ -1,7 +1,10 @@
 // google-benchmark microbenchmarks for the mempool substrate: admission,
-// replacement, eviction floods, maintenance truncation, and block packing.
+// replacement, eviction floods, duplicate rejection, maintenance
+// truncation, block commits, and block packing.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "eth/miner.h"
 #include "mempool/client_profile.h"
@@ -80,6 +83,57 @@ void BM_MempoolMaintainTruncate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MempoolMaintainTruncate);
+
+void BM_MempoolDuplicateReject(benchmark::State& state) {
+  // The flood's echo: every buffered transaction offered again, the way
+  // each pool's peers relay it back. Most campaign offers end here.
+  const size_t capacity = static_cast<size_t>(state.range(0));
+  eth::MapState chain;
+  eth::TxFactory f;
+  mempool::Mempool pool(policy_with_capacity(capacity), &chain);
+  std::vector<eth::Transaction> buffered;
+  for (size_t i = 0; i < capacity; ++i) {
+    buffered.push_back(f.make(1 + i, 0, 100 + i));
+    pool.add(buffered.back(), 0.0);
+  }
+  for (auto _ : state) {
+    for (const auto& tx : buffered) benchmark::DoNotOptimize(pool.add(tx, 0.0));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * capacity);
+}
+BENCHMARK(BM_MempoolDuplicateReject)->Arg(512)->Arg(5120);
+
+void BM_MempoolOnBlock(benchmark::State& state) {
+  // One 30-sender block against a full stock-Geth pool (4/5 pending
+  // senders, 1/5 gapped futures). Only on_block is timed; between blocks
+  // each mined sender re-submits its next nonce, so the pool stays full.
+  const size_t capacity = static_cast<size_t>(state.range(0));
+  constexpr size_t kBlockSenders = 30;
+  const size_t pending_senders = capacity - capacity / 5;
+  eth::MapState chain;
+  eth::TxFactory f;
+  mempool::Mempool pool(policy_with_capacity(capacity), &chain);
+  for (size_t i = 0; i < capacity; ++i) {
+    const eth::Nonce nonce = i < pending_senders ? 0 : 1;
+    pool.add(f.make(1 + i, nonce, 100 + i), 0.0);
+  }
+  std::vector<eth::Address> senders(kBlockSenders);
+  size_t next_sender = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (eth::Address& a : senders) {
+      a = 1 + next_sender++ % pending_senders;
+      chain.set_next_nonce(a, chain.next_nonce(a) + 1);
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(pool.on_block(senders));
+    state.PauseTiming();
+    for (eth::Address a : senders) pool.add(f.make(a, chain.next_nonce(a), 100 + a), 0.0);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MempoolOnBlock)->Arg(5120);
 
 void BM_MinerPackBlock(benchmark::State& state) {
   eth::MapState chain;

@@ -63,10 +63,14 @@ if [[ "${1:-}" != "--fast" ]]; then
   # appends from RPC reader threads (including the reader-vs-epoch-loop
   # race on topo_getMetrics / topo_getHealth inside MonitorRpc*), and the
   # exposition walks histogram bucket arrays — ring and index arithmetic
-  # ASan should watch.
+  # ASan should watch. The mempool suites (MempoolTest*, the parameterized
+  # Seeds/MempoolFuzz*, FlatHashMap*, FlatPriceIndex*) close the list: the
+  # pool's open-addressing index shifts buckets on erase and hands out
+  # pointers into its queues, and the fuzz runs check_invariants() after
+  # every step — this pass is where an assert-only precondition fires.
   echo "== pass 3: fault-injection + tracing + strategy suites under ASan (focused) =="
   ./build-asan/tests/toposhot_tests \
-    --gtest_filter='Fault*:TraceRing*:SpanIds*:SpanTracer*:ChromeTrace*:DiagnosticsAnnex*:ProbeCausePlumbing*:GoldenDeterminism*:Strategy*:Dethna*:TxProbe*:SnapshotWorld*:ForkWorld*:PeerLifetime*:BatchDelivery*:FifoClock*:PayloadArena*:LinkTable*:TopologyMonitor*:TopologyDiffTest*:MonitorStatusTest*:MonitorJson*:MonitorSchedule*:MonitorRpc*:MonitorGolden*:EvaluateTracking*:EventLog*:Health*:Prometheus*'
+    --gtest_filter='Fault*:TraceRing*:SpanIds*:SpanTracer*:ChromeTrace*:DiagnosticsAnnex*:ProbeCausePlumbing*:GoldenDeterminism*:Strategy*:Dethna*:TxProbe*:SnapshotWorld*:ForkWorld*:PeerLifetime*:BatchDelivery*:FifoClock*:PayloadArena*:LinkTable*:TopologyMonitor*:TopologyDiffTest*:MonitorStatusTest*:MonitorJson*:MonitorSchedule*:MonitorRpc*:MonitorGolden*:EvaluateTracking*:EventLog*:Health*:Prometheus*:Mempool*:*MempoolFuzz*:FlatHashMap*:FlatPriceIndex*'
 fi
 
 echo "All checks passed."

@@ -32,6 +32,15 @@ const Block& Chain::commit(Block b) {
   return stored;
 }
 
+std::vector<Address> Chain::senders_since(uint64_t from) const {
+  std::vector<Address> out;
+  const std::vector<Block>& blocks = st_->blocks;
+  for (size_t h = from; h < blocks.size(); ++h) {
+    for (const auto& tx : blocks[h].txs) out.push_back(tx.sender);
+  }
+  return out;
+}
+
 std::vector<const Block*> Chain::blocks_in(double t1, double t2) const {
   std::vector<const Block*> out;
   // Half-open [t1, t2): a block stamped exactly at the seam of two

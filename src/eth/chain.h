@@ -50,6 +50,12 @@ class Chain final : public StateView {
   /// cumulative gauges use +infinity).
   std::vector<const Block*> blocks_in(double t1, double t2) const;
 
+  /// Senders of every transaction in blocks [from, height()), in block
+  /// order (repeats kept). commit() is the only writer of confirmed nonces,
+  /// so these are the only accounts whose next_nonce moved since the chain
+  /// was `from` blocks high.
+  std::vector<Address> senders_since(uint64_t from) const;
+
   /// True if a transaction with this hash has been included in any block.
   bool includes(TxHash h) const { return st_->included.count(h) > 0; }
 

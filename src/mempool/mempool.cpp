@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 
 namespace topo::mempool {
 
@@ -47,18 +49,12 @@ Mempool::Mempool(MempoolPolicy policy, const eth::StateView* state)
 }
 
 const Mempool::AccountQueue* Mempool::account(const State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  return it == s.slot_of.end() ? nullptr : &s.slot_queue[it->second];
+  const uint32_t* slot = s.slot_of.find(sender);
+  return slot == nullptr ? nullptr : &s.slot_queue[*slot];
 }
 
-Mempool::AccountQueue* Mempool::account(State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  return it == s.slot_of.end() ? nullptr : &s.slot_queue[it->second];
-}
-
-Mempool::AccountQueue& Mempool::ensure_account(State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  if (it != s.slot_of.end()) return s.slot_queue[it->second];
+uint32_t Mempool::ensure_slot(State& s, eth::Address sender, eth::Nonce chain_next) {
+  if (const uint32_t* found = s.slot_of.find(sender)) return *found;
   uint32_t slot;
   if (!s.free_slots.empty()) {
     slot = s.free_slots.back();
@@ -69,90 +65,109 @@ Mempool::AccountQueue& Mempool::ensure_account(State& s, eth::Address sender) {
     s.slot_addr.push_back(sender);
     s.slot_queue.emplace_back();
   }
-  s.slot_of.emplace(sender, slot);
-  return s.slot_queue[slot];
+  s.slot_of.insert(sender, slot);
+  s.slot_queue[slot].classified_at = chain_next;
+  return slot;
 }
 
-void Mempool::release_account(State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  assert(it != s.slot_of.end());
-  const uint32_t slot = it->second;
+void Mempool::release_slot(State& s, uint32_t slot) {
   assert(s.slot_queue[slot].txs.empty());
+  s.slot_of.erase(s.slot_addr[slot]);
   s.slot_addr[slot] = eth::kNoAddress;
   s.slot_queue[slot] = AccountQueue{};  // release the queue's allocation
   s.free_slots.push_back(slot);
-  s.slot_of.erase(it);
 }
 
-void Mempool::reclassify(State& s, eth::Address sender,
-                         std::vector<eth::Transaction>* promoted) {
-  AccountQueue* qp = account(s, sender);
-  if (qp == nullptr) return;
-  AccountQueue& q = *qp;
-  eth::Nonce expected = state_->next_nonce(sender);
-  size_t futures = 0;
-  for (auto& [nonce, entry] : q.txs) {
-    const bool now_pending = (nonce == expected);
+void Mempool::promote(State& s, AccountQueue& q, Entry& e) {
+  assert(!e.pending && q.futures > 0);
+  e.pending = true;
+  ++s.pending_count;
+  --q.futures;
+  s.future_index.erase(key_of(e), index_compactions(), index_tombstone_peak());
+}
+
+void Mempool::demote(State& s, AccountQueue& q, Entry& e) {
+  assert(e.pending && s.pending_count > 0);
+  e.pending = false;
+  --s.pending_count;
+  ++q.futures;
+  s.future_index.insert(key_of(e));
+}
+
+void Mempool::reclassify(State& s, uint32_t slot, std::vector<eth::Transaction>* promoted) {
+  AccountQueue& q = s.slot_queue[slot];
+  eth::Nonce expected = state_->next_nonce(s.slot_addr[slot]);
+  q.classified_at = expected;
+  for (Entry& e : q.txs) {
+    const bool now_pending = (e.tx.nonce == expected);
     if (now_pending) ++expected;
-    if (now_pending && !entry.pending) {
-      entry.pending = true;
-      ++s.pending_count;
-      s.future_index.erase({entry.tx.pool_price(), entry.tx.id}, index_compactions(),
-                           index_tombstone_peak());
-      if (promoted) promoted->push_back(entry.tx);
-    } else if (!now_pending && entry.pending) {
-      entry.pending = false;
-      --s.pending_count;
-      s.future_index.insert({entry.tx.pool_price(), entry.tx.id});
+    if (now_pending && !e.pending) {
+      promote(s, q, e);
+      if (promoted) promoted->push_back(e.tx);
+    } else if (!now_pending && e.pending) {
+      demote(s, q, e);
     }
-    if (!entry.pending) ++futures;
   }
-  q.futures = futures;
 }
 
-eth::Transaction Mempool::remove_entry(State& s, eth::Address sender, eth::Nonce nonce) {
-  AccountQueue* qp = account(s, sender);
-  assert(qp != nullptr);
-  auto eit = qp->find(nonce);
-  assert(eit != qp->txs.end());
-  Entry entry = std::move(eit->second);
-  if (entry.pending) --s.pending_count;
-  if (!entry.pending && qp->futures > 0) --qp->futures;
-  if (!entry.pending) {
-    s.future_index.erase({entry.tx.pool_price(), entry.tx.id}, index_compactions(),
-                         index_tombstone_peak());
+void Mempool::reclassify_after_remove(State& s, uint32_t slot, eth::Nonce nonce,
+                                      bool was_pending) {
+  if (s.slot_addr[slot] == eth::kNoAddress) return;  // the removal emptied the account
+  AccountQueue& q = s.slot_queue[slot];
+  if (q.classified_at != state_->next_nonce(s.slot_addr[slot])) {
+    reclassify(s, slot, nullptr);
+    return;
   }
-  s.price_index.erase({entry.tx.pool_price(), entry.tx.id}, index_compactions(),
-                      index_tombstone_peak());
-  s.by_id.erase(entry.tx.id);
-  s.by_hash.erase(entry.tx.hash());
-  qp->txs.erase(eit);
-  if (qp->txs.empty()) release_account(s, sender);
+  // The pending entries are the consecutive run from classified_at. A
+  // removed future leaves it intact; a removed pending entry cuts it, and
+  // everything of the run behind the gap becomes future, in nonce order.
+  if (!was_pending) return;
+  for (auto it = q.lower_bound(nonce); it != q.txs.end() && it->pending; ++it) demote(s, q, *it);
+}
+
+Mempool::Entry Mempool::remove_entry(State& s, uint32_t slot, eth::Nonce nonce) {
+  AccountQueue& q = s.slot_queue[slot];
+  auto eit = q.find(nonce);
+  assert(eit != q.txs.end());
+  Entry entry = std::move(*eit);
+  if (entry.pending) {
+    --s.pending_count;
+  } else {
+    assert(q.futures > 0 && "account future count drifted");
+    --q.futures;
+    s.future_index.erase(key_of(entry), index_compactions(), index_tombstone_peak());
+  }
+  s.price_index.erase(key_of(entry), index_compactions(), index_tombstone_peak());
+  s.txs.erase(entry.hash);
+  q.txs.erase(eit);
+  if (q.txs.empty()) release_slot(s, slot);
   --s.size;
-  return entry.tx;
+  return entry;
 }
 
-std::optional<std::pair<eth::Address, eth::Nonce>> Mempool::pick_victim(
-    State& s, eth::Wei incoming_price, bool incoming_is_pending) {
-  auto cheaper = [&](const std::pair<eth::Wei, uint64_t>& key) {
-    return key.first < incoming_price;
-  };
-  if (policy_.victim == EvictionVictim::kFuturesFirst && !incoming_is_pending) {
-    // Futures-only eviction: a future incomer may never displace a pending
-    // transaction (the DETER countermeasure; defeats TopoShot's flood).
-    if (s.future_index.empty()) return std::nullopt;
-    const auto key = s.future_index.min();
-    if (!cheaper(key)) return std::nullopt;
-    return s.by_id.at(key.second);
-  }
-  if (s.price_index.empty()) return std::nullopt;
-  const auto key = s.price_index.min();
-  if (!cheaper(key)) return std::nullopt;
-  return s.by_id.at(key.second);
+eth::Transaction Mempool::drop(State& s, TxLoc loc) {
+  Entry entry = remove_entry(s, loc.slot, loc.nonce);
+  reclassify_after_remove(s, loc.slot, loc.nonce, entry.pending);
+  return std::move(entry.tx);
 }
 
-AdmitResult Mempool::add(const eth::Transaction& tx, double now) {
-  AdmitResult result = add_impl(tx, now);
+std::optional<Mempool::TxLoc> Mempool::pick_victim(State& s, eth::Wei incoming_price,
+                                                   bool incoming_is_pending) {
+  // Futures-only eviction: a future incomer may never displace a pending
+  // transaction (the DETER countermeasure; defeats TopoShot's flood).
+  FlatPriceIndex& index =
+      (policy_.victim == EvictionVictim::kFuturesFirst && !incoming_is_pending)
+          ? s.future_index
+          : s.price_index;
+  if (index.empty()) return std::nullopt;
+  const PriceKey key = index.min();
+  if (key.price >= incoming_price) return std::nullopt;
+  return *s.txs.find(key.hash);
+}
+
+AdmitResult Mempool::add(const eth::Transaction& tx, eth::TxHash hash, double now) {
+  assert(hash == tx.hash());
+  AdmitResult result = add_impl(tx, hash, now);
   if (obs_ != nullptr) record_admit(tx, result, now);
   return result;
 }
@@ -177,13 +192,13 @@ void Mempool::record_admit(const eth::Transaction& tx, const AdmitResult& result
   }
 }
 
-AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
+AdmitResult Mempool::add_impl(const eth::Transaction& tx, eth::TxHash hash, double now) {
   AdmitResult result;
 
   // Read-only early-outs run against the shared state: a forked pool that
   // only ever rejects duplicates/stale nonces never clones its base.
   const State& cs = *st_;
-  if (cs.by_hash.count(tx.hash())) {
+  if (cs.txs.find(hash) != nullptr) {
     result.code = AdmitCode::kRejectedDuplicate;
     return result;
   }
@@ -202,27 +217,25 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
     auto eit = cq->find(tx.nonce);
     if (eit != cq->txs.end()) {
       // Replacement path: same sender and nonce (§2 event 1b).
-      if (!policy_.accepts_replacement(eit->second.tx.pool_price(), tx.pool_price())) {
+      if (!policy_.accepts_replacement(eit->tx.pool_price(), tx.pool_price())) {
         result.code = AdmitCode::kRejectedUnderpricedReplacement;
         return result;
       }
       State& s = st_.mutate();
-      Entry& old = account(s, tx.sender)->find(tx.nonce)->second;
+      const uint32_t slot = *s.slot_of.find(tx.sender);
+      Entry& old = *s.slot_queue[slot].find(tx.nonce);
       result.replaced = old.tx;
-      s.price_index.erase({old.tx.pool_price(), old.tx.id}, index_compactions(),
-                          index_tombstone_peak());
+      s.price_index.erase(key_of(old), index_compactions(), index_tombstone_peak());
       if (!old.pending) {
-        s.future_index.erase({old.tx.pool_price(), old.tx.id}, index_compactions(),
-                             index_tombstone_peak());
+        s.future_index.erase(key_of(old), index_compactions(), index_tombstone_peak());
       }
-      s.by_id.erase(old.tx.id);
-      s.by_hash.erase(old.tx.hash());
+      s.txs.erase(old.hash);
       old.tx = tx;
+      old.hash = hash;
       old.added_at = now;
-      s.price_index.insert({tx.pool_price(), tx.id});
-      if (!old.pending) s.future_index.insert({tx.pool_price(), tx.id});
-      s.by_id[tx.id] = {tx.sender, tx.nonce};
-      s.by_hash[tx.hash()] = tx.id;
+      s.price_index.insert(key_of(old));
+      if (!old.pending) s.future_index.insert(key_of(old));
+      s.txs.insert(hash, TxLoc{slot, tx.nonce});
       track_added_at(s, now);
       result.code = AdmitCode::kReplaced;
       return result;
@@ -234,9 +247,8 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
   if (!is_pending && cq != nullptr) {
     // Pending if every nonce in [chain_next, tx.nonce) is already buffered.
     eth::Nonce expected = chain_next;
-    auto it = std::lower_bound(cq->txs.begin(), cq->txs.end(), chain_next,
-                               [](const auto& e, eth::Nonce v) { return e.first < v; });
-    for (; it != cq->txs.end() && it->first == expected && expected < tx.nonce; ++it) {
+    for (auto it = cq->lower_bound(chain_next);
+         it != cq->txs.end() && it->tx.nonce == expected && expected < tx.nonce; ++it) {
       ++expected;
     }
     is_pending = (expected == tx.nonce);
@@ -260,6 +272,9 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
   // Every remaining outcome mutates (victim selection reads the price
   // heaps, which settle lazy deletions — a physical write).
   State& s = st_.mutate();
+  // is_pending was judged on the incomer's account as it stood; evicting
+  // one of that account's own entries invalidates it.
+  bool full_walk = false;
   if (s.size >= policy_.capacity) {
     auto victim = pick_victim(s, tx.pool_price(), is_pending);
     if (!victim && is_pending && !s.future_index.empty()) {
@@ -267,46 +282,51 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
       // and nothing is cheaper, a pending incomer still displaces the
       // cheapest *future* (Geth's pending/queue split — the queue is
       // second-class and would be truncated by the next reorg anyway).
-      victim = s.by_id.at(s.future_index.min().second);
+      victim = *s.txs.find(s.future_index.min().hash);
     }
     if (!victim) {
       result.code = AdmitCode::kRejectedPoolFull;
       return result;
     }
-    result.evicted.push_back(remove_entry(s, victim->first, victim->second));
-    // Removing a mid-queue pending entry demotes its followers.
-    if (victim->first != tx.sender) reclassify(s, victim->first, nullptr);
+    if (s.slot_addr[victim->slot] == tx.sender) {
+      result.evicted.push_back(remove_entry(s, victim->slot, victim->nonce).tx);
+      full_walk = true;
+    } else {
+      // Removing a mid-queue pending entry demotes its followers.
+      result.evicted.push_back(drop(s, *victim));
+    }
   }
 
-  Entry entry;
-  entry.tx = tx;
-  entry.added_at = now;
-  entry.pending = false;  // reclassify() sets the final flag
-  AccountQueue& q = ensure_account(s, tx.sender);
-  q.txs.insert(q.lower_bound(tx.nonce), {tx.nonce, std::move(entry)});
-  ++q.futures;  // provisional; fixed by reclassify
-  s.price_index.insert({tx.pool_price(), tx.id});
-  s.future_index.insert({tx.pool_price(), tx.id});  // reclassify removes if pending
-  s.by_id[tx.id] = {tx.sender, tx.nonce};
-  s.by_hash[tx.hash()] = tx.id;
+  const uint32_t slot = ensure_slot(s, tx.sender, chain_next);
+  AccountQueue& q = s.slot_queue[slot];
+  auto pos = q.txs.insert(q.lower_bound(tx.nonce), Entry{tx, hash, now, false});
+  ++q.futures;  // admitted as future; promoted below if it extends the run
+  s.price_index.insert(key_of(*pos));
+  s.future_index.insert(key_of(*pos));
+  s.txs.insert(hash, TxLoc{slot, tx.nonce});
   ++s.size;
   track_added_at(s, now);
 
-  std::vector<eth::Transaction> promoted;
-  reclassify(s, tx.sender, &promoted);
-
-  // The incoming tx itself is not a "promotion"; separate it out.
-  const eth::TxHash self = tx.hash();
   bool self_pending = false;
-  for (auto it = promoted.begin(); it != promoted.end();) {
-    if (it->hash() == self) {
-      self_pending = true;
-      it = promoted.erase(it);
-    } else {
-      ++it;
+  if (full_walk || q.classified_at != chain_next) {
+    // Stale flags (the chain moved since this account was classified) or
+    // a same-account eviction: recompute the whole account. The incoming
+    // tx itself is not a "promotion"; separate it out.
+    reclassify(s, slot, &result.promoted);
+    self_pending = q.find(tx.nonce)->pending;
+    std::erase_if(result.promoted,
+                  [&](const eth::Transaction& p) { return p.nonce == tx.nonce; });
+  } else if (is_pending) {
+    // The incomer extends the pending run; the futures queued right
+    // behind it, up to the next gap, join the run too.
+    promote(s, q, *pos);
+    self_pending = true;
+    eth::Nonce expected = tx.nonce + 1;
+    for (auto it = pos + 1; it != q.txs.end() && it->tx.nonce == expected; ++it, ++expected) {
+      promote(s, q, *it);
+      result.promoted.push_back(it->tx);
     }
   }
-  result.promoted = std::move(promoted);
   result.code = self_pending ? AdmitCode::kAddedPending : AdmitCode::kAddedFuture;
   return result;
 }
@@ -335,22 +355,19 @@ PoolUpdate Mempool::maintain(double now) {
   if (policy_.expiry_seconds > 0.0 && cs.min_added_valid &&
       cs.min_added_at + policy_.expiry_seconds <= now) {
     State& s = st_.mutate();
-    std::vector<std::pair<eth::Address, eth::Nonce>> expired;
+    std::vector<TxLoc> expired;
     double oldest_remaining = now;
-    for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
+    for (uint32_t slot = 0; slot < s.slot_addr.size(); ++slot) {
       if (s.slot_addr[slot] == eth::kNoAddress) continue;
-      for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-        if (entry.added_at + policy_.expiry_seconds <= now) {
-          expired.emplace_back(s.slot_addr[slot], nonce);
+      for (const Entry& e : s.slot_queue[slot].txs) {
+        if (e.added_at + policy_.expiry_seconds <= now) {
+          expired.push_back({slot, e.tx.nonce});
         } else {
-          oldest_remaining = std::min(oldest_remaining, entry.added_at);
+          oldest_remaining = std::min(oldest_remaining, e.added_at);
         }
       }
     }
-    for (const auto& [sender, nonce] : expired) {
-      update.dropped.push_back(remove_entry(s, sender, nonce));
-      reclassify(s, sender, nullptr);
-    }
+    for (const TxLoc& loc : expired) update.dropped.push_back(drop(s, loc));
     if (obs_ != nullptr && !expired.empty()) {
       obs_->evictions->inc(expired.size());
       obs_->evictions_expired->inc(expired.size());
@@ -363,18 +380,14 @@ PoolUpdate Mempool::maintain(double now) {
   // Only rescanned when the base fee actually moved.
   if (policy_.eip1559 && base_fee_ > 0 && base_fee_ != cs.last_pruned_base_fee) {
     State& s = st_.mutate();
-    std::vector<std::pair<eth::Address, eth::Nonce>> under;
-    for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
+    std::vector<TxLoc> under;
+    for (uint32_t slot = 0; slot < s.slot_addr.size(); ++slot) {
       if (s.slot_addr[slot] == eth::kNoAddress) continue;
-      for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-        if (entry.tx.fee1559 && entry.tx.fee1559->max_fee < base_fee_)
-          under.emplace_back(s.slot_addr[slot], nonce);
+      for (const Entry& e : s.slot_queue[slot].txs) {
+        if (e.tx.fee1559 && e.tx.fee1559->max_fee < base_fee_) under.push_back({slot, e.tx.nonce});
       }
     }
-    for (const auto& [sender, nonce] : under) {
-      update.dropped.push_back(remove_entry(s, sender, nonce));
-      reclassify(s, sender, nullptr);
-    }
+    for (const TxLoc& loc : under) update.dropped.push_back(drop(s, loc));
     if (obs_ != nullptr && !under.empty()) {
       obs_->evictions->inc(under.size());
       obs_->evictions_basefee->inc(under.size());
@@ -387,10 +400,7 @@ PoolUpdate Mempool::maintain(double now) {
   if (st_->size - st_->pending_count > policy_.future_cap && !st_->future_index.empty()) {
     State& s = st_.mutate();
     while (s.size - s.pending_count > policy_.future_cap && !s.future_index.empty()) {
-      const auto key = s.future_index.min();
-      const auto loc = s.by_id.at(key.second);
-      update.dropped.push_back(remove_entry(s, loc.first, loc.second));
-      reclassify(s, loc.first, nullptr);
+      update.dropped.push_back(drop(s, *s.txs.find(s.future_index.min().hash)));
       ++truncated;
     }
   }
@@ -408,51 +418,44 @@ PoolUpdate Mempool::maintain(double now) {
   return update;
 }
 
-PoolUpdate Mempool::on_block() {
+PoolUpdate Mempool::on_block(const std::vector<eth::Address>& senders) {
   PoolUpdate update;
 
-  // Read-only pre-scan: does the committed block touch this pool at all?
-  // Pools on nodes the block's senders never reached skip the
-  // copy-on-write clone entirely.
+  // Only the named senders' chain nonces moved, so only their accounts can
+  // hold stale entries or stale classes. Visit them in slot order — the
+  // order promotions propagate in and released slots join the free list.
   const State& cs = *st_;
-  bool dirty = false;
-  for (size_t slot = 0; slot < cs.slot_addr.size() && !dirty; ++slot) {
-    if (cs.slot_addr[slot] == eth::kNoAddress) continue;
-    eth::Nonce expected = state_->next_nonce(cs.slot_addr[slot]);
-    for (const auto& [nonce, entry] : cs.slot_queue[slot].txs) {
-      if (nonce < expected) {
-        dirty = true;  // stale entry to drop
-        break;
-      }
-      const bool now_pending = (nonce == expected);
-      if (now_pending) ++expected;
-      if (now_pending != entry.pending) {
-        dirty = true;  // classification change (promotion/demotion)
-        break;
-      }
-    }
-  }
-  if (!dirty) return update;
-
-  // Drop entries the chain has consumed (mined or made stale), account by
-  // account, then re-run classification to promote unblocked futures.
-  State& s = st_.mutate();
-  std::vector<eth::Address> senders;
-  senders.reserve(s.slot_of.size());
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] != eth::kNoAddress) senders.push_back(s.slot_addr[slot]);
-  }
+  std::vector<uint32_t> slots;
   for (eth::Address sender : senders) {
-    const eth::Nonce next = state_->next_nonce(sender);
-    AccountQueue* qp = account(s, sender);
-    if (qp == nullptr) continue;
-    std::vector<eth::Nonce> stale;
-    for (const auto& [nonce, entry] : qp->txs) {
-      if (nonce < next) stale.push_back(nonce);
-      else break;  // queue is nonce-ordered
+    if (const uint32_t* slot = cs.slot_of.find(sender)) slots.push_back(*slot);
+  }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+
+  // Read-only pre-check: pools the blocks leave untouched skip the
+  // copy-on-write clone entirely.
+  const auto dirty = [&](uint32_t slot) {
+    eth::Nonce expected = state_->next_nonce(cs.slot_addr[slot]);
+    for (const Entry& e : cs.slot_queue[slot].txs) {
+      if (e.tx.nonce < expected) return true;  // stale entry to drop
+      const bool now_pending = (e.tx.nonce == expected);
+      if (now_pending) ++expected;
+      if (now_pending != e.pending) return true;  // promotion/demotion
     }
-    for (eth::Nonce n : stale) update.dropped.push_back(remove_entry(s, sender, n));
-    reclassify(s, sender, &update.promoted);
+    return false;
+  };
+  if (std::none_of(slots.begin(), slots.end(), dirty)) return update;
+
+  // Drop entries the chain has consumed (mined or made stale), then re-run
+  // the account's classification to promote unblocked futures.
+  State& s = st_.mutate();
+  for (uint32_t slot : slots) {
+    const eth::Nonce next = state_->next_nonce(s.slot_addr[slot]);
+    while (s.slot_addr[slot] != eth::kNoAddress && s.slot_queue[slot].txs.front().tx.nonce < next) {
+      update.dropped.push_back(
+          remove_entry(s, slot, s.slot_queue[slot].txs.front().tx.nonce).tx);
+    }
+    if (s.slot_addr[slot] != eth::kNoAddress) reclassify(s, slot, &update.promoted);
   }
   if (obs_ != nullptr && !update.dropped.empty()) obs_->drops_mined->inc(update.dropped.size());
   return update;
@@ -462,15 +465,14 @@ const eth::Transaction* Mempool::find(eth::Address sender, eth::Nonce nonce) con
   const AccountQueue* q = account(*st_, sender);
   if (q == nullptr) return nullptr;
   auto eit = q->find(nonce);
-  return eit == q->txs.end() ? nullptr : &eit->second.tx;
+  return eit == q->txs.end() ? nullptr : &eit->tx;
 }
 
 const eth::Transaction* Mempool::find_hash(eth::TxHash h) const {
   const State& s = *st_;
-  auto it = s.by_hash.find(h);
-  if (it == s.by_hash.end()) return nullptr;
-  const auto loc = s.by_id.at(it->second);
-  return find(loc.first, loc.second);
+  const TxLoc* loc = s.txs.find(h);
+  if (loc == nullptr) return nullptr;
+  return &s.slot_queue[loc->slot].find(loc->nonce)->tx;
 }
 
 size_t Mempool::futures_of(eth::Address sender) const {
@@ -488,8 +490,8 @@ eth::Wei Mempool::lowest_price() const {
   bool found = false;
   for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
     if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-      const eth::Wei p = entry.tx.pool_price();
+    for (const Entry& e : s.slot_queue[slot].txs) {
+      const eth::Wei p = e.tx.pool_price();
       if (!found || p < best) {
         best = p;
         found = true;
@@ -505,8 +507,8 @@ eth::Wei Mempool::median_pending_price() const {
   prices.reserve(s.pending_count);
   for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
     if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-      if (entry.pending) prices.push_back(entry.tx.pool_price());
+    for (const Entry& e : s.slot_queue[slot].txs) {
+      if (e.pending) prices.push_back(e.tx.pool_price());
     }
   }
   if (prices.empty()) return 0;
@@ -520,8 +522,8 @@ std::vector<eth::Transaction> Mempool::pending_snapshot() const {
   out.reserve(s.pending_count);
   for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
     if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-      if (entry.pending) out.push_back(entry.tx);
+    for (const Entry& e : s.slot_queue[slot].txs) {
+      if (e.pending) out.push_back(e.tx);
     }
   }
   return out;
@@ -535,9 +537,9 @@ const eth::Transaction* Mempool::random_pending(util::Rng& rng) const {
   // here is the entry snapshot[k] would hold.
   for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
     if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-      if (!entry.pending) continue;
-      if (k == 0) return &entry.tx;
+    for (const Entry& e : s.slot_queue[slot].txs) {
+      if (!e.pending) continue;
+      if (k == 0) return &e.tx;
       --k;
     }
   }
@@ -556,8 +558,8 @@ std::vector<eth::Transaction> Mempool::future_snapshot() const {
   out.reserve(s.size - s.pending_count);
   for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
     if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const auto& [nonce, entry] : s.slot_queue[slot].txs) {
-      if (!entry.pending) out.push_back(entry.tx);
+    for (const Entry& e : s.slot_queue[slot].txs) {
+      if (!e.pending) out.push_back(e.tx);
     }
   }
   return out;
@@ -569,9 +571,58 @@ std::vector<eth::Transaction> Mempool::all_snapshot() const {
   out.reserve(s.size);
   for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
     if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const auto& [nonce, entry] : s.slot_queue[slot].txs) out.push_back(entry.tx);
+    for (const Entry& e : s.slot_queue[slot].txs) out.push_back(e.tx);
   }
   return out;
+}
+
+void Mempool::check_invariants() const {
+  const auto require = [](bool ok, const char* what) {
+    if (ok) return;
+    std::fprintf(stderr, "Mempool invariant violated: %s\n", what);
+    std::abort();
+  };
+  const State& s = *st_;
+  size_t size = 0;
+  size_t pending = 0;
+  size_t live_slots = 0;
+  for (uint32_t slot = 0; slot < s.slot_addr.size(); ++slot) {
+    const eth::Address sender = s.slot_addr[slot];
+    const AccountQueue& q = s.slot_queue[slot];
+    if (sender == eth::kNoAddress) {
+      require(q.txs.empty(), "a free slot holds entries");
+      continue;
+    }
+    ++live_slots;
+    const uint32_t* mapped = s.slot_of.find(sender);
+    require(mapped != nullptr && *mapped == slot, "slot_of disagrees with slot_addr");
+    require(!q.txs.empty(), "a live slot has an empty queue");
+    eth::Nonce expected = q.classified_at;
+    size_t futures = 0;
+    for (size_t i = 0; i < q.txs.size(); ++i) {
+      const Entry& e = q.txs[i];
+      require(e.tx.sender == sender, "an entry is filed under another sender");
+      require(i == 0 || q.txs[i - 1].tx.nonce < e.tx.nonce, "a queue is not nonce-ascending");
+      require(e.hash == e.tx.hash(), "a stored hash differs from the content hash");
+      const TxLoc* loc = s.txs.find(e.hash);
+      require(loc != nullptr && loc->slot == slot && loc->nonce == e.tx.nonce,
+              "the transaction index disagrees with the queues");
+      const bool in_run = (e.tx.nonce == expected);
+      if (in_run) ++expected;
+      require(e.pending == in_run, "a pending flag differs from the classified nonce run");
+      if (e.pending) ++pending;
+      else ++futures;
+    }
+    require(q.futures == futures, "an account's future count drifted");
+    size += q.txs.size();
+  }
+  require(size == s.size, "the pool size drifted");
+  require(pending == s.pending_count, "the pending count drifted");
+  require(s.txs.size() == size, "the transaction index size drifted");
+  require(s.price_index.size() == size, "the price index size drifted");
+  require(s.future_index.size() == size - pending, "the future index size drifted");
+  require(s.slot_of.size() == live_slots, "the slot table size drifted");
+  require(s.free_slots.size() + live_slots == s.slot_addr.size(), "the free list drifted");
 }
 
 }  // namespace topo::mempool

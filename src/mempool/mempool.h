@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "eth/account.h"
@@ -92,8 +91,14 @@ struct PoolUpdate {
 ///    expiry after `e` seconds, EIP-1559 underpriced drops;
 ///  - block commits prune mined/stale entries and promote unblocked futures.
 ///
-/// Storage layout: all bulk state (account queues, price indexes, lookup
-/// maps, occupancy counters) lives in one `State` blob behind a
+/// Every operation touches only the accounts it can change: an admission
+/// or removal reclassifies its own account incrementally from the changed
+/// nonce, and a block commit visits only the accounts whose chain nonce
+/// moved. See docs/ARCHITECTURE.md ("Mempool flat indexes") for the
+/// classification invariant this rests on.
+///
+/// Storage layout: all bulk state (account queues, price indexes, the
+/// transaction index, occupancy counters) lives in one `State` blob behind a
 /// copy-on-write handle (util::Cow). `snapshot()` captures the pool in O(1);
 /// a restored pool shares the blob with its base until the first mutation,
 /// which clones it once. Account queues are struct-of-arrays: parallel
@@ -108,7 +113,11 @@ class Mempool {
   Mempool(MempoolPolicy policy, const eth::StateView* state);
 
   /// Offers a transaction at simulation time `now`.
-  AdmitResult add(const eth::Transaction& tx, double now);
+  AdmitResult add(const eth::Transaction& tx, double now) { return add(tx, tx.hash(), now); }
+
+  /// Same, for callers that already hold the content hash (`hash` must
+  /// equal `tx.hash()`): the pool then never recomputes it.
+  AdmitResult add(const eth::Transaction& tx, eth::TxHash hash, double now);
 
   /// Attaches shared observability handles (null detaches). The pointee
   /// must outlive the pool; typically owned by the p2p::Network. Obs
@@ -121,16 +130,19 @@ class Mempool {
   /// base fee.
   PoolUpdate maintain(double now);
 
-  /// Reacts to a committed block: drops entries whose nonce the chain has
-  /// consumed and promotes newly executable futures. The StateView must
-  /// already reflect the block.
-  PoolUpdate on_block();
+  /// Reacts to committed blocks: drops entries whose nonce the chain has
+  /// consumed and promotes newly executable futures. `senders` must name
+  /// every account whose chain nonce moved since the previous call — the
+  /// senders of every block committed since then, not just the newest one
+  /// (repeats and accounts the pool does not hold are fine); no other
+  /// account is visited. The StateView must already reflect the blocks.
+  PoolUpdate on_block(const std::vector<eth::Address>& senders);
 
   /// Updates the base fee used for EIP-1559 admission (no-op otherwise).
   void set_base_fee(eth::Wei base_fee) { base_fee_ = base_fee; }
   eth::Wei base_fee() const { return base_fee_; }
 
-  bool contains(eth::TxHash h) const { return st_->by_hash.count(h) > 0; }
+  bool contains(eth::TxHash h) const { return st_->txs.find(h) != nullptr; }
   const eth::Transaction* find(eth::Address sender, eth::Nonce nonce) const;
   const eth::Transaction* find_hash(eth::TxHash h) const;
 
@@ -172,33 +184,56 @@ class Mempool {
 
   const MempoolPolicy& policy() const { return policy_; }
 
+  /// Recomputes the bookkeeping from the account queues alone — pending
+  /// count, per-account future counts, every entry's class against its
+  /// account's classification nonce, and the live sizes of the transaction
+  /// index and both price indexes — and aborts (in every build type) on
+  /// the first disagreement. O(pool); for tests and debugging.
+  void check_invariants() const;
+
  private:
   struct Entry {
     eth::Transaction tx;
+    eth::TxHash hash = 0;  ///< tx.hash(), computed once per offer
     double added_at = 0.0;
     bool pending = false;
   };
 
   struct AccountQueue {
-    /// Nonce-ascending flat queue. Accounts buffer a handful of entries at
-    /// a time, so a sorted vector beats the former std::map on every nonce
-    /// walk while keeping the same iteration order.
-    std::vector<std::pair<eth::Nonce, Entry>> txs;
+    /// Flat queue, ascending by tx.nonce. Accounts buffer a handful of
+    /// entries at a time, so a sorted vector beats a node-based map on
+    /// every nonce walk.
+    std::vector<Entry> txs;
     size_t futures = 0;
+    /// Chain nonce the pending flags were last computed against: the flags
+    /// mark exactly the consecutive nonce run starting here. Once the
+    /// chain's nonce for this sender differs (a block committed whose
+    /// notification has not reached this pool yet), the flags are stale
+    /// and only a full walk may reclassify the account.
+    eth::Nonce classified_at = 0;
 
-    std::vector<std::pair<eth::Nonce, Entry>>::iterator lower_bound(eth::Nonce n) {
+    std::vector<Entry>::iterator lower_bound(eth::Nonce n) {
       return std::lower_bound(txs.begin(), txs.end(), n,
-                              [](const auto& e, eth::Nonce v) { return e.first < v; });
+                              [](const Entry& e, eth::Nonce v) { return e.tx.nonce < v; });
     }
-    std::vector<std::pair<eth::Nonce, Entry>>::iterator find(eth::Nonce n) {
+    std::vector<Entry>::const_iterator lower_bound(eth::Nonce n) const {
+      return std::lower_bound(txs.begin(), txs.end(), n,
+                              [](const Entry& e, eth::Nonce v) { return e.tx.nonce < v; });
+    }
+    std::vector<Entry>::iterator find(eth::Nonce n) {
       auto it = lower_bound(n);
-      return (it != txs.end() && it->first == n) ? it : txs.end();
+      return (it != txs.end() && it->tx.nonce == n) ? it : txs.end();
     }
-    std::vector<std::pair<eth::Nonce, Entry>>::const_iterator find(eth::Nonce n) const {
-      auto it = std::lower_bound(txs.begin(), txs.end(), n,
-                                 [](const auto& e, eth::Nonce v) { return e.first < v; });
-      return (it != txs.end() && it->first == n) ? it : txs.end();
+    std::vector<Entry>::const_iterator find(eth::Nonce n) const {
+      auto it = lower_bound(n);
+      return (it != txs.end() && it->tx.nonce == n) ? it : txs.end();
     }
+  };
+
+  /// Where a buffered transaction lives: its account slot and nonce.
+  struct TxLoc {
+    uint32_t slot = 0;
+    eth::Nonce nonce = 0;
   };
 
   /// Everything the pool buffers, in one copy-on-write blob. Mutating
@@ -208,18 +243,19 @@ class Mempool {
   struct State {
     // Struct-of-arrays account storage. slot_addr[i] == kNoAddress marks a
     // free slot (recycled LIFO via free_slots); slot_of maps an address to
-    // its slot for O(1) lookup. Iteration happens in slot order.
+    // its slot for O(1) lookup. Iteration happens in slot order only.
     std::vector<eth::Address> slot_addr;
     std::vector<AccountQueue> slot_queue;
     std::vector<uint32_t> free_slots;
-    std::unordered_map<eth::Address, uint32_t> slot_of;
+    FlatHashMap<uint32_t> slot_of;
 
-    // (pool price, tx id), cheapest-first for eviction (see flat_index.h).
+    // Cheapest-first for eviction (see flat_index.h); keys carry the hash.
     FlatPriceIndex price_index;
     // Subset of price_index holding only future entries (truncation order).
     FlatPriceIndex future_index;
-    std::unordered_map<uint64_t, std::pair<eth::Address, eth::Nonce>> by_id;
-    std::unordered_map<eth::TxHash, uint64_t> by_hash;
+    // The one transaction index: content hash -> location. Serves the
+    // duplicate probe, find_hash, and victims read from the price indexes.
+    FlatHashMap<TxLoc> txs;
     size_t size = 0;
     size_t pending_count = 0;
     // Cheap guards so maintain() skips full scans (and, post-fork, the
@@ -246,28 +282,40 @@ class Mempool {
  private:
   /// add() minus the accounting: the instrumented wrapper stays off the
   /// profile when obs_ is null.
-  AdmitResult add_impl(const eth::Transaction& tx, double now);
+  AdmitResult add_impl(const eth::Transaction& tx, eth::TxHash hash, double now);
   void record_admit(const eth::Transaction& tx, const AdmitResult& result, double now);
 
   static const AccountQueue* account(const State& s, eth::Address sender);
-  static AccountQueue* account(State& s, eth::Address sender);
-  /// Finds or allocates the slot for `sender`.
-  static AccountQueue& ensure_account(State& s, eth::Address sender);
-  /// Returns `sender`'s slot to the free list (queue must be empty).
-  static void release_account(State& s, eth::Address sender);
+  /// Finds or allocates the slot for `sender`; a new account starts
+  /// classified at `chain_next` (an empty queue is valid against any nonce).
+  static uint32_t ensure_slot(State& s, eth::Address sender, eth::Nonce chain_next);
+  /// Returns a slot to the free list (its queue must be empty).
+  static void release_slot(State& s, uint32_t slot);
 
-  /// Recomputes pending flags for one account; appends promotions to `out`
-  /// when non-null. Maintains pending_count and the account future count.
-  void reclassify(State& s, eth::Address sender, std::vector<eth::Transaction>* promoted);
+  static PriceKey key_of(const Entry& e) { return {e.tx.pool_price(), e.tx.id, e.hash}; }
+  void promote(State& s, AccountQueue& q, Entry& e);
+  void demote(State& s, AccountQueue& q, Entry& e);
 
-  /// Removes one entry (must exist); does not reclassify.
-  eth::Transaction remove_entry(State& s, eth::Address sender, eth::Nonce nonce);
+  /// Full walk: recomputes every pending flag of a live account against the
+  /// sender's current chain nonce, appending promotions to `promoted` when
+  /// non-null.
+  void reclassify(State& s, uint32_t slot, std::vector<eth::Transaction>* promoted);
+
+  /// Classification after removing the entry at `nonce` from `slot`:
+  /// demotes the pending run's tail behind a removed pending entry, or
+  /// falls back to the full walk when the chain nonce has moved.
+  void reclassify_after_remove(State& s, uint32_t slot, eth::Nonce nonce, bool was_pending);
+
+  /// Removes one entry (must exist); does not reclassify. May release the
+  /// slot.
+  Entry remove_entry(State& s, uint32_t slot, eth::Nonce nonce);
+
+  /// remove_entry + reclassify_after_remove.
+  eth::Transaction drop(State& s, TxLoc loc);
 
   /// Chooses the eviction victim per policy; nullopt if no entry is cheaper
   /// than `incoming_price` (or, under futures-only eviction, no future is).
-  std::optional<std::pair<eth::Address, eth::Nonce>> pick_victim(State& s,
-                                                                 eth::Wei incoming_price,
-                                                                 bool incoming_is_pending);
+  std::optional<TxLoc> pick_victim(State& s, eth::Wei incoming_price, bool incoming_is_pending);
 
   /// Records an insertion time for the O(1) expiry guard.
   static void track_added_at(State& s, double now);

@@ -11,14 +11,16 @@ MeasurementNode::MeasurementNode(Network* net, const eth::StateView* state, doub
     : net_(net),
       view_(view_policy ? *view_policy : mempool::profile_for(mempool::ClientKind::kGeth).policy,
             state),
+      blocks_seen_(net->chain().height()),
       send_spacing_(send_spacing) {}
 
 void MeasurementNode::deliver_tx(const eth::Transaction& tx, PeerId from) {
   // Hot under batched delivery: a drained flood batch funnels hundreds of
   // these back-to-back, so read the clock once per delivery.
   const double now = net_->simulator().now();
-  log_[tx.hash()].emplace_back(from, now);
-  view_.add(tx, now);
+  const eth::TxHash hash = tx.hash();
+  log_[hash].emplace_back(from, now);
+  view_.add(tx, hash, now);
 }
 
 void MeasurementNode::deliver_announce(eth::TxHash hash, PeerId from) {
@@ -34,8 +36,10 @@ void MeasurementNode::deliver_get_tx(eth::TxHash hash, PeerId from) {
 }
 
 void MeasurementNode::on_block_commit() {
-  view_.set_base_fee(net_->chain().base_fee());
-  view_.on_block();
+  const eth::Chain& chain = net_->chain();
+  view_.set_base_fee(chain.base_fee());
+  view_.on_block(chain.senders_since(blocks_seen_));
+  blocks_seen_ = chain.height();
 }
 
 void MeasurementNode::set_metrics(obs::MetricsRegistry& reg) {

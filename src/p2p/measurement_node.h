@@ -88,13 +88,17 @@ class MeasurementNode final : public Peer {
   /// registry.
   struct Snapshot {
     mempool::Mempool::Snapshot view;
+    uint64_t blocks_seen = 0;
     double next_free_send = 0.0;
     uint64_t txs_sent = 0;
     std::unordered_map<eth::TxHash, std::vector<std::pair<PeerId, double>>> log;
   };
-  Snapshot snapshot() const { return Snapshot{view_.snapshot(), next_free_send_, txs_sent_, log_}; }
+  Snapshot snapshot() const {
+    return Snapshot{view_.snapshot(), blocks_seen_, next_free_send_, txs_sent_, log_};
+  }
   void restore(const Snapshot& snap) {
     view_.restore(snap.view);
+    blocks_seen_ = snap.blocks_seen;
     next_free_send_ = snap.next_free_send;
     txs_sent_ = snap.txs_sent;
     log_ = snap.log;
@@ -109,6 +113,7 @@ class MeasurementNode final : public Peer {
  private:
   Network* net_;
   mempool::Mempool view_;
+  uint64_t blocks_seen_;  ///< chain height the view last reacted to (see Node)
   double send_spacing_;
   double next_free_send_ = 0.0;
   uint64_t txs_sent_ = 0;

@@ -8,18 +8,23 @@
 namespace topo::p2p {
 
 Node::Node(NodeConfig config, Network* net, const eth::StateView* state, util::Rng rng)
-    : config_(std::move(config)), net_(net), pool_(config_.policy(), state), rng_(rng) {}
+    : config_(std::move(config)),
+      net_(net),
+      pool_(config_.policy(), state),
+      blocks_seen_(net->chain().height()),
+      rng_(rng) {}
 
 Node::Snapshot Node::snapshot() const {
-  return Snapshot{config_,        rng_,
-                  unresponsive_,  pool_.snapshot(),
-                  announce_block_until_, announce_sources_};
+  return Snapshot{config_,          rng_,         unresponsive_,
+                  pool_.snapshot(), blocks_seen_, announce_block_until_,
+                  announce_sources_};
 }
 
 Node::Node(const Snapshot& snap, Network* net, const eth::StateView* state)
     : config_(snap.config),
       net_(net),
       pool_(config_.policy(), state),
+      blocks_seen_(snap.blocks_seen),
       rng_(snap.rng),
       unresponsive_(snap.unresponsive),
       announce_block_until_(snap.announce_block_until),
@@ -181,8 +186,10 @@ void Node::on_peer_connected(PeerId peer) {
 }
 
 void Node::on_block_commit() {
-  pool_.set_base_fee(net_->chain().base_fee());
-  const auto update = pool_.on_block();
+  const eth::Chain& chain = net_->chain();
+  pool_.set_base_fee(chain.base_fee());
+  const auto update = pool_.on_block(chain.senders_since(blocks_seen_));
+  blocks_seen_ = chain.height();
   if (unresponsive_ || !config_.forwards_transactions) return;
   for (const auto& p : update.promoted) propagate(p, id());
 }

@@ -36,6 +36,7 @@ class Node final : public Peer, public sim::EventSink {
     util::Rng rng;
     bool unresponsive = false;
     mempool::Mempool::Snapshot pool;
+    uint64_t blocks_seen = 0;
     std::unordered_map<eth::TxHash, double> announce_block_until;
     std::unordered_map<eth::TxHash, std::vector<PeerId>> announce_sources;
   };
@@ -98,6 +99,10 @@ class Node final : public Peer, public sim::EventSink {
   NodeConfig config_;
   Network* net_;
   mempool::Mempool pool_;
+  /// Chain height the pool last reacted to. A commit notification arrives
+  /// one link latency after the commit, so by then later blocks may have
+  /// committed too; the pool must visit the senders of all of them.
+  uint64_t blocks_seen_ = 0;
   util::Rng rng_;
   bool unresponsive_ = false;
 

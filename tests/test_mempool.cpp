@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "eth/account.h"
 #include "eth/transaction.h"
@@ -200,11 +201,72 @@ TEST_F(MempoolTest, OnBlockDropsMinedAndPromotes) {
   pool.add(f.make(1, 3, 100), 0.0);  // future
   // Chain confirms nonces 0..2 (2 was mined elsewhere).
   state.set_next_nonce(1, 3);
-  const auto update = pool.on_block();
+  const auto update = pool.on_block({1});
   EXPECT_EQ(update.dropped.size(), 2u);
   ASSERT_EQ(update.promoted.size(), 1u);
   EXPECT_EQ(update.promoted[0].nonce, 3u);
   EXPECT_EQ(pool.pending_count(), 1u);
+}
+
+// Chain::commit advances nonces at once, but a node hears of the block one
+// link latency later, and offers made in between already see the new
+// nonce. The account's flags were classified against the old nonce, so
+// the offer must reclassify the whole account, not just extend the run.
+TEST_F(MempoolTest, OfferInsideCommitNotificationWindowReclassifiesAccount) {
+  state.set_next_nonce(1, 3);
+  auto pool = make();
+  pool.add(f.make(1, 3, 100), 0.0);
+  pool.add(f.make(1, 4, 100), 0.0);
+  pool.add(f.make(1, 6, 100), 0.0);
+  ASSERT_EQ(pool.pending_count(), 2u);
+
+  state.set_next_nonce(1, 5);  // nonces 3 and 4 mined; on_block not yet run
+  const auto result = pool.add(f.make(1, 5, 100), 0.0);
+  EXPECT_EQ(result.code, AdmitCode::kAddedPending);
+  ASSERT_EQ(result.promoted.size(), 1u);
+  EXPECT_EQ(result.promoted[0].nonce, 6u);
+  EXPECT_EQ(pool.pending_count(), 2u) << "3 and 4 demoted, 5 and 6 pending";
+  pool.check_invariants();
+
+  const auto update = pool.on_block({1});
+  EXPECT_EQ(update.dropped.size(), 2u);
+  EXPECT_TRUE(update.promoted.empty());
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.pending_count(), 2u);
+  pool.check_invariants();
+}
+
+// Same window, removal side: evicting an account's stale head must
+// reclassify against the chain's new nonce, which keeps the next entry
+// pending instead of demoting the rest of the old run.
+TEST_F(MempoolTest, EvictionInsideCommitNotificationWindowReclassifiesVictim) {
+  state.set_next_nonce(1, 3);
+  auto pool = make();  // capacity 8
+  pool.add(f.make(1, 3, 10), 0.0);
+  pool.add(f.make(1, 4, 500), 0.0);
+  for (Address a = 2; a <= 7; ++a) pool.add(f.make(a, 0, 500), 0.0);
+  ASSERT_TRUE(pool.full());
+
+  state.set_next_nonce(1, 4);  // nonce 3 mined; on_block not yet run
+  const auto result = pool.add(f.make(9, 0, 600), 0.0);
+  ASSERT_EQ(result.evicted.size(), 1u);
+  EXPECT_EQ(result.evicted[0].nonce, 3u);
+  EXPECT_EQ(pool.pending_count(), 8u) << "nonce 4 is the chain's next nonce";
+  pool.check_invariants();
+}
+
+TEST_F(MempoolTest, OnBlockVisitsOnlyTheNamedSenders) {
+  auto pool = make();
+  pool.add(f.make(1, 0, 100), 0.0);
+  pool.add(f.make(2, 0, 100), 0.0);
+  state.set_next_nonce(1, 1);
+  state.set_next_nonce(2, 1);
+  const auto update = pool.on_block({1, 1, 42});  // repeats and unknown senders are fine
+  ASSERT_EQ(update.dropped.size(), 1u);
+  EXPECT_EQ(update.dropped[0].sender, 1u);
+  EXPECT_EQ(pool.on_block({2}).dropped.size(), 1u);
+  EXPECT_EQ(pool.size(), 0u);
+  pool.check_invariants();
 }
 
 TEST_F(MempoolTest, MedianAndLowestPrice) {
@@ -434,14 +496,14 @@ TEST(FlatPriceIndex, ReleasesCapacityAfterEvictionFloodDrains) {
   // Still a working min-heap after the shrink: survivors come out cheapest
   // first, and fresh inserts order correctly against them.
   idx.insert({1, 999999});
-  EXPECT_EQ(idx.min().second, 999999u);
+  EXPECT_EQ(idx.min().id, 999999u);
   idx.erase(idx.min());
   eth::Wei last = 0;
   while (!idx.empty()) {
-    const auto [price, id] = idx.min();
+    const auto [price, id, hash] = idx.min();
     EXPECT_GE(price, last);
     last = price;
-    idx.erase({price, id});
+    idx.erase({price, id, hash});
   }
 }
 
@@ -468,12 +530,50 @@ TEST(FlatPriceIndex, CompactionReleasesTombstoneCapacity) {
   EXPECT_LT(idx.tombstone_capacity(), kN / 4);
   // Survivors are exactly the cheapest 16, in order.
   for (size_t i = 0; i < 16; ++i) {
-    const auto [price, id] = idx.min();
+    const auto [price, id, hash] = idx.min();
     EXPECT_EQ(id, i);
     EXPECT_EQ(price, static_cast<eth::Wei>(100 + i));
-    idx.erase({price, id});
+    idx.erase({price, id, hash});
   }
   EXPECT_TRUE(idx.empty());
+}
+
+// The transaction index against std::unordered_map: a small key space
+// (key 0 included) keeps probe runs long, so inserts wrap around the bucket
+// array and erases shift later run members back into the hole.
+TEST(FlatHashMap, MatchesReferenceMapUnderChurn) {
+  FlatHashMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  util::Rng rng(7);
+  for (int step = 0; step < 40000; ++step) {
+    const uint64_t key = rng.index(700);
+    if (ref.count(key) != 0) {
+      ASSERT_NE(map.find(key), nullptr) << "step " << step;
+      ASSERT_EQ(*map.find(key), ref[key]);
+      if (rng.chance(0.6)) {
+        map.erase(key);
+        ref.erase(key);
+      } else {
+        *map.find(key) = step;
+        ref[key] = step;
+      }
+    } else {
+      ASSERT_EQ(map.find(key), nullptr) << "step " << step;
+      map.insert(key, step);
+      ref[key] = step;
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    if (step % 4000 == 0) {
+      for (uint64_t k = 0; k < 700; ++k) {
+        const auto it = ref.find(k);
+        const uint64_t* got = map.find(k);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << k;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

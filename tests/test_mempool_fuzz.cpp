@@ -197,12 +197,14 @@ TEST_P(MempoolFuzz, MatchesReferenceModel) {
       pool.maintain(0.0);
       ref.truncate_futures();
     } else {
-      // Advance a random account's chain nonce (a mined block).
+      // Advance a random account's chain nonce (a mined block); the pool
+      // hears only of that sender, as a node hears of a block's senders.
       const eth::Address sender = 1 + rng.index(8);
       state.set_next_nonce(sender, state.next_nonce(sender) + 1 + rng.index(2));
-      pool.on_block();
+      pool.on_block({sender});
       ref.on_block();
     }
+    pool.check_invariants();
     ASSERT_EQ(pool.size(), ref.size()) << "step " << step;
     ASSERT_EQ(pool.pending_count(), ref.pending_count()) << "step " << step;
     ASSERT_EQ(state_set(pool), ref.state_set()) << "step " << step;

@@ -209,6 +209,32 @@ TEST(P2p, MiningRemovesIncludedTransactions) {
   EXPECT_FALSE(w.net.node(b).pool().contains(tx.hash()));
 }
 
+// A commit notification lands one link latency after its block, so more
+// blocks may have committed by then. The one notification must prune the
+// pool for every block since the node's previous one, not just the newest.
+TEST(P2p, OneCommitNotificationCoversEveryBlockSinceTheLast) {
+  World w;
+  const PeerId a = w.net.add_node(w.default_config());
+  const auto x = w.pending_tx(1000);
+  const auto y = w.pending_tx(1000);
+  w.net.node(a).submit(x);
+  w.net.node(a).submit(y);
+  ASSERT_EQ(w.net.node(a).pool().size(), 2u);
+
+  // Two blocks with different senders commit before the node is told.
+  eth::Block first;
+  first.txs = {x};
+  w.chain.commit(std::move(first));
+  eth::Block second;
+  second.txs = {y};
+  w.chain.commit(std::move(second));
+
+  w.net.node(a).on_block_commit();
+  EXPECT_FALSE(w.net.node(a).pool().contains(x.hash()));
+  EXPECT_FALSE(w.net.node(a).pool().contains(y.hash()));
+  EXPECT_EQ(w.net.node(a).pool().size(), 0u);
+}
+
 TEST(P2p, StartMiningProducesPeriodicBlocks) {
   World w;
   const PeerId a = w.net.add_node(w.default_config());
