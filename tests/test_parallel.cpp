@@ -57,6 +57,10 @@ struct LocalCase {
   bool a1a2, a1b, a2b;
 };
 
+// Printed into the test name; gtest's default byte dump would embed the
+// address of `name`, which changes from run to run.
+void PrintTo(const LocalCase& c, std::ostream* os) { *os << c.name; }
+
 class Table8Cases : public ::testing::TestWithParam<LocalCase> {};
 
 TEST_P(Table8Cases, PerfectPrecisionAndRecall) {

@@ -19,6 +19,10 @@ struct Recipe {
   disc::EmergenceConfig (*make)(size_t);
 };
 
+// Printed into the test name; gtest's default byte dump would embed the
+// addresses of `name` and `make`, which change from run to run.
+void PrintTo(const Recipe& r, std::ostream* os) { *os << r.name; }
+
 class TestnetPipeline : public ::testing::TestWithParam<Recipe> {};
 
 TEST_P(TestnetPipeline, MeasuresWithPerfectPrecision) {
