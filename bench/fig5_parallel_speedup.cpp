@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         }
       }
     } else {
-      const auto report = sc.measure_network(k, sc.default_measure_config());
+      const auto report = core::MeasurementSession(sc).network(k).value;
       measured = report.measured;
       iterations = report.iterations;
     }

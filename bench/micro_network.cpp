@@ -92,10 +92,9 @@ struct CountingSink final : sim::EventSink {
 /// events through the queue alone, over a spread mimicking real schedules —
 /// mostly sub-second deliveries with periodic far-future entries.
 void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto backend = static_cast<sim::QueueBackend>(state.range(0));
   CountingSink sink;
   for (auto _ : state) {
-    sim::EventQueue q(backend);
+    sim::EventQueue q;
     double now = 0.0;
     for (int i = 0; i < 10'000; ++i) {
       const double dt = (i % 13 == 0) ? 30.0 : 0.001 * static_cast<double>(i % 311);
@@ -106,9 +105,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     benchmark::DoNotOptimize(now);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 10'000);
-  state.SetLabel(backend == sim::QueueBackend::kTimingWheel ? "wheel" : "heap");
 }
-BENCHMARK(BM_EventQueuePushPop)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueuePushPop);
 
 /// Typed-event simulator throughput: the same load as
 /// BM_EventQueueThroughput but with zero-allocation typed events in place

@@ -191,7 +191,7 @@ inline int run_testnet_study(const TestnetStudyConfig& cfg, int argc, char** arg
     scout.seed_background();
     scout.start_churn(3.0);
     mcfg = scout.default_measure_config();
-    const auto pre = scout.preprocess(mcfg);
+    const auto pre = core::MeasurementSession(scout, mcfg).preprocess().value;
     std::cout << "pre-processing: " << pre.future_forwarders.size() << " future-forwarders, "
               << pre.unresponsive.size() << " unresponsive nodes excluded\n";
   }

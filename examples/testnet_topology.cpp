@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "core/validator.h"
 #include "disc/emergence.h"
@@ -42,14 +43,14 @@ int main(int argc, char** argv) {
   sc.start_churn(3.0);  // live-network conditions drain probe residue
 
   // 2. Pre-processing.
-  const auto pre = sc.preprocess(sc.default_measure_config());
+  core::MeasurementSession session(sc);
+  const auto pre = session.preprocess().value;
   std::cout << "Pre-processing excluded " << pre.future_forwarders.size()
             << " future-forwarders and " << pre.unresponsive.size() << " unresponsive nodes\n";
 
   // 3. Full measurement (union of three passes, the paper's recipe).
-  core::MeasureConfig mcfg = sc.default_measure_config();
-  mcfg.repetitions = 3;
-  const auto report = sc.measure_network(group_k, mcfg);
+  session.config().repetitions = 3;
+  const auto report = session.network(group_k).value;
   std::cout << "Measured " << report.measured.num_edges() << " edges over "
             << report.pairs_tested << " pairs in " << report.iterations << " iterations ("
             << report.sim_seconds << " sim-seconds, " << report.txs_sent << " txs)\n";

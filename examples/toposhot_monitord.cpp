@@ -35,11 +35,11 @@
 //   --trace-out=PATH        per-epoch span trace (Chrome trace-event JSON)
 //
 // Determinism: snapshot/diff/status documents (and therefore --serve-out
-// and --snapshot-out) are byte-identical at any --threads width and on
-// either event-queue backend; --metrics-out and --prom-out hold only
-// shard-invariant monitor.*/obs.* series and share that contract.
-// --log-out and the topo_getHealth ring stamp sim time only, so they are
-// thread/backend-invariant too but, like --trace-out, depend on --shards.
+// and --snapshot-out) are byte-identical at any --threads width;
+// --metrics-out and --prom-out hold only shard-invariant monitor.*/obs.*
+// series and share that contract. --log-out and the topo_getHealth ring
+// stamp sim time only, so they are thread-invariant too but, like
+// --trace-out, depend on --shards.
 
 #include <fstream>
 #include <iostream>

@@ -8,15 +8,19 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-run_pass() {
+configure_and_build() {
   local dir="$1"; shift
   cmake -B "$dir" -S . "$@" > /dev/null
-  cmake --build "$dir" -j
-  ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
+  cmake --build "$dir" -j "$(nproc)"
+}
+
+run_tests() {
+  ctest --test-dir "$1" --output-on-failure -j "$(nproc)"
 }
 
 echo "== pass 1: -Wall -Wextra -Werror =="
-run_pass build-strict -DCMAKE_CXX_FLAGS=-Werror
+configure_and_build build-strict -DCMAKE_CXX_FLAGS=-Werror
+run_tests build-strict
 
 echo "== pass 1b: trace-export sanity (Perfetto-loadable JSON) =="
 # Drive a traced measurement through the CLI and verify the artifact is
@@ -38,7 +42,18 @@ EOF
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "== pass 2: AddressSanitizer + UBSan =="
-  run_pass build-asan -DCMAKE_BUILD_TYPE=Asan
+  configure_and_build build-asan -DCMAKE_BUILD_TYPE=Asan
+  # A build type whose flags never reached the compiler builds and passes
+  # just the same, unsanitized: refuse to go on unless the test binary
+  # really carries both runtimes. (grep -c reads all of nm's output, so
+  # pipefail never sees nm die of SIGPIPE.)
+  for symbol in __asan_init __ubsan_handle_; do
+    if ! nm build-asan/tests/toposhot_tests | grep -c "$symbol" > /dev/null; then
+      echo "build-asan/tests/toposhot_tests lacks $symbol: the Asan build is not sanitized" >&2
+      exit 1
+    fi
+  done
+  run_tests build-asan
   # The fault-injection layer exercises hook/teardown paths (injector
   # outliving scheduled sim callbacks, node restarts mid-flight) that only
   # ASan can vouch for; pin its suite explicitly so a filter change in the

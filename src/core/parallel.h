@@ -50,10 +50,9 @@ struct ParallelResult {
 /// sources is otherwise best-effort, as §6.1 observes.
 ///
 /// Implementation detail of the strategy seam: this is the raw TopoShot
-/// batch probe that core::ToposhotStrategy drives (and that
-/// core::wrap_parallel_measurement adapts for legacy callers). Constructing
-/// it directly bypasses strategy selection — new code should go through
-/// core::MeasurementSession or the core::MeasurementStrategy seam.
+/// batch probe that core::ToposhotStrategy drives. Constructing it directly
+/// bypasses strategy selection — go through core::MeasurementSession or the
+/// core::MeasurementStrategy seam.
 class ParallelMeasurement {
  public:
   ParallelMeasurement(p2p::Network& net, p2p::MeasurementNode& m, eth::AccountManager& accounts,

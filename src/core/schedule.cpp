@@ -271,31 +271,31 @@ void run_retry_pass(MeasurementStrategy& strat, const std::vector<p2p::PeerId>& 
   }
 }
 
-NetworkMeasurementReport NetworkMeasurement::measure_all(p2p::Network& net,
-                                                         const std::vector<p2p::PeerId>& targets,
-                                                         size_t group_k) {
+NetworkMeasurementReport measure_all(MeasurementStrategy& strat,
+                                     const std::vector<p2p::PeerId>& targets, size_t group_k,
+                                     size_t max_edges_per_call) {
   NetworkMeasurementReport report;
   report.measured = graph::Graph(targets.size());
-  report.strategy = strat_.kind();
-  if (strat_.config().inconclusive_retries > 0) {
+  report.strategy = strat.kind();
+  const MeasureConfig& cfg = strat.config();
+  if (cfg.inconclusive_retries > 0) {
     report.fault.emplace();
-    report.fault->retries = strat_.config().inconclusive_retries;
+    report.fault->retries = cfg.inconclusive_retries;
   }
-  if (strat_.config().collect_diagnostics) report.diagnostics.emplace();
-  const double t0 = net.simulator().now();
+  if (cfg.collect_diagnostics) report.diagnostics.emplace();
+  const double t0 = strat.now();
 
-  const size_t budget =
-      max_edges_ != 0 ? max_edges_ : slot_budget(strat_.config().flood_Z);
-  const size_t retries = strat_.config().inconclusive_retries;
+  const size_t budget = max_edges_per_call != 0 ? max_edges_per_call : slot_budget(cfg.flood_Z);
+  const size_t retries = cfg.inconclusive_retries;
   std::vector<RetriedPair> inconclusive;
   std::vector<RetriedPair>* collect =
       report.fault.has_value() || report.diagnostics.has_value() ? &inconclusive : nullptr;
   size_t batch_id = 0;
   for (const auto& batch : make_batches(targets.size(), group_k, budget)) {
-    run_batch(strat_, targets, batch, batch_id++, report, collect);
+    run_batch(strat, targets, batch, batch_id++, report, collect);
   }
-  run_retry_pass(strat_, targets, std::move(inconclusive), budget, retries, report);
-  report.sim_seconds = net.simulator().now() - t0;
+  run_retry_pass(strat, targets, std::move(inconclusive), budget, retries, report);
+  report.sim_seconds = strat.now() - t0;
   return report;
 }
 

@@ -187,31 +187,17 @@ void run_retry_pass(MeasurementStrategy& strat, const std::vector<p2p::PeerId>& 
                     std::vector<RetriedPair> inconclusive, size_t budget, size_t rounds,
                     NetworkMeasurementReport& report);
 
-/// Drives the full schedule through a MeasurementStrategy.
+/// Drives the full §5.3.2 schedule over `targets` through `strat`: the
+/// two-round batches, then the bounded retry pass. sim_seconds is read off
+/// the strategy's clock.
 ///
 /// `max_edges_per_call` enforces the paper's mempool slot budget (§5.3.2:
 /// "we only use no more than 2000 transaction slots" of Geth's 5120): an
 /// iteration whose candidate-edge count exceeds the budget is split into
 /// sub-batches, since every concurrent edge pins one txC slot in every
 /// pool. 0 derives the budget from the measurement config (2/5 of Z).
-class NetworkMeasurement {
- public:
-  explicit NetworkMeasurement(MeasurementStrategy& strat, size_t max_edges_per_call = 0)
-      : strat_(strat), max_edges_(max_edges_per_call) {}
-
-  /// Legacy entry: drives a caller-owned ParallelMeasurement through the
-  /// seam (wrap_parallel_measurement), byte-identical to the pre-seam
-  /// direct dispatch. Prefer the strategy constructor.
-  explicit NetworkMeasurement(ParallelMeasurement& par, size_t max_edges_per_call = 0)
-      : owned_(wrap_parallel_measurement(par)), strat_(*owned_), max_edges_(max_edges_per_call) {}
-
-  NetworkMeasurementReport measure_all(p2p::Network& net,
-                                       const std::vector<p2p::PeerId>& targets, size_t group_k);
-
- private:
-  std::unique_ptr<MeasurementStrategy> owned_;  ///< only set by the legacy ctor
-  MeasurementStrategy& strat_;
-  size_t max_edges_;
-};
+NetworkMeasurementReport measure_all(MeasurementStrategy& strat,
+                                     const std::vector<p2p::PeerId>& targets, size_t group_k,
+                                     size_t max_edges_per_call = 0);
 
 }  // namespace topo::core

@@ -40,13 +40,16 @@ Annotated<NetworkMeasurementReport> MeasurementSession::network(size_t group_k,
       targets = pre->filter(targets);
       strat->set_flood_overrides(pre->flood_override);
     }
-    NetworkMeasurement nm(*strat);
-    return nm.measure_all(scenario_.net(), targets, group_k);
+    return measure_all(*strat, targets, group_k);
   });
 }
 
 Annotated<PreprocessReport> MeasurementSession::preprocess() {
-  return annotated([&] { return scenario_.preprocess(config_); });
+  return annotated([&] {
+    Preprocessor pre(scenario_.net(), scenario_.m(), scenario_.accounts(), scenario_.factory(),
+                     config_);
+    return pre.probe(scenario_.targets());
+  });
 }
 
 }  // namespace topo::core

@@ -9,12 +9,12 @@
 // their own.
 //
 // The session is also where the measurement *strategy* is chosen: every
-// call dispatches through the core::MeasurementStrategy seam, so swapping
-// TopoShot for a rival (set_strategy) changes the probe protocol without
-// touching the call sites. Scenario::measure_one_link / measure_parallel /
-// measure_network / preprocess remain as thin equivalents for existing
-// callers and produce identical results on identical seeds; new code
-// should come through here.
+// measurement call dispatches through the core::MeasurementStrategy seam,
+// so swapping TopoShot for a rival (set_strategy) changes the probe
+// protocol without touching the call sites. Callers that must not take the
+// session's two snapshot_metrics() calls per measurement (they publish
+// gauges, which can raise `_max` companions in a written artifact) drive
+// Scenario::make_strategy plus core::measure_all directly.
 
 #include <vector>
 
@@ -54,9 +54,8 @@ class MeasurementSession {
   obs::MetricsRegistry& metrics() { return scenario_.metrics(); }
 
   /// Selects the measurement strategy for subsequent calls (default:
-  /// TopoShot, whose trajectories are byte-identical to the pre-seam
-  /// direct dispatch). The strategy's prepare() hook runs once per
-  /// measurement call, before the probe traffic.
+  /// TopoShot). The strategy's prepare() hook runs once per measurement
+  /// call, before the probe traffic.
   void set_strategy(StrategyKind kind) { strategy_ = kind; }
   StrategyKind strategy() const { return strategy_; }
 

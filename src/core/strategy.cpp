@@ -407,48 +407,4 @@ std::unique_ptr<MeasurementStrategy> make_strategy(StrategyKind kind, p2p::Netwo
   return std::make_unique<ToposhotStrategy>(net, m, accounts, factory, config);
 }
 
-namespace {
-
-/// See wrap_parallel_measurement.
-class BorrowedParallelStrategy final : public MeasurementStrategy {
- public:
-  explicit BorrowedParallelStrategy(ParallelMeasurement& par) : par_(par) {}
-
-  StrategyKind kind() const override { return StrategyKind::kToposhot; }
-  OneLinkResult measure_pair(p2p::PeerId a, p2p::PeerId b) override {
-    const std::vector<p2p::PeerId> sources{a}, sinks{b};
-    const std::vector<ParallelEdge> edges{{0, 0}};
-    return one_link_from_single_edge(par_.measure(sources, sinks, edges));
-  }
-  ParallelResult measure_batch(const std::vector<p2p::PeerId>& sources,
-                               const std::vector<p2p::PeerId>& sinks,
-                               const std::vector<ParallelEdge>& edges) override {
-    return par_.measure(sources, sinks, edges);
-  }
-  ParallelResult remeasure_batch(const std::vector<p2p::PeerId>& sources,
-                                 const std::vector<p2p::PeerId>& sinks,
-                                 const std::vector<ParallelEdge>& edges) override {
-    return par_.remeasure(sources, sinks, edges);
-  }
-  void set_flood_overrides(std::unordered_map<p2p::PeerId, size_t> overrides) override {
-    par_.set_flood_overrides(std::move(overrides));
-  }
-  MeasureConfig& config() override { return par_.config(); }
-  const MeasureConfig& config() const override { return par_.config(); }
-  double now() const override { return par_.now(); }
-  obs::SpanTracer* tracer() const override { return par_.tracer(); }
-  void set_cost_tracker(CostTracker* tracker) override { par_.set_cost_tracker(tracker); }
-  void set_metrics(obs::MetricsRegistry* reg) override { par_.set_metrics(reg); }
-  void set_tracer(obs::SpanTracer* tracer) override { par_.set_tracer(tracer); }
-
- private:
-  ParallelMeasurement& par_;
-};
-
-}  // namespace
-
-std::unique_ptr<MeasurementStrategy> wrap_parallel_measurement(ParallelMeasurement& par) {
-  return std::make_unique<BorrowedParallelStrategy>(par);
-}
-
 }  // namespace topo::core

@@ -4,7 +4,7 @@
 // repo can run — TopoShot's replacement-price ladder, DEthna's marked
 // low-fee transactions, TxProbe's announcement blocking — implements the
 // same per-pair / per-batch probe lifecycle, so the schedule drivers
-// (core::run_batch / run_retry_pass / NetworkMeasurement), the session
+// (core::run_batch / run_retry_pass / measure_all), the session
 // facade (core::MeasurementSession), and the sharded campaign runner
 // (exec::run_sharded_campaign) dispatch through one interface and every
 // strategy inherits batching, retries, diagnostics, tracing, and report
@@ -285,11 +285,5 @@ std::unique_ptr<MeasurementStrategy> make_strategy(StrategyKind kind, p2p::Netwo
                                                    eth::AccountManager& accounts,
                                                    eth::TxFactory& factory,
                                                    MeasureConfig config);
-
-/// Adapts a caller-owned ParallelMeasurement to the seam (kind() ==
-/// kToposhot, batches delegate to par.measure/remeasure). Backs the legacy
-/// NetworkMeasurement(ParallelMeasurement&) constructor so existing callers
-/// keep byte-identical trajectories without owning a strategy.
-std::unique_ptr<MeasurementStrategy> wrap_parallel_measurement(ParallelMeasurement& par);
 
 }  // namespace topo::core

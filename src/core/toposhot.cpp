@@ -115,10 +115,10 @@ obs::MetricsSnapshot Scenario::snapshot_metrics() {
                    sim::event_kind_name(static_cast<sim::EventKind>(k)))
         .set(static_cast<double>(dispatched[k]));
   }
-  // Backend-specific event-queue internals: meaningful on the timing
-  // wheel, all-zero on the legacy heap. Deterministic for a fixed backend,
-  // but NOT comparable across backends — determinism checks must strip the
-  // sim.queue.impl.* prefix when comparing wheel vs heap runs.
+  // Timing-wheel internals: deterministic, but a forked world rebuilds its
+  // queue by re-pushing the captured events, so they are NOT comparable
+  // between forked and rebuilt worlds — determinism checks strip the
+  // sim.queue.impl.* prefix there.
   const sim::EventQueue::Stats& qs = sim_->queue_stats();
   metrics_.gauge("sim.queue.impl.l1_cascades").set(static_cast<double>(qs.l1_cascades));
   metrics_.gauge("sim.queue.impl.overflow_cascaded")
@@ -158,7 +158,6 @@ WorldSnapshot Scenario::snapshot() const {
   w.organic_on = organic_on_;
   w.organic_rate = organic_rate_;
 
-  w.backend = sim_->backend();
   w.now = sim_->now();
   w.events_processed = sim_->processed();
   w.queue_high_water = sim_->queue_high_water();
@@ -257,7 +256,7 @@ Scenario::Scenario(const WorldSnapshot& snap)
   metrics_.restore(snap.metrics);
   metrics_.trace().restore(snap.trace_events, snap.trace_total);
 
-  sim_ = std::make_unique<sim::Simulator>(snap.backend);
+  sim_ = std::make_unique<sim::Simulator>();
   chain_ = std::make_unique<eth::Chain>(options_.block_gas_limit, options_.initial_base_fee);
   chain_->restore(snap.chain);
 
@@ -406,45 +405,6 @@ std::unique_ptr<MeasurementStrategy> Scenario::make_strategy(StrategyKind kind,
   strat->set_metrics(&metrics_);
   strat->set_tracer(tracer_);
   return strat;
-}
-
-OneLinkResult Scenario::measure_one_link(p2p::PeerId a, p2p::PeerId b,
-                                         const MeasureConfig& cfg) {
-  OneLinkMeasurement one(*net_, *m_, accounts_, factory_, cfg);
-  one.set_cost_tracker(&costs_);
-  one.set_metrics(&metrics_);
-  one.set_tracer(tracer_);
-  return one.measure(a, b);
-}
-
-ParallelResult Scenario::measure_parallel(const std::vector<p2p::PeerId>& sources,
-                                          const std::vector<p2p::PeerId>& sinks,
-                                          const std::vector<ParallelEdge>& edges,
-                                          const MeasureConfig& cfg) {
-  ParallelMeasurement par(*net_, *m_, accounts_, factory_, cfg);
-  par.set_cost_tracker(&costs_);
-  par.set_metrics(&metrics_);
-  par.set_tracer(tracer_);
-  return par.measure(sources, sinks, edges);
-}
-
-NetworkMeasurementReport Scenario::measure_network(size_t group_k, const MeasureConfig& cfg,
-                                                   const PreprocessReport* pre) {
-  std::unique_ptr<MeasurementStrategy> strat = make_strategy(StrategyKind::kToposhot, cfg);
-  std::vector<p2p::PeerId> targets = targets_;
-  if (pre != nullptr) {
-    // §5.2.3: skip excluded nodes and enlarge the flood for nodes whose
-    // custom mempools the pre-processing discovered.
-    targets = pre->filter(targets);
-    strat->set_flood_overrides(pre->flood_override);
-  }
-  NetworkMeasurement nm(*strat);
-  return nm.measure_all(*net_, targets, group_k);
-}
-
-PreprocessReport Scenario::preprocess(const MeasureConfig& cfg) {
-  Preprocessor pre(*net_, *m_, accounts_, factory_, cfg);
-  return pre.probe(targets_);
 }
 
 }  // namespace topo::core

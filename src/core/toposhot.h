@@ -116,7 +116,6 @@ struct WorldSnapshot {
   bool organic_on = false;
   double organic_rate = 0.0;
 
-  sim::QueueBackend backend = sim::QueueBackend::kTimingWheel;
   sim::Time now = 0.0;
   size_t events_processed = 0;
   size_t queue_high_water = 0;
@@ -170,9 +169,9 @@ class Scenario : public sim::EventSink {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Publishes the point-in-time gauges (`sim.*`, `cost.*`, `obs.trace.*`,
-  /// the per-kind `sim.dispatch.*` counters, and the backend-specific
-  /// `sim.queue.impl.*` event-queue internals) into the registry and
-  /// returns a name-sorted snapshot of everything.
+  /// the per-kind `sim.dispatch.*` counters, and the timing-wheel
+  /// `sim.queue.impl.*` internals) into the registry and returns a
+  /// name-sorted snapshot of everything.
   obs::MetricsSnapshot snapshot_metrics();
 
   /// Attaches a causal span tracer (null detaches); forwarded into every
@@ -240,28 +239,6 @@ class Scenario : public sim::EventSink {
   /// before measuring.
   std::unique_ptr<MeasurementStrategy> make_strategy(StrategyKind kind,
                                                      const MeasureConfig& cfg);
-
-  /// Measurement entry points (cost-tracked, metrics-wired).
-  ///
-  /// \deprecated Implementation detail of the strategy seam. Prefer
-  /// core::MeasurementSession (core/session.h), which owns the
-  /// MeasureConfig, dispatches through the configured MeasurementStrategy,
-  /// and annotates every result with a per-call metrics delta; these thin
-  /// wrappers are kept only for existing callers (identical results on
-  /// identical seeds) and bypass strategy selection entirely.
-  OneLinkResult measure_one_link(p2p::PeerId a, p2p::PeerId b, const MeasureConfig& cfg);
-  /// \deprecated See measure_one_link.
-  ParallelResult measure_parallel(const std::vector<p2p::PeerId>& sources,
-                                  const std::vector<p2p::PeerId>& sinks,
-                                  const std::vector<ParallelEdge>& edges,
-                                  const MeasureConfig& cfg);
-  /// \deprecated See measure_one_link.
-  NetworkMeasurementReport measure_network(size_t group_k, const MeasureConfig& cfg,
-                                           const PreprocessReport* pre = nullptr);
-
-  /// Pre-processing pass over all targets.
-  /// \deprecated See measure_one_link.
-  PreprocessReport preprocess(const MeasureConfig& cfg);
 
  private:
   /// Fork constructor (Scenario::fork): rebuilds a world image from a

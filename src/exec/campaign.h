@@ -66,10 +66,9 @@ struct CampaignOptions {
 
   /// Record causal spans (campaign → shard → batch → pair → phase) into
   /// CampaignResult::spans. Span ids are pure functions of the campaign
-  /// structure, so the export is byte-identical at any `threads` width and
-  /// on either event-queue backend — but, like the report itself, it
-  /// depends on `shards`. Off by default: tracing is observe-only but not
-  /// free (one vector push per span).
+  /// structure, so the export is byte-identical at any `threads` width —
+  /// but, like the report itself, it depends on `shards`. Off by default:
+  /// tracing is observe-only but not free (one vector push per span).
   bool collect_spans = false;
 
   static constexpr size_t kDefaultShards = 16;

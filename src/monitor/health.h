@@ -25,7 +25,7 @@
 // A HealthReport (state + reason + the ring, oldest first) is what
 // `topo_getHealth` serves; like the snapshot/diff/status documents it has
 // a strict round-tripping JSON codec. Durations are *sim*-time, so the
-// report is deterministic across --threads widths and queue backends; it
+// report is deterministic across --threads widths; it
 // does depend on --shards (per-shard replica warm-up repeats work), like
 // campaign traces do.
 

@@ -20,16 +20,15 @@
 //
 // Determinism contract (tests/test_determinism.cpp, MonitorGolden*):
 // snapshots, diffs, and status carry no sim-time or wall-clock fields, so
-// a scripted run's artifacts are byte-identical at any --threads width and
-// on either event-queue backend; the monitor's own metrics registry (and
-// therefore the topo_getMetrics Prometheus exposition) keeps only
-// shard-invariant `monitor.*` / `obs.*` series. The telemetry plane added
-// for the live daemon — the EpochStats ring behind topo_getHealth and the
-// structured event log — stamps everything with *sim* time, so it too is
-// byte-identical across --threads widths and backends; like trace spans
-// (one kEpoch span per epoch) it does depend on --shards, because shard
-// replicas repeat warm-up work and that moves sim-time durations and
-// event counts.
+// a scripted run's artifacts are byte-identical at any --threads width;
+// the monitor's own metrics registry (and therefore the topo_getMetrics
+// Prometheus exposition) keeps only shard-invariant `monitor.*` / `obs.*`
+// series. The telemetry plane added for the live daemon — the EpochStats
+// ring behind topo_getHealth and the structured event log — stamps
+// everything with *sim* time, so it too is byte-identical across
+// --threads widths; like trace spans (one kEpoch span per epoch) it does
+// depend on --shards, because shard replicas repeat warm-up work and that
+// moves sim-time durations and event counts.
 
 #include <cstdint>
 #include <memory>
@@ -196,7 +195,7 @@ class TopologyMonitor {
   /// Latest Prometheus text exposition of the monitor's registry, published
   /// at the end of every epoch (empty string before the first). Never null.
   /// Like the registry itself it holds only shard-invariant series, so the
-  /// bytes are identical across --threads widths and queue backends.
+  /// bytes are identical across --threads widths.
   std::shared_ptr<const std::string> metrics_exposition() const;
 
   // -- evaluation / observability (writer thread only) -----------------------

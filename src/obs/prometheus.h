@@ -10,7 +10,7 @@
 // integral-fast-path / %.17g formatter as the JSON exports. Snapshots that
 // compare equal therefore expose byte-identically — which is what lets the
 // monitor daemon promise identical exposition bytes across `--threads`
-// widths and event-queue backends.
+// widths.
 
 #include <string>
 

@@ -6,9 +6,9 @@
 // campaign — campaign → shard → batch → pair → per-phase — as flat spans
 // keyed to *simulation* time. Span ids are pure functions of the campaign
 // structure (shard, batch, pair indices), never of execution order across
-// threads, so a sorted export is byte-identical at any worker-pool width
-// and on either event-queue backend. Exports target the Chrome trace-event
-// JSON format and load directly in Perfetto / chrome://tracing.
+// threads, so a sorted export is byte-identical at any worker-pool width.
+// Exports target the Chrome trace-event JSON format and load directly in
+// Perfetto / chrome://tracing.
 
 #include <cstddef>
 #include <cstdint>

@@ -333,31 +333,34 @@ const eth::Block& Network::mine_block(PeerId miner) {
 void Network::start_link_churn(double events_per_sec) {
   if (events_per_sec <= 0.0 || regular_.size() < 4) return;
   churn_on_ = true;
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, events_per_sec, tick] {
-    if (!churn_on_) return;
-    // Drop one random link between regular nodes.
-    std::unordered_set<PeerId> regular_set(regular_.begin(), regular_.end());
-    for (int attempt = 0; attempt < 16; ++attempt) {
-      const PeerId u = regular_[rng_.index(regular_.size())];
-      if (adj_[u].empty()) continue;
-      const PeerId v = adj_[u][rng_.index(adj_[u].size())];
-      if (!regular_set.count(v)) continue;  // never churn measurement links
-      disconnect(u, v);
-      ++churn_events_;
-      break;
-    }
-    // Dial one random replacement link (reconnect gossip fires).
-    for (int attempt = 0; attempt < 16; ++attempt) {
-      const PeerId a = regular_[rng_.index(regular_.size())];
-      const PeerId b = regular_[rng_.index(regular_.size())];
-      if (a == b || linked(a, b)) continue;
-      connect(a, b);
-      break;
-    }
-    sim_->after(rng_.exponential(1.0 / events_per_sec), *tick);
-  };
-  sim_->after(rng_.exponential(1.0 / events_per_sec), *tick);
+  sim_->after(rng_.exponential(1.0 / events_per_sec),
+              [this, events_per_sec] { churn_tick(events_per_sec); });
+}
+
+void Network::churn_tick(double events_per_sec) {
+  if (!churn_on_) return;
+  // Drop one random link between regular nodes.
+  std::unordered_set<PeerId> regular_set(regular_.begin(), regular_.end());
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const PeerId u = regular_[rng_.index(regular_.size())];
+    if (adj_[u].empty()) continue;
+    const PeerId v = adj_[u][rng_.index(adj_[u].size())];
+    if (!regular_set.count(v)) continue;  // never churn measurement links
+    disconnect(u, v);
+    ++churn_events_;
+    break;
+  }
+  // Dial one random replacement link (reconnect gossip fires).
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const PeerId a = regular_[rng_.index(regular_.size())];
+    const PeerId b = regular_[rng_.index(regular_.size())];
+    if (a == b || linked(a, b)) continue;
+    connect(a, b);
+    break;
+  }
+  // A fresh closure per tick: the pending event is the only owner.
+  sim_->after(rng_.exponential(1.0 / events_per_sec),
+              [this, events_per_sec] { churn_tick(events_per_sec); });
 }
 
 Network::Snapshot Network::snapshot() const {

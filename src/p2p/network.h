@@ -289,6 +289,9 @@ class Network : public sim::EventSink {
   bool churn_on_ = false;
   uint64_t churn_events_ = 0;
 
+  /// One start_link_churn step: drop a link, dial a replacement, re-arm.
+  void churn_tick(double events_per_sec);
+
   static uint64_t stream_key(PeerId from, PeerId to) {
     return (static_cast<uint64_t>(from) << 32) | to;
   }

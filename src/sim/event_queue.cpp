@@ -1,7 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdlib>
 #include <limits>
@@ -9,14 +8,6 @@
 namespace topo::sim {
 
 namespace {
-
-#ifdef TOPO_LEGACY_EVENT_HEAP
-constexpr QueueBackend kBuildDefault = QueueBackend::kLegacyHeap;
-#else
-constexpr QueueBackend kBuildDefault = QueueBackend::kTimingWheel;
-#endif
-
-std::atomic<QueueBackend> g_default_backend{kBuildDefault};
 
 /// Pops earliest first: the heap comparator orders *later* slots first so a
 /// std::*_heap family max-heap behaves as a min-heap by (t, seq).
@@ -29,26 +20,6 @@ struct Later {
 };
 
 }  // namespace
-
-QueueBackend default_queue_backend() {
-  return g_default_backend.load(std::memory_order_relaxed);
-}
-
-void set_default_queue_backend(QueueBackend backend) {
-  g_default_backend.store(backend, std::memory_order_relaxed);
-}
-
-void EventQueue::heap_push(Slot&& slot) {
-  heap_.push_back(std::move(slot));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-EventQueue::Scheduled EventQueue::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Scheduled out{heap_.back().t, heap_.back().seq, std::move(heap_.back().ev)};
-  heap_.pop_back();
-  return out;
-}
 
 void EventQueue::reset_wheel_to(int64_t slot) {
   // Only legal when every ring is empty (fresh queue, or an overflow
@@ -103,15 +74,11 @@ void EventQueue::push_at_seq(Time t, Event ev, uint64_t seq) {
   Slot slot{t, seq, std::move(ev)};
   if (seq >= next_seq_) next_seq_ = seq + 1;
   ++size_;
-  if (backend_ == QueueBackend::kLegacyHeap) {
-    heap_push(std::move(slot));
-  } else {
-    wheel_push(std::move(slot));
-    // Invariant: due_ is non-empty whenever size_ > 0 (next_time() and
-    // pop() read due_.back() unconditionally). A push into a drained queue
-    // lands in the rings, so pull the earliest bucket forward here.
-    if (due_.empty()) refill_due();
-  }
+  wheel_push(std::move(slot));
+  // Invariant: due_ is non-empty whenever size_ > 0 (next_time() and pop()
+  // read due_.front() unconditionally). A push into a drained queue lands
+  // in the rings, so pull the earliest bucket forward here.
+  if (due_.empty()) refill_due();
 }
 
 void EventQueue::cascade_l1(size_t l1_index) {
@@ -260,22 +227,17 @@ void EventQueue::refill_due() {
 }
 
 std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
-  // Collect every buried slot — drain heap, both wheel levels, overflow,
-  // or the legacy heap — then sort by the total order. O(n log n), capture
-  // path only.
+  // Collect every buried slot — drain heap, both wheel levels, overflow —
+  // then sort by the total order. O(n log n), capture path only.
   std::vector<Slot> slots;
   slots.reserve(size_);
   const auto take = [&slots](const std::vector<Slot>& v) {
     slots.insert(slots.end(), v.begin(), v.end());
   };
-  if (backend_ == QueueBackend::kLegacyHeap) {
-    take(heap_);
-  } else {
-    take(due_);
-    for (const auto& bucket : l0_) take(bucket);
-    for (const auto& bucket : l1_) take(bucket);
-    take(overflow_);
-  }
+  take(due_);
+  for (const auto& bucket : l0_) take(bucket);
+  for (const auto& bucket : l1_) take(bucket);
+  take(overflow_);
   assert(slots.size() == size_);
   std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
     if (a.t != b.t) return a.t < b.t;
@@ -288,9 +250,7 @@ std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
 }
 
 Time EventQueue::next_time() const {
-  if (size_ == 0) return 0.0;
-  if (backend_ == QueueBackend::kLegacyHeap) return heap_.front().t;
-  return due_.front().t;
+  return size_ == 0 ? 0.0 : due_.front().t;
 }
 
 std::pair<Time, uint64_t> EventQueue::next_key() const {
@@ -298,15 +258,12 @@ std::pair<Time, uint64_t> EventQueue::next_key() const {
     return {std::numeric_limits<Time>::infinity(),
             std::numeric_limits<uint64_t>::max()};
   }
-  const Slot& front =
-      backend_ == QueueBackend::kLegacyHeap ? heap_.front() : due_.front();
-  return {front.t, front.seq};
+  return {due_.front().t, due_.front().seq};
 }
 
 EventQueue::Scheduled EventQueue::pop() {
   assert(size_ > 0);
   --size_;
-  if (backend_ == QueueBackend::kLegacyHeap) return heap_pop();
   std::pop_heap(due_.begin(), due_.end(), Later{});
   Scheduled out{due_.back().t, due_.back().seq, std::move(due_.back().ev)};
   due_.pop_back();

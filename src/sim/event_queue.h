@@ -10,28 +10,10 @@
 
 namespace topo::sim {
 
-/// Which ordering structure backs an EventQueue.
-///
-/// kTimingWheel is the production backend: a two-level bucketed timing
-/// wheel with a binary-heap overflow for far-future events. kLegacyHeap is
-/// the pre-wheel binary heap, kept for one release as a determinism
-/// cross-check (the golden-report suite runs campaigns on both and asserts
-/// byte-identical artifacts). Both implement the exact same total order,
-/// so they are interchangeable; the wheel is simply faster.
-enum class QueueBackend : uint8_t { kTimingWheel = 0, kLegacyHeap = 1 };
-
-/// Process-wide default backend for newly constructed queues. Initialized
-/// to kLegacyHeap when the build sets -DTOPO_LEGACY_EVENT_HEAP (the
-/// escape hatch while the wheel beds in), kTimingWheel otherwise. The
-/// setter is a test hook; flip it before constructing the simulators under
-/// test and restore it afterwards.
-QueueBackend default_queue_backend();
-void set_default_queue_backend(QueueBackend backend);
-
 /// Deterministic time-ordered event queue.
 ///
-/// Determinism contract (identical for both backends, asserted by
-/// tests/test_sim.cpp property tests): events pop in strictly increasing
+/// Determinism contract (asserted by the tests/test_sim.cpp property tests
+/// against a reference binary heap): events pop in strictly increasing
 /// (time, sequence) order, where the sequence number is assigned at push.
 /// Equal-time events therefore run in insertion order (FIFO), which keeps
 /// whole-network runs byte-for-byte reproducible for a given seed.
@@ -48,7 +30,7 @@ void set_default_queue_backend(QueueBackend backend);
 /// so the global order stays exact — FIFO within a bucket for equal times,
 /// seq tiebreak at bucket boundaries, heap order beyond the horizon. Dense
 /// single-bucket bursts therefore cost O(log k) per op, never worse than
-/// the legacy global heap.
+/// one global binary heap.
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -56,19 +38,18 @@ class EventQueue {
   /// One popped entry: the scheduled time, the queue sequence number that
   /// tie-breaks equal times, and the event. The seq is what batched
   /// delivery (p2p::Network) uses to prove a staged member would have been
-  /// the very next pop: comparing (t, seq) against next_key() is exact on
-  /// both backends.
+  /// the very next pop: comparing (t, seq) against next_key() is exact.
   struct Scheduled {
     Time t = 0.0;
     uint64_t seq = 0;
     Event ev;
   };
 
-  /// Backend-internal introspection tallies. Meaningful for the timing
-  /// wheel (all-zero on the legacy heap), so exports namespace them under
-  /// `sim.queue.impl.*` and the golden determinism suite excludes them
-  /// from cross-*backend* comparisons — they are still asserted invariant
-  /// across thread widths on a fixed backend.
+  /// Timing-wheel introspection tallies. A forked world rebuilds its queue
+  /// by re-pushing the captured events, so these differ between a forked
+  /// and a rebuilt replica: exports namespace them under `sim.queue.impl.*`
+  /// and the golden determinism suite excludes them from fork-vs-rebuild
+  /// comparisons. They are still asserted invariant across thread widths.
   struct Stats {
     uint64_t l1_cascades = 0;        ///< L1 buckets cascaded into L0
     uint64_t overflow_cascaded = 0;  ///< events pulled from the overflow heap into the wheel
@@ -76,9 +57,6 @@ class EventQueue {
     uint64_t due_peak = 0;           ///< deepest drain heap (bucket burst high-water)
     uint64_t overflow_peak = 0;      ///< deepest overflow heap (far-future backlog)
   };
-
-  EventQueue() : EventQueue(default_queue_backend()) {}
-  explicit EventQueue(QueueBackend backend) : backend_(backend) {}
 
   void push(Time t, Event ev);
   /// Convenience for closure events (the pre-typed API shape).
@@ -106,17 +84,15 @@ class EventQueue {
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
-  QueueBackend backend() const { return backend_; }
   const Stats& stats() const { return stats_; }
 
   /// Exact timestamp of the next event (0 when empty).
   Time next_time() const;
 
   /// Exact (time, seq) key of the next event — the global minimum of the
-  /// total order, O(1) on both backends (the wheel keeps the invariant
-  /// that due_.front() is the global minimum whenever the queue is
-  /// non-empty). Returns (+inf, max) when empty so any real key compares
-  /// below it.
+  /// total order, O(1) (the wheel keeps the invariant that due_.front()
+  /// is the global minimum whenever the queue is non-empty). Returns
+  /// (+inf, max) when empty so any real key compares below it.
   std::pair<Time, uint64_t> next_key() const;
 
   /// Pops the earliest event by (time, seq); undefined if empty.
@@ -153,8 +129,6 @@ class EventQueue {
   }
 
   void wheel_push(Slot&& slot);
-  void heap_push(Slot&& slot);
-  Scheduled heap_pop();
 
   /// Re-establishes the invariant: if size_ > 0, due_ is non-empty and its
   /// front is the global minimum. Advances the wheel, cascading L1 buckets
@@ -165,7 +139,6 @@ class EventQueue {
   void cascade_overflow_window(int64_t w_base);
   void drain_overflow_into_wheel();
 
-  QueueBackend backend_;
   uint64_t next_seq_ = 0;
   size_t size_ = 0;
   Stats stats_;
@@ -182,9 +155,6 @@ class EventQueue {
   std::array<std::vector<Slot>, kL1Buckets> l1_{};
   std::array<uint64_t, kL1Buckets / 64> l1_bits_{};
   std::vector<Slot> overflow_;  ///< min-heap by (t, seq), beyond the L1 horizon
-
-  // -- legacy-heap state ----------------------------------------------------
-  std::vector<Slot> heap_;  ///< min-heap by (t, seq)
 };
 
 }  // namespace topo::sim

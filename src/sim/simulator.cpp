@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace topo::sim {
@@ -28,13 +27,24 @@ void Simulator::after(Time delay, EventQueue::Action action) {
   at(now_ + std::max(delay, 0.0), std::move(action));
 }
 
+namespace {
+
+/// One tick of Simulator::every. Each tick schedules a copy of itself, so
+/// the pending event is the only owner of the action: a simulator torn
+/// down mid-repeat frees it with the queue.
+struct Repeat {
+  Simulator* sim;
+  Time interval;
+  std::function<bool()> action;
+  void operator()() {
+    if (action()) sim->after(interval, *this);
+  }
+};
+
+}  // namespace
+
 void Simulator::every(Time start, Time interval, std::function<bool()> action) {
-  auto holder = std::make_shared<std::function<void()>>();
-  auto fn = std::move(action);
-  *holder = [this, interval, holder, fn = std::move(fn)]() {
-    if (fn()) after(interval, *holder);
-  };
-  at(start, *holder);
+  at(start, Repeat{this, interval, std::move(action)});
 }
 
 void Simulator::run() {

@@ -19,7 +19,6 @@ namespace topo::sim {
 class Simulator {
  public:
   Simulator() = default;
-  explicit Simulator(QueueBackend backend) : queue_(backend) {}
 
   Time now() const { return now_; }
 
@@ -68,7 +67,6 @@ class Simulator {
 
   size_t processed() const { return processed_; }
   size_t queued() const { return queue_.size(); }
-  QueueBackend backend() const { return queue_.backend(); }
 
   /// Exact (time, seq) key of the next queued event, (+inf, max) when the
   /// queue is empty (EventQueue::next_key). An in-flight event handler
@@ -108,7 +106,7 @@ class Simulator {
     return dispatched_;
   }
 
-  /// Backend-internal queue tallies (see EventQueue::Stats).
+  /// Timing-wheel internal tallies (see EventQueue::Stats).
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
 
   /// Non-destructive copy of every pending event in pop order (world

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "p2p/node.h"
 #include "graph/generators.h"
@@ -39,8 +40,9 @@ TEST_P(ClientEndToEnd, TriangleMeasurementMatchesTruth) {
   ASSERT_EQ(cfg.bump_bp, profile.policy.replace_bump_bp);
   ASSERT_LE(cfg.futures_per_account_U, profile.policy.max_futures_per_account);
 
-  const auto linked = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
-  const auto unlinked = sc.measure_one_link(sc.targets()[0], sc.targets()[3], cfg);
+  MeasurementSession session(sc, cfg);
+  const auto linked = session.one_link(sc.targets()[0], sc.targets()[1]).value;
+  const auto unlinked = session.one_link(sc.targets()[0], sc.targets()[3]).value;
 
   if (profile.measurable()) {
     EXPECT_TRUE(linked.connected) << profile.name << " true link missed";

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/schedule.h"
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "core/validator.h"
 #include "graph/generators.h"
@@ -26,10 +27,8 @@ TEST(ScheduleBudget, SplitsOversizedIterationsAndStillCoversAllPairs) {
   Scenario sc(g, opt);
   sc.seed_background();
 
-  MeasureConfig cfg = sc.default_measure_config();
-  ParallelMeasurement par(sc.net(), sc.m(), sc.accounts(), sc.factory(), cfg);
-  NetworkMeasurement nm(par, /*max_edges_per_call=*/16);
-  const auto report = nm.measure_all(sc.net(), sc.targets(), 10);
+  const auto strat = sc.make_strategy(StrategyKind::kToposhot, sc.default_measure_config());
+  const auto report = measure_all(*strat, sc.targets(), 10, /*max_edges_per_call=*/16);
   EXPECT_EQ(report.pairs_tested, 20u * 19 / 2);
   EXPECT_GT(report.iterations, make_schedule(20, 10).size()) << "budget forced extra batches";
   const auto pr = compare_graphs(g, report.measured);
@@ -44,11 +43,11 @@ TEST(ScheduleBudget, DefaultBudgetDerivesFromFloodSize) {
   Scenario sc(g, opt);
   MeasureConfig cfg = sc.default_measure_config();
   cfg.flood_Z = 100;
-  ParallelMeasurement par(sc.net(), sc.m(), sc.accounts(), sc.factory(), cfg);
-  NetworkMeasurement nm(par);  // derive: 2/5 of Z = 40
-  // Nothing to assert structurally without running; the derivation is
-  // covered by the chunked coverage test above plus this smoke call.
-  const auto report = nm.measure_all(sc.net(), sc.targets(), 2);
+  const auto strat = sc.make_strategy(StrategyKind::kToposhot, cfg);
+  // Nothing to assert structurally without running; the derivation (2/5 of
+  // Z = 40) is covered by the chunked coverage test above plus this smoke
+  // call.
+  const auto report = measure_all(*strat, sc.targets(), 2);
   EXPECT_EQ(report.pairs_tested, 6u);
 }
 
@@ -90,8 +89,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalTraffic) {
     opt.background_txs = 96;
     Scenario sc(g, opt);
     sc.seed_background();
-    const auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1],
-                                       sc.default_measure_config());
+    const auto r = MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
     return std::tuple{r.connected, sc.net().messages_delivered(), sc.net().bytes_sent(),
                       sc.sim().processed()};
   };

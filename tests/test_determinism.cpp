@@ -1,18 +1,17 @@
-// Golden determinism suite for the event-queue backends.
+// Golden determinism suite: campaign and monitor artifacts.
 //
-// The timing wheel and the legacy binary heap implement the same total
-// order — (time, push sequence) — so a whole campaign must produce
-// byte-identical artifacts on either backend, at any worker width, with or
-// without fault injection. These tests serialize the merged report (and,
-// since the tracing layer landed, the merged causal-span export) to JSON
-// and compare the bytes; they are the contract that lets the legacy heap
-// be deleted after one release.
+// Execution strategy must never be observable. A whole campaign must
+// produce byte-identical artifacts at any worker width, with forked or
+// rebuilt shard worlds, with or without delivery batching (at any window),
+// with or without fault injection, for every measurement strategy. These
+// tests serialize the merged report and the merged causal-span export to
+// JSON and compare the bytes.
 //
-// One carve-out: the `sim.queue.impl.*` gauges expose event-queue
-// *internals* (cascade counts, heap peaks). They are deterministic for a
-// fixed backend — and thread-width invariant, which the width test pins —
-// but intentionally differ between backends, so cross-backend comparisons
-// strip that prefix and nothing else.
+// One carve-out: the `sim.queue.impl.*` gauges expose timing-wheel
+// *internals* (cascade counts, heap peaks). They are deterministic and
+// thread-width invariant, which the width tests pin, but a forked world
+// rebuilds its queue by re-pushing the captured events, so fork-vs-rebuild
+// comparisons strip that prefix and nothing else.
 
 #include <gtest/gtest.h>
 
@@ -27,17 +26,10 @@
 #include "obs/span.h"
 #include "p2p/network.h"
 #include "rpc/monitor_rpc.h"
-#include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace topo {
 namespace {
-
-/// Restores the process-wide default backend on scope exit.
-struct BackendGuard {
-  sim::QueueBackend saved = sim::default_queue_backend();
-  ~BackendGuard() { sim::set_default_queue_backend(saved); }
-};
 
 struct CampaignArtifacts {
   std::string report_json;
@@ -45,9 +37,9 @@ struct CampaignArtifacts {
   obs::MetricsSnapshot metrics;
 };
 
-/// Drops the backend-specific `sim.queue.impl.*` gauges; see the file
-/// comment. Used ONLY for wheel-vs-heap comparisons — same-backend
-/// comparisons keep the full snapshot.
+/// Drops the timing-wheel `sim.queue.impl.*` gauges; see the file comment.
+/// Used ONLY for fork-vs-rebuild comparisons — every other comparison
+/// keeps the full snapshot.
 obs::MetricsSnapshot strip_queue_internals(obs::MetricsSnapshot s) {
   auto strip = [](std::map<std::string, double>& m) {
     for (auto it = m.begin(); it != m.end();) {
@@ -59,7 +51,8 @@ obs::MetricsSnapshot strip_queue_internals(obs::MetricsSnapshot s) {
   return s;
 }
 
-/// The wider carve-out for batched-vs-unbatched comparisons: a batch
+/// The wider carve-out for batched-vs-unbatched comparisons (and for the
+/// cross-backend ones, which change batching too): a batch
 /// replaces N kDeliverTx pops with one kDeliverTxBatch pop, so the event
 /// *accounting* (dispatch mix, processed count, queue depths) legitimately
 /// differs while everything observable — reports, traces, every other
@@ -79,12 +72,10 @@ obs::MetricsSnapshot strip_event_accounting(obs::MetricsSnapshot s) {
   return s;
 }
 
-CampaignArtifacts run_campaign(sim::QueueBackend backend, size_t threads, size_t shards,
-                               bool faults,
+CampaignArtifacts run_campaign(size_t threads, size_t shards, bool faults,
                                core::StrategyKind strategy = core::StrategyKind::kToposhot,
                                bool fork_worlds = true,
                                double batch_window = p2p::Network::kDefaultBatchWindow) {
-  sim::set_default_queue_backend(backend);
   util::Rng rng(21);
   const graph::Graph truth = graph::erdos_renyi_gnm(24, 44, rng);
   core::ScenarioOptions opt;
@@ -119,61 +110,52 @@ CampaignArtifacts run_campaign(sim::QueueBackend backend, size_t threads, size_t
           obs::spans_to_chrome_json(result.spans).dump(), result.metrics};
 }
 
+// The two execution backends end to end: the default one (shard worlds
+// forked from a warmed snapshot, batched delivery) against the reference
+// one (every world rebuilt and re-warmed, one event per delivery). Only
+// the metrics strip_event_accounting drops may differ; that carve-out
+// already holds the fork-vs-rebuild one.
 TEST(GoldenDeterminism, SmokeCampaignIsByteIdenticalAcrossBackends) {
-  BackendGuard guard;
-  const auto wheel = run_campaign(sim::QueueBackend::kTimingWheel, 1, 2, false);
-  const auto heap = run_campaign(sim::QueueBackend::kLegacyHeap, 1, 2, false);
-  EXPECT_EQ(wheel.report_json, heap.report_json);
-  EXPECT_EQ(wheel.trace_json, heap.trace_json);
-  EXPECT_EQ(strip_queue_internals(wheel.metrics), strip_queue_internals(heap.metrics));
-  EXPECT_FALSE(wheel.report_json.empty());
-  EXPECT_FALSE(wheel.trace_json.empty());
+  const auto fast = run_campaign(1, 2, false);
+  const auto reference = run_campaign(1, 2, false, core::StrategyKind::kToposhot, false, 0.0);
+  EXPECT_EQ(fast.report_json, reference.report_json);
+  EXPECT_EQ(fast.trace_json, reference.trace_json);
+  EXPECT_EQ(strip_event_accounting(fast.metrics), strip_event_accounting(reference.metrics));
+  EXPECT_FALSE(fast.report_json.empty());
+  EXPECT_FALSE(fast.trace_json.empty());
   // Annexes stay absent when not configured: the serialized report is the
   // pre-annex document, byte for byte.
-  EXPECT_EQ(wheel.report_json.find("\"fault\""), std::string::npos);
-  EXPECT_EQ(wheel.report_json.find("\"diagnostics\""), std::string::npos);
+  EXPECT_EQ(fast.report_json.find("\"fault\""), std::string::npos);
+  EXPECT_EQ(fast.report_json.find("\"diagnostics\""), std::string::npos);
 }
 
 TEST(GoldenDeterminism, ThreadWidthChangesNothingOnEitherBackend) {
-  BackendGuard guard;
-  const auto wheel_serial = run_campaign(sim::QueueBackend::kTimingWheel, 1, 3, false);
-  const auto wheel_wide = run_campaign(sim::QueueBackend::kTimingWheel, 4, 3, false);
-  EXPECT_EQ(wheel_serial.report_json, wheel_wide.report_json);
-  EXPECT_EQ(wheel_serial.trace_json, wheel_wide.trace_json);
-  // Full-snapshot equality on a fixed backend: even the queue internals
-  // must be thread-width invariant (workers never share a queue).
-  EXPECT_EQ(wheel_serial.metrics, wheel_wide.metrics);
-
-  const auto heap_wide = run_campaign(sim::QueueBackend::kLegacyHeap, 4, 3, false);
-  EXPECT_EQ(wheel_serial.report_json, heap_wide.report_json);
-  EXPECT_EQ(wheel_serial.trace_json, heap_wide.trace_json);
-  EXPECT_EQ(strip_queue_internals(wheel_serial.metrics),
-            strip_queue_internals(heap_wide.metrics));
+  const auto serial = run_campaign(1, 3, false);
+  const auto wide = run_campaign(4, 3, false);
+  EXPECT_EQ(serial.report_json, wide.report_json);
+  EXPECT_EQ(serial.trace_json, wide.trace_json);
+  // Full-snapshot equality: even the queue internals must be thread-width
+  // invariant (workers never share a queue).
+  EXPECT_EQ(serial.metrics, wide.metrics);
 }
 
 // Every strategy behind the seam must satisfy the same golden contract the
-// default one does: byte-identical artifacts across queue backends, thread
-// widths, and (per-strategy, fixed shards) — the rivalry bench's numbers
-// are only comparable because each strategy is deterministic on its own.
+// default one does: byte-identical artifacts across thread widths (per
+// strategy, fixed shards) — the rivalry bench's numbers are only
+// comparable because each strategy is deterministic on its own.
 TEST(GoldenDeterminism, RivalStrategiesAreByteIdenticalAcrossBackendsAndWidths) {
-  BackendGuard guard;
   for (core::StrategyKind strategy :
        {core::StrategyKind::kDethna, core::StrategyKind::kTxprobe}) {
     SCOPED_TRACE(core::strategy_name(strategy));
-    const auto wheel = run_campaign(sim::QueueBackend::kTimingWheel, 1, 2, false, strategy);
-    const auto heap = run_campaign(sim::QueueBackend::kLegacyHeap, 1, 2, false, strategy);
-    EXPECT_EQ(wheel.report_json, heap.report_json);
-    EXPECT_EQ(wheel.trace_json, heap.trace_json);
-    EXPECT_EQ(strip_queue_internals(wheel.metrics), strip_queue_internals(heap.metrics));
-
-    const auto wide = run_campaign(sim::QueueBackend::kTimingWheel, 4, 2, false, strategy);
-    EXPECT_EQ(wheel.report_json, wide.report_json);
-    EXPECT_EQ(wheel.trace_json, wide.trace_json);
-    EXPECT_EQ(wheel.metrics, wide.metrics);
+    const auto serial = run_campaign(1, 2, false, strategy);
+    const auto wide = run_campaign(4, 2, false, strategy);
+    EXPECT_EQ(serial.report_json, wide.report_json);
+    EXPECT_EQ(serial.trace_json, wide.trace_json);
+    EXPECT_EQ(serial.metrics, wide.metrics);
 
     // The report is self-describing: the non-default strategy is named.
-    EXPECT_NE(wheel.report_json.find(std::string("\"strategy\":\"") +
-                                     core::strategy_name(strategy) + "\""),
+    EXPECT_NE(serial.report_json.find(std::string("\"strategy\":\"") +
+                                      core::strategy_name(strategy) + "\""),
               std::string::npos);
   }
 }
@@ -181,18 +163,17 @@ TEST(GoldenDeterminism, RivalStrategiesAreByteIdenticalAcrossBackendsAndWidths) 
 // The faulted (diagnostics-carrying) variant for the rivals, at different
 // shard widths than above so the shard-plan axis is covered per strategy.
 TEST(GoldenDeterminism, RivalStrategiesFaultCampaignsAreByteIdentical) {
-  BackendGuard guard;
   for (core::StrategyKind strategy :
        {core::StrategyKind::kDethna, core::StrategyKind::kTxprobe}) {
     SCOPED_TRACE(core::strategy_name(strategy));
-    const auto wheel = run_campaign(sim::QueueBackend::kTimingWheel, 2, 3, true, strategy);
-    const auto heap = run_campaign(sim::QueueBackend::kLegacyHeap, 4, 3, true, strategy);
-    EXPECT_EQ(wheel.report_json, heap.report_json);
-    EXPECT_EQ(wheel.trace_json, heap.trace_json);
-    EXPECT_EQ(strip_queue_internals(wheel.metrics), strip_queue_internals(heap.metrics));
+    const auto narrow = run_campaign(2, 3, true, strategy);
+    const auto wide = run_campaign(4, 3, true, strategy);
+    EXPECT_EQ(narrow.report_json, wide.report_json);
+    EXPECT_EQ(narrow.trace_json, wide.trace_json);
+    EXPECT_EQ(narrow.metrics, wide.metrics);
 
     // Cause plumbing holds for rivals too: the histogram covers every pair.
-    const auto parsed = rpc::Json::parse(wheel.report_json);
+    const auto parsed = rpc::Json::parse(narrow.report_json);
     ASSERT_TRUE(parsed.has_value());
     const auto report = core::report_from_json(*parsed);
     ASSERT_TRUE(report.has_value());
@@ -207,61 +188,46 @@ TEST(GoldenDeterminism, RivalStrategiesFaultCampaignsAreByteIdentical) {
 // World forking is pure execution strategy: a campaign whose shard
 // replicas are forked from one warmed base snapshot must produce the same
 // artifacts, byte for byte, as one that rebuilds and re-warms every
-// replica from scratch — on either queue backend, at multiple
-// thread/shard widths, with and without fault injection.
+// replica from scratch — at multiple thread/shard widths, with and
+// without fault injection.
 TEST(GoldenDeterminism, ForkedWorldsMatchRebuiltWorldsByteForByte) {
-  BackendGuard guard;
-  for (sim::QueueBackend backend :
-       {sim::QueueBackend::kTimingWheel, sim::QueueBackend::kLegacyHeap}) {
-    SCOPED_TRACE(backend == sim::QueueBackend::kTimingWheel ? "wheel" : "heap");
-    const auto forked = run_campaign(backend, 1, 2, false, core::StrategyKind::kToposhot, true);
-    const auto rebuilt =
-        run_campaign(backend, 1, 2, false, core::StrategyKind::kToposhot, false);
-    EXPECT_EQ(forked.report_json, rebuilt.report_json);
-    EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
-    // sim.queue.impl.* is the documented carve-out: a forked replica's
-    // queue is reconstructed by re-pushing the captured events, so its
-    // *internal* tallies (cascades, peaks) differ from a queue that lived
-    // through the warm phase. Everything else must match exactly.
-    EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
-    EXPECT_FALSE(forked.report_json.empty());
-  }
+  const auto forked = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true);
+  const auto rebuilt = run_campaign(1, 2, false, core::StrategyKind::kToposhot, false);
+  EXPECT_EQ(forked.report_json, rebuilt.report_json);
+  EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
+  // sim.queue.impl.* is the documented carve-out: a forked replica's
+  // queue is reconstructed by re-pushing the captured events, so its
+  // *internal* tallies (cascades, peaks) differ from a queue that lived
+  // through the warm phase. Everything else must match exactly.
+  EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
+  EXPECT_FALSE(forked.report_json.empty());
 }
 
 TEST(GoldenDeterminism, ForkedWorldsMatchRebuiltAtWiderWidths) {
-  BackendGuard guard;
-  // A different (threads, shards) point than the smoke pair above, so the
+  // A different (threads, shards) point than the pair above, so the
   // fork-identity contract is pinned at >= 2 widths; forked-wide vs
   // rebuilt-serial also crosses the thread axis in the same comparison.
-  const auto forked = run_campaign(sim::QueueBackend::kTimingWheel, 4, 3, false,
-                                   core::StrategyKind::kToposhot, true);
-  const auto rebuilt = run_campaign(sim::QueueBackend::kTimingWheel, 1, 3, false,
-                                    core::StrategyKind::kToposhot, false);
+  const auto forked = run_campaign(4, 3, false, core::StrategyKind::kToposhot, true);
+  const auto rebuilt = run_campaign(1, 3, false, core::StrategyKind::kToposhot, false);
   EXPECT_EQ(forked.report_json, rebuilt.report_json);
   EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
   EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
 }
 
 TEST(GoldenDeterminism, ForkedFaultCampaignMatchesRebuilt) {
-  BackendGuard guard;
-  const auto forked = run_campaign(sim::QueueBackend::kTimingWheel, 2, 3, true,
-                                   core::StrategyKind::kToposhot, true);
-  const auto rebuilt = run_campaign(sim::QueueBackend::kTimingWheel, 2, 3, true,
-                                    core::StrategyKind::kToposhot, false);
+  const auto forked = run_campaign(2, 3, true, core::StrategyKind::kToposhot, true);
+  const auto rebuilt = run_campaign(2, 3, true, core::StrategyKind::kToposhot, false);
   EXPECT_EQ(forked.report_json, rebuilt.report_json);
   EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
   EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
 }
 
 TEST(GoldenDeterminism, ForkedRivalStrategiesMatchRebuilt) {
-  BackendGuard guard;
   for (core::StrategyKind strategy :
        {core::StrategyKind::kDethna, core::StrategyKind::kTxprobe}) {
     SCOPED_TRACE(core::strategy_name(strategy));
-    const auto forked =
-        run_campaign(sim::QueueBackend::kTimingWheel, 1, 2, false, strategy, true);
-    const auto rebuilt =
-        run_campaign(sim::QueueBackend::kTimingWheel, 1, 2, false, strategy, false);
+    const auto forked = run_campaign(1, 2, false, strategy, true);
+    const auto rebuilt = run_campaign(1, 2, false, strategy, false);
     EXPECT_EQ(forked.report_json, rebuilt.report_json);
     EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
     // sim.queue.impl.* is the documented carve-out: a forked replica's
@@ -272,18 +238,19 @@ TEST(GoldenDeterminism, ForkedRivalStrategiesMatchRebuilt) {
   }
 }
 
+// The faulted variant of the smoke test: default execution backend against
+// the reference one, at two threads over two shards.
 TEST(GoldenDeterminism, FaultCampaignIsByteIdenticalAcrossBackends) {
-  BackendGuard guard;
-  const auto wheel = run_campaign(sim::QueueBackend::kTimingWheel, 2, 2, true);
-  const auto heap = run_campaign(sim::QueueBackend::kLegacyHeap, 2, 2, true);
-  EXPECT_EQ(wheel.report_json, heap.report_json);
-  EXPECT_EQ(wheel.trace_json, heap.trace_json);
-  EXPECT_EQ(strip_queue_internals(wheel.metrics), strip_queue_internals(heap.metrics));
+  const auto fast = run_campaign(2, 2, true);
+  const auto reference = run_campaign(2, 2, true, core::StrategyKind::kToposhot, false, 0.0);
+  EXPECT_EQ(fast.report_json, reference.report_json);
+  EXPECT_EQ(fast.trace_json, reference.trace_json);
+  EXPECT_EQ(strip_event_accounting(fast.metrics), strip_event_accounting(reference.metrics));
 
   // The faulted campaign carries the diagnostics annex, and every pair it
   // left inconclusive names the protocol step that broke — never a bare
   // "inconclusive" with no cause.
-  const auto parsed = rpc::Json::parse(wheel.report_json);
+  const auto parsed = rpc::Json::parse(fast.report_json);
   ASSERT_TRUE(parsed.has_value());
   const auto report = core::report_from_json(*parsed);
   ASSERT_TRUE(report.has_value());
@@ -305,31 +272,20 @@ TEST(GoldenDeterminism, FaultCampaignIsByteIdenticalAcrossBackends) {
 // removes. This is the contract that makes the batching optimization
 // invisible to every consumer of campaign artifacts.
 TEST(GoldenDeterminism, BatchedMatchesUnbatchedByteForByte) {
-  BackendGuard guard;
-  for (sim::QueueBackend backend :
-       {sim::QueueBackend::kTimingWheel, sim::QueueBackend::kLegacyHeap}) {
-    SCOPED_TRACE(backend == sim::QueueBackend::kTimingWheel ? "wheel" : "heap");
-    const auto batched =
-        run_campaign(backend, 1, 2, false, core::StrategyKind::kToposhot, true);
-    const auto unbatched =
-        run_campaign(backend, 1, 2, false, core::StrategyKind::kToposhot, true, 0.0);
-    EXPECT_EQ(batched.report_json, unbatched.report_json);
-    EXPECT_EQ(batched.trace_json, unbatched.trace_json);
-    EXPECT_EQ(strip_event_accounting(batched.metrics),
-              strip_event_accounting(unbatched.metrics));
-    EXPECT_FALSE(batched.report_json.empty());
-  }
+  const auto batched = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true);
+  const auto unbatched = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true, 0.0);
+  EXPECT_EQ(batched.report_json, unbatched.report_json);
+  EXPECT_EQ(batched.trace_json, unbatched.trace_json);
+  EXPECT_EQ(strip_event_accounting(batched.metrics), strip_event_accounting(unbatched.metrics));
+  EXPECT_FALSE(batched.report_json.empty());
 }
 
 TEST(GoldenDeterminism, BatchedMatchesUnbatchedWithFaultsAtWidth) {
-  BackendGuard guard;
   // Faulted + multi-thread/shard: drops and latency spikes interleave with
   // batch staging (dropped sends never join a batch), and the merge across
   // shard workers must still line up byte for byte.
-  const auto batched = run_campaign(sim::QueueBackend::kTimingWheel, 2, 3, true,
-                                    core::StrategyKind::kToposhot, true);
-  const auto unbatched = run_campaign(sim::QueueBackend::kTimingWheel, 2, 3, true,
-                                      core::StrategyKind::kToposhot, true, 0.0);
+  const auto batched = run_campaign(2, 3, true, core::StrategyKind::kToposhot, true);
+  const auto unbatched = run_campaign(2, 3, true, core::StrategyKind::kToposhot, true, 0.0);
   EXPECT_EQ(batched.report_json, unbatched.report_json);
   EXPECT_EQ(batched.trace_json, unbatched.trace_json);
   EXPECT_EQ(strip_event_accounting(batched.metrics),
@@ -340,24 +296,18 @@ TEST(GoldenDeterminism, BatchedMatchesUnbatchedWithFaultsAtWidth) {
 // events with arena payload slots must also survive fork/restore exactly
 // (the batched default is covered by every Forked* test above).
 TEST(GoldenDeterminism, UnbatchedForkedMatchesRebuilt) {
-  BackendGuard guard;
-  const auto forked = run_campaign(sim::QueueBackend::kTimingWheel, 1, 2, false,
-                                   core::StrategyKind::kToposhot, true, 0.0);
-  const auto rebuilt = run_campaign(sim::QueueBackend::kTimingWheel, 1, 2, false,
-                                    core::StrategyKind::kToposhot, false, 0.0);
+  const auto forked = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true, 0.0);
+  const auto rebuilt = run_campaign(1, 2, false, core::StrategyKind::kToposhot, false, 0.0);
   EXPECT_EQ(forked.report_json, rebuilt.report_json);
   EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
   EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
 }
 
-// A non-default window on the other backend at a wider width: the window
-// size itself must never be observable, only the accounting.
+// Non-default windows at a wider width: the window size itself must never
+// be observable, only the accounting.
 TEST(GoldenDeterminism, BatchWindowSizeIsUnobservable) {
-  BackendGuard guard;
-  const auto narrow = run_campaign(sim::QueueBackend::kLegacyHeap, 4, 2, false,
-                                   core::StrategyKind::kToposhot, true, 0.05);
-  const auto wide = run_campaign(sim::QueueBackend::kLegacyHeap, 4, 2, false,
-                                 core::StrategyKind::kToposhot, true, 1.0);
+  const auto narrow = run_campaign(4, 2, false, core::StrategyKind::kToposhot, true, 0.05);
+  const auto wide = run_campaign(4, 2, false, core::StrategyKind::kToposhot, true, 1.0);
   EXPECT_EQ(narrow.report_json, wide.report_json);
   EXPECT_EQ(narrow.trace_json, wide.trace_json);
   EXPECT_EQ(strip_event_accounting(narrow.metrics), strip_event_accounting(wide.metrics));
@@ -370,8 +320,8 @@ TEST(GoldenDeterminism, BatchWindowSizeIsUnobservable) {
 // and its own metrics registry holds only shard-invariant monitor.* series.
 // A scripted run — N epochs of drift + incremental re-measurement followed
 // by a fixed RPC query script — must therefore produce byte-identical
-// artifacts at any --threads width, at any --shards width, and on either
-// event-queue backend. (Shard invariance is the strong claim: campaign
+// artifacts at any --threads width and at any --shards width. (Shard
+// invariance is the strong claim: campaign
 // *reports* are shard-dependent in general, but in the measure-regime world
 // every probe resolves crisply, so clean verdicts equal ground truth no
 // matter how the epoch's replicas were sharded.)
@@ -407,16 +357,15 @@ struct MonitorArtifacts {
   // Telemetry plane. The exposition is a pure function of the (shard-
   // invariant) registry; health, the telemetry serve transcript, and the
   // event log carry sim-time durations and event counts, which are
-  // thread/backend-invariant but shard-DEPENDENT — compare them across
-  // --threads widths and backends only, never across --shards.
+  // thread-invariant but shard-DEPENDENT — compare them across --threads
+  // widths only, never across --shards.
   std::string prom_text;       ///< published Prometheus exposition
   std::string health_json;     ///< published HealthReport document
   std::string telemetry_serve; ///< kTelemetryScript responses, one per line
   std::string log_jsonl;       ///< structured event log, JSON lines
 };
 
-MonitorArtifacts run_monitor(sim::QueueBackend backend, size_t threads, size_t shards) {
-  sim::set_default_queue_backend(backend);
+MonitorArtifacts run_monitor(size_t threads, size_t shards) {
   util::Rng rng(5);
   graph::Graph truth = graph::erdos_renyi_gnm(20, 40, rng);
   core::ScenarioOptions wopt;
@@ -458,53 +407,37 @@ MonitorArtifacts run_monitor(sim::QueueBackend backend, size_t threads, size_t s
 }
 
 TEST(MonitorGolden, ScriptedRunIsByteIdenticalAcrossThreadsAndBackends) {
-  BackendGuard guard;
-  const auto wheel = run_monitor(sim::QueueBackend::kTimingWheel, 1, 2);
-  const auto wide = run_monitor(sim::QueueBackend::kTimingWheel, 4, 2);
-  EXPECT_EQ(wheel.serve, wide.serve);
-  EXPECT_EQ(wheel.snapshot_json, wide.snapshot_json);
-  EXPECT_EQ(wheel.diff_json, wide.diff_json);
-  EXPECT_EQ(wheel.status_json, wide.status_json);
-  EXPECT_EQ(wheel.metrics, wide.metrics);
+  const auto serial = run_monitor(1, 2);
+  const auto wide = run_monitor(4, 2);
+  EXPECT_EQ(serial.serve, wide.serve);
+  EXPECT_EQ(serial.snapshot_json, wide.snapshot_json);
+  EXPECT_EQ(serial.diff_json, wide.diff_json);
+  EXPECT_EQ(serial.status_json, wide.status_json);
+  EXPECT_EQ(serial.metrics, wide.metrics);
   // The whole telemetry plane is thread-width invariant: exposition bytes,
   // the health document (sim-time durations only), the scripted telemetry
   // conversation, and the structured event log.
-  EXPECT_EQ(wheel.prom_text, wide.prom_text);
-  EXPECT_EQ(wheel.health_json, wide.health_json);
-  EXPECT_EQ(wheel.telemetry_serve, wide.telemetry_serve);
-  EXPECT_EQ(wheel.log_jsonl, wide.log_jsonl);
+  EXPECT_EQ(serial.prom_text, wide.prom_text);
+  EXPECT_EQ(serial.health_json, wide.health_json);
+  EXPECT_EQ(serial.telemetry_serve, wide.telemetry_serve);
+  EXPECT_EQ(serial.log_jsonl, wide.log_jsonl);
 
-  const auto heap = run_monitor(sim::QueueBackend::kLegacyHeap, 4, 2);
-  EXPECT_EQ(wheel.serve, heap.serve);
-  EXPECT_EQ(wheel.snapshot_json, heap.snapshot_json);
-  EXPECT_EQ(wheel.diff_json, heap.diff_json);
-  EXPECT_EQ(wheel.status_json, heap.status_json);
-  // No strip needed: the monitor's registry holds only monitor.* series
-  // (the campaign-internal sim.queue.impl.* metrics live in the campaign
-  // results, which the monitor does not export).
-  EXPECT_EQ(wheel.metrics, heap.metrics);
-  EXPECT_EQ(wheel.prom_text, heap.prom_text);
-  EXPECT_EQ(wheel.health_json, heap.health_json);
-  EXPECT_EQ(wheel.telemetry_serve, heap.telemetry_serve);
-  EXPECT_EQ(wheel.log_jsonl, heap.log_jsonl);
-
-  EXPECT_FALSE(wheel.serve.empty());
+  EXPECT_FALSE(serial.serve.empty());
   // The error responses are part of both conversations.
-  EXPECT_NE(wheel.serve.find("unknown version"), std::string::npos);
-  EXPECT_NE(wheel.telemetry_serve.find("expected"), std::string::npos);
+  EXPECT_NE(serial.serve.find("unknown version"), std::string::npos);
+  EXPECT_NE(serial.telemetry_serve.find("expected"), std::string::npos);
   // The telemetry documents are real: exposition and health both carry the
   // run's epoch count, and the raw RPC body equals the published bytes.
-  EXPECT_NE(wheel.prom_text.find("monitor_epochs 3\n"), std::string::npos);
-  EXPECT_NE(wheel.health_json.find("\"state\":"), std::string::npos);
-  EXPECT_NE(wheel.telemetry_serve.find("prometheus-text-0.0.4"), std::string::npos);
-  EXPECT_FALSE(wheel.log_jsonl.empty());
+  EXPECT_NE(serial.prom_text.find("monitor_epochs 3\n"), std::string::npos);
+  EXPECT_NE(serial.health_json.find("\"state\":"), std::string::npos);
+  EXPECT_NE(serial.telemetry_serve.find("prometheus-text-0.0.4"), std::string::npos);
+  EXPECT_FALSE(serial.log_jsonl.empty());
 }
 
 TEST(MonitorGolden, ScriptedRunIsByteIdenticalAcrossShardWidths) {
-  BackendGuard guard;
-  const auto one = run_monitor(sim::QueueBackend::kTimingWheel, 1, 1);
-  const auto two = run_monitor(sim::QueueBackend::kTimingWheel, 1, 2);
-  const auto four = run_monitor(sim::QueueBackend::kTimingWheel, 2, 4);
+  const auto one = run_monitor(1, 1);
+  const auto two = run_monitor(1, 2);
+  const auto four = run_monitor(2, 4);
   for (const auto* other : {&two, &four}) {
     EXPECT_EQ(one.serve, other->serve);
     EXPECT_EQ(one.snapshot_json, other->snapshot_json);

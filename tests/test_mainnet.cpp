@@ -6,6 +6,7 @@
 #include "core/gas_estimator.h"
 #include "core/mainnet.h"
 #include "core/noninterference.h"
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "p2p/node.h"
 
@@ -117,13 +118,13 @@ TEST(Mainnet, EndToEndMeasurementRecoversWiredPattern) {
   const double t1 = sc.sim().now();
 
   const auto relay_pool =
-      sc.measure_one_link(sc.targets()[r1[0]], sc.targets()[m1[0]], cfg);
+      MeasurementSession(sc, cfg).one_link(sc.targets()[r1[0]], sc.targets()[m1[0]]).value;
   EXPECT_TRUE(relay_pool.connected) << "SrvR1 - SrvM1 must be detected";
 
   sc.sim().run_until(sc.sim().now() + 60.0);
   cfg.price_Y = estimate_price_Y0(sc.m().view(), min_included_price(sc.chain()));
   const auto pool_pool =
-      sc.measure_one_link(sc.targets()[m1[0]], sc.targets()[m1[1]], cfg);
+      MeasurementSession(sc, cfg).one_link(sc.targets()[m1[0]], sc.targets()[m1[1]]).value;
   EXPECT_FALSE(pool_pool.connected) << "SrvM1 backends do not self-peer";
 
   // Non-interference held throughout.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/noninterference.h"
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "eth/miner.h"
 #include "graph/generators.h"
@@ -98,7 +99,7 @@ TEST(NonInterference, TheoremC2ReplayExperiment) {
     cfg.price_Y = eth::gwei(0.01);  // far below every organic price (V2 safe)
     double t1 = sc.sim().now();
     if (measure) {
-      sc.measure_one_link(sc.targets()[1], sc.targets()[2], cfg);
+      MeasurementSession(sc, cfg).one_link(sc.targets()[1], sc.targets()[2]);
     }
     sc.sim().run_until(120.0);
     double t2 = sc.sim().now();

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "obs/event_log.h"
 #include "obs/export.h"
@@ -480,7 +481,7 @@ TEST(ObsDeterminism, SameSeedSameMetrics) {
     core::Scenario sc(g, opt);
     sc.seed_background();
     const auto cfg = sc.default_measure_config();
-    (void)sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+    (void)core::MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
     return obs::snapshot_to_json(sc.snapshot_metrics()).dump();
   };
   const std::string first = run();
@@ -503,8 +504,7 @@ TEST(ObsWiring, ScenarioMeasurementTouchesAllLayers) {
   opt.background_txs = 192;
   core::Scenario sc(g, opt);
   sc.seed_background();
-  (void)sc.measure_one_link(sc.targets()[0], sc.targets()[1],
-                            sc.default_measure_config());
+  (void)core::MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
   const obs::MetricsSnapshot s = sc.snapshot_metrics();
   EXPECT_GT(s.counters.at("net.messages"), 0u);
   EXPECT_GT(s.counters.at("mempool.evictions"), 0u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gas_estimator.h"
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "graph/generators.h"
 #include "p2p/node.h"
@@ -35,7 +36,7 @@ TEST(OneLinkEdgeCases, InsufficientFloodMissesLink) {
   sc.seed_background();
   MeasureConfig cfg = sc.default_measure_config();
   cfg.flood_Z = 16;
-  const auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  const auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected) << "tiny flood must fail closed (false negative)";
   EXPECT_FALSE(r.txc_evicted_on_b);
 }
@@ -49,7 +50,7 @@ TEST(OneLinkEdgeCases, UnlimitedFuturesPerAccountStillFloods) {
   sc.seed_background();
   MeasureConfig cfg = sc.default_measure_config();
   cfg.futures_per_account_U = 0;
-  const auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  const auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_TRUE(r.connected) << "U=0 must not silently skip the eviction flood";
   EXPECT_TRUE(r.txc_evicted_on_a);
   EXPECT_TRUE(r.txc_evicted_on_b);
@@ -66,11 +67,11 @@ TEST(OneLinkEdgeCases, CustomLargerMempoolNeedsLargerFlood) {
   sc.seed_background();
 
   MeasureConfig cfg = sc.default_measure_config();  // Z = 256
-  auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected) << "default flood cannot evict txC from a 2x pool";
 
   cfg.flood_Z = 512;  // the pre-processing remedy (§5.2.3)
-  r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_TRUE(r.connected);
 }
 
@@ -84,8 +85,7 @@ TEST(OneLinkEdgeCases, CustomBumpBlocksReplacement) {
   proud.replace_bump_bp = 2500;
   sc.net().node(sc.targets()[1]).pool() = mempool::Mempool(proud, &sc.chain());
   sc.seed_background();
-  const auto r =
-      sc.measure_one_link(sc.targets()[0], sc.targets()[1], sc.default_measure_config());
+  const auto r = MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected);
 }
 
@@ -95,8 +95,7 @@ TEST(OneLinkEdgeCases, NonForwardingSourceMissesLink) {
   Scenario sc(g, base_options(4));
   sc.seed_background();
   sc.net().node(sc.targets()[0]).mutable_config().forwards_transactions = false;
-  const auto r =
-      sc.measure_one_link(sc.targets()[0], sc.targets()[1], sc.default_measure_config());
+  const auto r = MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected);
 }
 
@@ -105,7 +104,7 @@ TEST(OneLinkEdgeCases, RepetitionsUnionPositives) {
   sc.seed_background();
   MeasureConfig cfg = sc.default_measure_config();
   cfg.repetitions = 3;
-  const auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  const auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_TRUE(r.connected);
   // A positive first pass stops early: one pass of ~2 floods + 3 txs.
   EXPECT_LT(r.txs_sent, 2 * (2 * cfg.flood_Z + 3));
@@ -118,7 +117,7 @@ TEST(OneLinkEdgeCases, DynamicYMatchesMedianEstimator) {
   EXPECT_GT(median, 0u);
   MeasureConfig cfg = sc.default_measure_config();
   EXPECT_EQ(cfg.price_Y, 0u) << "scenario default defers Y to the estimator";
-  const auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  const auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_TRUE(r.connected);
 }
 
@@ -139,11 +138,11 @@ TEST(OneLinkEdgeCases, StrictIsolationDiscardsLeakedMeasurement) {
 
   MeasureConfig cfg = sc.default_measure_config();
   cfg.strict_isolation_check = true;
-  auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected) << "leak observed at M -> measurement discarded";
 
   cfg.strict_isolation_check = false;
-  r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_TRUE(r.connected) << "without the check the leak is a false positive";
 }
 
@@ -158,8 +157,7 @@ TEST(OneLinkEdgeCases, MinedTxCKillsMeasurementSafely) {
   Scenario sc(g, opt);
   sc.seed_background();
   sc.net().start_mining({sc.targets()[2]}, 4.0);
-  const auto r =
-      sc.measure_one_link(sc.targets()[0], sc.targets()[1], sc.default_measure_config());
+  const auto r = MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected);
 }
 
@@ -169,8 +167,7 @@ TEST(OneLinkEdgeCases, SelfPairAndIsolatedNodes) {
   g.add_edge(0, 2);
   Scenario sc(g, base_options(9));
   sc.seed_background();
-  const auto r =
-      sc.measure_one_link(sc.targets()[0], sc.targets()[1], sc.default_measure_config());
+  const auto r = MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected);
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "core/validator.h"
 #include "graph/generators.h"
@@ -38,7 +39,7 @@ TEST(Parallel, BipartiteMeasurementMatchesTruth) {
   const std::vector<p2p::PeerId> sources{t[0], t[1]};
   const std::vector<p2p::PeerId> sinks{t[2], t[3]};
   const std::vector<ParallelEdge> edges{{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-  const auto res = sc.measure_parallel(sources, sinks, edges, sc.default_measure_config());
+  const auto res = MeasurementSession(sc).parallel(sources, sinks, edges).value;
 
   EXPECT_TRUE(res.connected[0]) << "A0-B0 is a real link";
   EXPECT_FALSE(res.connected[1]) << "A0-B1 is not";
@@ -77,7 +78,7 @@ TEST_P(Table8Cases, PerfectPrecisionAndRecall) {
   const std::vector<p2p::PeerId> sources{t[0], t[1]};
   const std::vector<p2p::PeerId> sinks{t[2]};
   const std::vector<ParallelEdge> edges{{0, 0}, {1, 0}};
-  const auto res = sc.measure_parallel(sources, sinks, edges, sc.default_measure_config());
+  const auto res = MeasurementSession(sc).parallel(sources, sinks, edges).value;
 
   EXPECT_EQ(res.connected[0], c.a1b) << "A1-B mismatch";
   EXPECT_EQ(res.connected[1], c.a2b) << "A2-B mismatch";
@@ -104,7 +105,8 @@ TEST(Parallel, UnlimitedFuturesPerAccountStillFloods) {
   MeasureConfig cfg = sc.default_measure_config();
   cfg.futures_per_account_U = 0;
   const auto& t = sc.targets();
-  const auto res = sc.measure_parallel({t[0], t[1]}, {t[2]}, {{0, 0}, {1, 0}}, cfg);
+  const auto res =
+      MeasurementSession(sc, cfg).parallel({t[0], t[1]}, {t[2]}, {{0, 0}, {1, 0}}).value;
   EXPECT_TRUE(res.connected[0]) << "U=0 must not silently skip the eviction flood";
   EXPECT_TRUE(res.connected[1]);
 }
@@ -114,8 +116,7 @@ TEST(Parallel, EmptyEdgeListIsNoop) {
   g.add_edge(0, 1);
   Scenario sc(g, fast_options());
   sc.seed_background();
-  const auto res = sc.measure_parallel({sc.targets()[0]}, {sc.targets()[1]}, {},
-                                       sc.default_measure_config());
+  const auto res = MeasurementSession(sc).parallel({sc.targets()[0]}, {sc.targets()[1]}, {}).value;
   EXPECT_TRUE(res.connected.empty());
   EXPECT_EQ(res.txs_sent, 0u);
 }
@@ -126,7 +127,7 @@ TEST(Parallel, FullNetworkScheduleRecoversTopology) {
   Scenario sc(g, fast_options(55));
   sc.seed_background();
 
-  const auto report = sc.measure_network(4, sc.default_measure_config());
+  const auto report = MeasurementSession(sc).network(4).value;
   EXPECT_EQ(report.pairs_tested, 12u * 11 / 2);
   const auto pr = compare_graphs(g, report.measured);
   EXPECT_DOUBLE_EQ(pr.precision(), 1.0) << "no false positives, ever";
@@ -151,7 +152,7 @@ TEST(Parallel, ManySinksOneSourceGroup) {
     edges.push_back({sources.size(), 0});
     sources.push_back(t[u]);
   }
-  const auto res = sc.measure_parallel(sources, {t[0]}, edges, sc.default_measure_config());
+  const auto res = MeasurementSession(sc).parallel(sources, {t[0]}, edges).value;
   for (size_t i = 0; i < edges.size(); ++i) {
     const graph::NodeId u = static_cast<graph::NodeId>(i + 1);
     EXPECT_EQ(res.connected[i], g.has_edge(0, u)) << "node " << u;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "core/validator.h"
 #include "p2p/node.h"
@@ -30,7 +31,7 @@ TEST(Preprocess, DetectsFutureForwarder) {
   // Node 2 misbehaves: forwards future transactions.
   sc.net().node(sc.targets()[2]).mutable_config().forwards_future = true;
 
-  const auto report = sc.preprocess(sc.default_measure_config());
+  const auto report = MeasurementSession(sc).preprocess().value;
   EXPECT_TRUE(report.future_forwarders.count(sc.targets()[2]));
   EXPECT_FALSE(report.future_forwarders.count(sc.targets()[0]));
   EXPECT_FALSE(report.future_forwarders.count(sc.targets()[1]));
@@ -44,7 +45,7 @@ TEST(Preprocess, DetectsUnresponsiveNode) {
   sc.seed_background();
   sc.net().node(sc.targets()[1]).set_unresponsive(true);
 
-  const auto report = sc.preprocess(sc.default_measure_config());
+  const auto report = MeasurementSession(sc).preprocess().value;
   EXPECT_TRUE(report.unresponsive.count(sc.targets()[1]));
   EXPECT_FALSE(report.unresponsive.count(sc.targets()[0]));
   EXPECT_FALSE(report.unresponsive.count(sc.targets()[2]));
@@ -59,7 +60,7 @@ TEST(Preprocess, NonForwardingNodeIsFlaggedUnresponsive) {
   sc.seed_background();
   sc.net().node(sc.targets()[0]).mutable_config().forwards_transactions = false;
 
-  const auto report = sc.preprocess(sc.default_measure_config());
+  const auto report = MeasurementSession(sc).preprocess().value;
   EXPECT_TRUE(report.unresponsive.count(sc.targets()[0]))
       << "a node that never forwards looks unresponsive to the probe";
 }
@@ -113,12 +114,12 @@ TEST(Preprocess, FloodOverridesRecoverCustomMempoolNodes) {
   sc.seed_background();
 
   MeasureConfig cfg = sc.default_measure_config();
-  const auto blind = sc.measure_network(2, cfg);
+  const auto blind = MeasurementSession(sc, cfg).network(2).value;
   EXPECT_FALSE(blind.measured.has_edge(0, 1)) << "stock flood cannot evict the 2x pool";
 
   PreprocessReport pre;
   pre.flood_override[sc.targets()[0]] = 2 * opt.mempool_capacity;
-  const auto informed = sc.measure_network(2, cfg, &pre);
+  const auto informed = MeasurementSession(sc, cfg).network(2, &pre).value;
   EXPECT_TRUE(informed.measured.has_edge(0, 1));
   EXPECT_TRUE(informed.measured.has_edge(0, 4));
   const auto pr = compare_graphs(g, informed.measured);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "p2p/node.h"
 #include "rpc/rpc.h"
@@ -384,7 +385,7 @@ TEST(Rpc, ValidationWorkflowChecksTxcEviction) {
   RpcClient rpc_b(&server_b);
 
   auto cfg = sc.default_measure_config();
-  const auto r = sc.measure_one_link(sc.targets()[0], sc.targets()[1], cfg);
+  const auto r = core::MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_TRUE(r.connected);
   EXPECT_FALSE(rpc_b.has_transaction(r.txc_hash)) << "txC evicted per RPC";
   EXPECT_TRUE(rpc_b.has_transaction(r.txa_hash)) << "txA replaced txB on B";

@@ -1,11 +1,12 @@
-// MeasurementSession facade: equivalence with the legacy Scenario entry
-// points, per-call metrics annotation, the MeasureConfig builder, and
-// ScenarioOptions validation.
+// MeasurementSession facade: equivalence with the raw TopoShot probe built
+// from the Scenario's parts, per-call metrics annotation, the parallel
+// entry point, the MeasureConfig builder, and ScenarioOptions validation.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "core/one_link.h"
 #include "core/session.h"
 #include "core/toposhot.h"
 #include "graph/generators.h"
@@ -30,15 +31,19 @@ graph::Graph triangle() {
   return g;
 }
 
-// The facade must be a pure wrapper: on a fixed seed the old and new API
-// produce identical OneLinkResults.
+// The facade must be a pure wrapper: on a fixed seed the session and a
+// OneLinkMeasurement wired to the Scenario's network, measurement node,
+// accounts, factory and ledgers produce identical OneLinkResults.
 TEST(Session, MatchesLegacyScenarioApiOnFixedSeed) {
   const graph::Graph g = triangle();
 
-  core::Scenario legacy(g, small_options());
-  legacy.seed_background();
-  const auto old_r = legacy.measure_one_link(legacy.targets()[0], legacy.targets()[1],
-                                             legacy.default_measure_config());
+  core::Scenario direct(g, small_options());
+  direct.seed_background();
+  core::OneLinkMeasurement one(direct.net(), direct.m(), direct.accounts(), direct.factory(),
+                               direct.default_measure_config());
+  one.set_cost_tracker(&direct.costs());
+  one.set_metrics(&direct.metrics());
+  const auto old_r = one.measure(direct.targets()[0], direct.targets()[1]);
 
   core::Scenario fresh(g, small_options());
   fresh.seed_background();

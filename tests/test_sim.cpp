@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "sim/latency.h"
 #include "sim/simulator.h"
@@ -22,20 +26,155 @@ TEST(EventQueue, OrdersByTimeThenInsertion) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, BothBackendsOrderIdentically) {
-  for (QueueBackend backend : {QueueBackend::kTimingWheel, QueueBackend::kLegacyHeap}) {
-    EventQueue q(backend);
-    EXPECT_EQ(q.backend(), backend);
-    std::vector<int> order;
-    q.push(2.0, [&] { order.push_back(3); });
-    q.push(1.0, [&] { order.push_back(1); });
-    q.push(1.0, [&] { order.push_back(2); });
-    // Beyond both wheel levels: exercises the overflow heap.
-    q.push(100000.0, [&] { order.push_back(5); });
-    q.push(30.0, [&] { order.push_back(4); });  // L1 horizon
-    while (!q.empty()) q.pop().ev.fire();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+struct RecordingSink final : EventSink {
+  std::vector<uint64_t> seen;
+  void on_event(const Event& ev) override { seen.push_back(ev.payload); }
+};
+
+/// The oracle the timing wheel is checked against: one binary min-heap by
+/// (time, seq), the simplest structure with the queue's total order,
+/// behind the same sequence-number API.
+class ReferenceHeap {
+ public:
+  void push(Time t, Event ev) { push_at_seq(t, std::move(ev), next_seq_); }
+  void push_at_seq(Time t, Event ev, uint64_t seq) {
+    next_seq_ = std::max(next_seq_, seq + 1);
+    heap_.push_back({t, seq, std::move(ev)});
+    std::push_heap(heap_.begin(), heap_.end(), later);
   }
+  uint64_t reserve_seq() { return next_seq_++; }
+  void advance_seq(uint64_t min_next) { next_seq_ = std::max(next_seq_, min_next); }
+  size_t size() const { return heap_.size(); }
+  std::pair<Time, uint64_t> next_key() const {
+    if (heap_.empty()) {
+      return {std::numeric_limits<Time>::infinity(), std::numeric_limits<uint64_t>::max()};
+    }
+    return {heap_.front().t, heap_.front().seq};
+  }
+  EventQueue::Scheduled pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    EventQueue::Scheduled out = std::move(heap_.back());
+    heap_.pop_back();
+    return out;
+  }
+  std::vector<EventQueue::Scheduled> pending_snapshot() const {
+    std::vector<EventQueue::Scheduled> out = heap_;
+    std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) { return later(y, x); });
+    return out;
+  }
+
+ private:
+  static bool later(const EventQueue::Scheduled& x, const EventQueue::Scheduled& y) {
+    return x.t != y.t ? x.t > y.t : x.seq > y.seq;
+  }
+  std::vector<EventQueue::Scheduled> heap_;
+  uint64_t next_seq_ = 0;
+};
+
+/// Applies every operation to the wheel and the reference heap alike and
+/// asserts they agree: claimed seqs, next_key() before each pop, each
+/// popped (time, seq, event), and pending_snapshot() on demand. Events are
+/// typed, tagged with a unique payload; they are compared, never fired.
+struct Lockstep {
+  RecordingSink sink;
+  EventQueue wheel;
+  ReferenceHeap ref;
+  std::vector<uint64_t> reserved;  ///< claimed, not yet pushed
+  uint64_t next_tag = 0;
+  double now = 0.0;  ///< time of the latest pop
+
+  Event tagged() { return Event::typed(EventKind::kMaintenance, &sink, 0, 0, next_tag++); }
+
+  void push(double t) {
+    const Event ev = tagged();
+    wheel.push(t, ev);
+    ref.push(t, ev);
+  }
+
+  void push_at_seq(double t, uint64_t seq) {
+    const Event ev = tagged();
+    wheel.push_at_seq(t, ev, seq);
+    ref.push_at_seq(t, ev, seq);
+  }
+
+  void reserve() {
+    const uint64_t seq = wheel.reserve_seq();
+    ASSERT_EQ(ref.reserve_seq(), seq);
+    reserved.push_back(seq);
+  }
+
+  /// The sequence-number API as batched delivery and world restore use
+  /// it: claim a seq now and push under it later (after newer pushes,
+  /// possibly tying the queue's next event), or move the counter ahead.
+  void seq_op(util::Rng& rng) {
+    const double r = rng.uniform();
+    if (r < 0.4 || reserved.empty()) {
+      ASSERT_NO_FATAL_FAILURE(reserve());
+    } else if (r < 0.85) {
+      const size_t i = rng.index(reserved.size());
+      const double t = rng.uniform() < 0.3 && !wheel.empty() ? wheel.next_time()
+                                                             : now + rng.uniform() * 0.5;
+      push_at_seq(t, reserved[i]);
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(reserve());
+      const uint64_t ahead = reserved.back() + 1 + rng.index(5);
+      if (rng.uniform() < 0.5) {
+        wheel.advance_seq(ahead);
+        ref.advance_seq(ahead);
+      } else {
+        push_at_seq(now + rng.uniform(), ahead);
+      }
+    }
+  }
+
+  void pop() {
+    ASSERT_EQ(wheel.next_key(), ref.next_key());
+    const EventQueue::Scheduled w = wheel.pop();
+    const EventQueue::Scheduled r = ref.pop();
+    ASSERT_EQ(w.t, r.t);
+    ASSERT_EQ(w.seq, r.seq);
+    ASSERT_EQ(w.ev.payload, r.ev.payload);
+    now = std::max(now, w.t);
+  }
+
+  void check_snapshot() const {
+    const auto w = wheel.pending_snapshot();
+    const auto r = ref.pending_snapshot();
+    ASSERT_EQ(w.size(), r.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(w[i].t, r[i].t);
+      ASSERT_EQ(w[i].seq, r[i].seq);
+      ASSERT_EQ(w[i].ev.payload, r[i].ev.payload);
+    }
+  }
+
+  /// Pushes every still-reserved seq, then pops both queues dry.
+  void drain() {
+    for (uint64_t seq : reserved) push_at_seq(now + 0.25, seq);
+    reserved.clear();
+    ASSERT_NO_FATAL_FAILURE(check_snapshot());
+    ASSERT_EQ(wheel.size(), ref.size());
+    while (!wheel.empty()) ASSERT_NO_FATAL_FAILURE(pop());
+    ASSERT_EQ(ref.size(), 0u);
+    ASSERT_EQ(wheel.next_key(), ref.next_key());
+  }
+};
+
+TEST(EventQueue, BothBackendsOrderIdentically) {
+  // The wheel and the reference heap, across every wheel level.
+  Lockstep q;
+  q.push(2.0);
+  q.push(1.0);
+  q.push(1.0);       // same time: insertion order
+  q.push(100000.0);  // beyond both wheel levels: the overflow heap
+  q.push(30.0);      // L1 horizon
+  std::vector<uint64_t> order;
+  while (!q.wheel.empty()) {
+    order.push_back(q.wheel.next_key().second);
+    ASSERT_NO_FATAL_FAILURE(q.pop());
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 0, 4, 3}));
 }
 
 // Directed regression: an event beyond the L1 horizon (overflow heap) must
@@ -46,129 +185,77 @@ TEST(EventQueue, BothBackendsOrderIdentically) {
 // that advances to the next occupied L1 bucket without considering the
 // overflow minimum pops 2000 before 1251.
 TEST(EventQueue, OverflowPopsBeforeLaterL1PushAfterWheelAdvance) {
-  for (QueueBackend backend : {QueueBackend::kTimingWheel, QueueBackend::kLegacyHeap}) {
-    EventQueue q(backend);
-    std::vector<int> order;
-    q.push(0.001, [&] { order.push_back(1); });
-    q.push(1024.5, [&] { order.push_back(2); });
-    q.push(1251.0, [&] { order.push_back(3); });
-    q.pop().ev.fire();
-    q.push(2000.0, [&] { order.push_back(4); });
-    while (!q.empty()) q.pop().ev.fire();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  }
-}
-
-TEST(EventQueue, DefaultBackendHookRoundTrips) {
-  const QueueBackend original = default_queue_backend();
-  set_default_queue_backend(QueueBackend::kLegacyHeap);
-  EXPECT_EQ(EventQueue().backend(), QueueBackend::kLegacyHeap);
-  set_default_queue_backend(QueueBackend::kTimingWheel);
-  EXPECT_EQ(EventQueue().backend(), QueueBackend::kTimingWheel);
-  set_default_queue_backend(original);
+  EventQueue q;
+  std::vector<int> order;
+  q.push(0.001, [&] { order.push_back(1); });
+  q.push(1024.5, [&] { order.push_back(2); });
+  q.push(1251.0, [&] { order.push_back(3); });
+  q.pop().ev.fire();
+  q.push(2000.0, [&] { order.push_back(4); });
+  while (!q.empty()) q.pop().ev.fire();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 // Property test of the determinism contract: under randomized schedules —
 // equal-time bursts, far-future outliers, interleaved pops, same-bucket
-// re-pushes — the wheel pops the exact (time, seq) order the reference
-// binary heap does.
+// re-pushes, seqs reserved now and pushed later — the wheel pops the exact
+// (time, seq) order the reference binary heap does.
 TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
   util::Rng rng(99);
-  EventQueue wheel(QueueBackend::kTimingWheel);
-  EventQueue heap(QueueBackend::kLegacyHeap);
-  std::vector<int> wheel_order, heap_order;
-  int tag = 0;
-  double now = 0.0;
-
-  auto push_both = [&](double t) {
-    const int id = tag++;
-    wheel.push(t, [&wheel_order, id] { wheel_order.push_back(id); });
-    heap.push(t, [&heap_order, id] { heap_order.push_back(id); });
-  };
-  auto pop_both = [&] {
-    auto ws = wheel.pop();
-    auto hs = heap.pop();
-    ASSERT_DOUBLE_EQ(ws.t, hs.t);
-    now = std::max(now, ws.t);
-    ws.ev.fire();
-    hs.ev.fire();
-  };
-
+  Lockstep q;
   for (int round = 0; round < 4000; ++round) {
     const double r = rng.uniform();
-    if (r < 0.50) {
+    if (r < 0.45) {
       double dt = rng.uniform() * 3.0;  // within the L0/L1 horizon
       if (rng.uniform() < 0.10) dt = rng.uniform() * 3000.0;      // L1 / shallow overflow
       if (rng.uniform() < 0.05) dt = 7200.0 + rng.uniform() * 1e5;  // deep overflow
-      push_both(now + dt);
-    } else if (r < 0.72) {
+      q.push(q.now + dt);
+    } else if (r < 0.62) {
       // Equal-time burst: FIFO within the burst must survive bucketing.
-      const double burst_t = now + rng.uniform();
+      const double burst_t = q.now + rng.uniform();
       const size_t n = 1 + rng.index(8);
-      for (size_t i = 0; i < n; ++i) push_both(burst_t);
-    } else if (r < 0.80 && !wheel.empty()) {
+      for (size_t i = 0; i < n; ++i) q.push(burst_t);
+    } else if (r < 0.68 && !q.wheel.empty()) {
       // Same-time follow-up: push at exactly the next pop's timestamp,
       // which lands in the bucket currently draining.
-      push_both(wheel.next_time());
-    } else if (!wheel.empty()) {
+      q.push(q.wheel.next_time());
+    } else if (r < 0.78) {
+      ASSERT_NO_FATAL_FAILURE(q.seq_op(rng));
+    } else if (r < 0.80) {
+      ASSERT_NO_FATAL_FAILURE(q.check_snapshot());
+    } else if (!q.wheel.empty()) {
       const size_t k = 1 + rng.index(4);
-      for (size_t i = 0; i < k && !wheel.empty(); ++i) pop_both();
+      for (size_t i = 0; i < k && !q.wheel.empty(); ++i) ASSERT_NO_FATAL_FAILURE(q.pop());
     }
   }
-  ASSERT_EQ(wheel.size(), heap.size());
-  while (!wheel.empty()) pop_both();
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(wheel_order, heap_order);
+  ASSERT_NO_FATAL_FAILURE(q.drain());
 }
 
 // Property test focused on the L1/overflow boundary (~1026 s out): delays
 // cluster around the horizon, so events keep migrating from the overflow
 // heap into L1 reach as pops advance the wheel while fresh pushes land in
 // L1 directly — the interleaving class the directed regression above pins
-// down, explored at random.
+// down, explored at random, with late reserved-seq pushes mixed in.
 TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
   util::Rng rng(7);
-  EventQueue wheel(QueueBackend::kTimingWheel);
-  EventQueue heap(QueueBackend::kLegacyHeap);
-  std::vector<int> wheel_order, heap_order;
-  int tag = 0;
-  double now = 0.0;
-
-  auto push_both = [&](double t) {
-    const int id = tag++;
-    wheel.push(t, [&wheel_order, id] { wheel_order.push_back(id); });
-    heap.push(t, [&heap_order, id] { heap_order.push_back(id); });
-  };
-  auto pop_both = [&] {
-    auto ws = wheel.pop();
-    auto hs = heap.pop();
-    ASSERT_DOUBLE_EQ(ws.t, hs.t);
-    now = std::max(now, ws.t);
-    ws.ev.fire();
-    hs.ev.fire();
-  };
-
+  Lockstep q;
   for (int round = 0; round < 3000; ++round) {
     const double r = rng.uniform();
-    if (r < 0.45) {
-      push_both(now + 800.0 + rng.uniform() * 600.0);  // straddles the horizon
+    if (r < 0.40) {
+      q.push(q.now + 800.0 + rng.uniform() * 600.0);  // straddles the horizon
+    } else if (r < 0.52) {
+      q.push(q.now + rng.uniform() * 2.0);  // near-term L0 filler
     } else if (r < 0.60) {
-      push_both(now + rng.uniform() * 2.0);  // near-term L0 filler
-    } else if (!wheel.empty()) {
+      ASSERT_NO_FATAL_FAILURE(q.seq_op(rng));
+    } else if (r < 0.62) {
+      ASSERT_NO_FATAL_FAILURE(q.check_snapshot());
+    } else if (!q.wheel.empty()) {
       const size_t k = 1 + rng.index(6);
-      for (size_t i = 0; i < k && !wheel.empty(); ++i) pop_both();
+      for (size_t i = 0; i < k && !q.wheel.empty(); ++i) ASSERT_NO_FATAL_FAILURE(q.pop());
     }
   }
-  ASSERT_EQ(wheel.size(), heap.size());
-  while (!wheel.empty()) pop_both();
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(wheel_order, heap_order);
+  ASSERT_NO_FATAL_FAILURE(q.drain());
 }
-
-struct RecordingSink final : EventSink {
-  std::vector<uint64_t> seen;
-  void on_event(const Event& ev) override { seen.push_back(ev.payload); }
-};
 
 TEST(Simulator, TypedEventsDispatchThroughSink) {
   RecordingSink sink;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "graph/generators.h"
 
@@ -27,8 +28,8 @@ TEST(OneLinkSmoke, DetectsDirectLinkOnTriangle) {
   core::Scenario scenario(g, small_options());
   scenario.seed_background();
 
-  const auto cfg = scenario.default_measure_config();
-  const auto r = scenario.measure_one_link(scenario.targets()[0], scenario.targets()[1], cfg);
+  core::MeasurementSession session(scenario);
+  const auto r = session.one_link(scenario.targets()[0], scenario.targets()[1]).value;
   EXPECT_TRUE(r.txc_evicted_on_a) << "flood failed to evict txC on A";
   EXPECT_TRUE(r.txc_evicted_on_b) << "flood failed to evict txC on B";
   EXPECT_TRUE(r.txa_planted_on_a) << "txA was not admitted on A";
@@ -44,8 +45,8 @@ TEST(OneLinkSmoke, RejectsNonLinkOnPath) {
   core::Scenario scenario(g, small_options());
   scenario.seed_background();
 
-  const auto cfg = scenario.default_measure_config();
-  const auto r = scenario.measure_one_link(scenario.targets()[0], scenario.targets()[1], cfg);
+  core::MeasurementSession session(scenario);
+  const auto r = session.one_link(scenario.targets()[0], scenario.targets()[1]).value;
   EXPECT_TRUE(r.txc_evicted_on_a);
   EXPECT_TRUE(r.txc_evicted_on_b);
   EXPECT_TRUE(r.txa_planted_on_a);
@@ -57,13 +58,12 @@ TEST(OneLinkSmoke, AllPairsOnSmallRandomGraph) {
   graph::Graph g = graph::erdos_renyi_gnm(8, 12, rng);
   core::Scenario scenario(g, small_options());
   scenario.seed_background();
-  const auto cfg = scenario.default_measure_config();
+  core::MeasurementSession session(scenario);
 
   size_t wrong = 0;
   for (graph::NodeId u = 0; u < 8; ++u) {
     for (graph::NodeId v = u + 1; v < 8; ++v) {
-      const auto r =
-          scenario.measure_one_link(scenario.targets()[u], scenario.targets()[v], cfg);
+      const auto r = session.one_link(scenario.targets()[u], scenario.targets()[v]).value;
       if (r.connected != g.has_edge(u, v)) ++wrong;
       // Precision must be perfect: no false positives, ever.
       if (!g.has_edge(u, v)) {

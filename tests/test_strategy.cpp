@@ -1,6 +1,6 @@
 // The measurement-strategy seam: name/kind round-trips, the "strategy"
 // report field (omitted-when-default byte identity, strict rejection),
-// dispatch equivalence between the seam and the legacy direct calls, and
+// dispatch equivalence between the seam and the raw TopoShot probe, and
 // the two rival strategies' characteristic behaviour — DEthna's cheap
 // timing inference and TxProbe's propagation-regime-dependent isolation
 // (it works announce-only, and honestly fails on Ethereum-style push).
@@ -100,17 +100,20 @@ TEST(StrategyReportField, StrictlyRejectsUnknownOrMistyped) {
       << "a non-string strategy must reject the whole document";
 }
 
-// The seam's default dispatch must be trajectory-identical to the legacy
-// direct calls: same seed, same probe, same bytes out.
+// The seam's default dispatch must be trajectory-identical to driving the
+// raw TopoShot probe (OneLinkMeasurement) by hand: same seed, same probe,
+// same bytes out.
 TEST(StrategySeam, DefaultDispatchMatchesLegacyEntryPoints) {
   util::Rng rng(11);
   const graph::Graph truth = graph::erdos_renyi_gnm(10, 18, rng);
 
-  Scenario legacy(truth, small_options(33));
-  legacy.seed_background();
-  const MeasureConfig cfg = legacy.default_measure_config();
-  const OneLinkResult via_legacy =
-      legacy.measure_one_link(legacy.targets()[0], legacy.targets()[1], cfg);
+  Scenario direct(truth, small_options(33));
+  direct.seed_background();
+  const MeasureConfig cfg = direct.default_measure_config();
+  OneLinkMeasurement one(direct.net(), direct.m(), direct.accounts(), direct.factory(), cfg);
+  one.set_cost_tracker(&direct.costs());
+  one.set_metrics(&direct.metrics());
+  const OneLinkResult via_direct = one.measure(direct.targets()[0], direct.targets()[1]);
 
   Scenario seam(truth, small_options(33));
   seam.seed_background();
@@ -119,34 +122,18 @@ TEST(StrategySeam, DefaultDispatchMatchesLegacyEntryPoints) {
   const OneLinkResult via_seam =
       session.one_link(seam.targets()[0], seam.targets()[1]).value;
 
-  EXPECT_EQ(via_seam.connected, via_legacy.connected);
-  EXPECT_EQ(via_seam.verdict, via_legacy.verdict);
-  EXPECT_EQ(via_seam.cause, via_legacy.cause);
-  EXPECT_EQ(via_seam.attempts, via_legacy.attempts);
-  EXPECT_EQ(via_seam.txs_sent, via_legacy.txs_sent);
-  EXPECT_DOUBLE_EQ(via_seam.finished_at, via_legacy.finished_at);
-}
-
-TEST(StrategySeam, WrappedParallelMeasurementEqualsOwnedStrategy) {
-  util::Rng rng(12);
-  const graph::Graph truth = graph::erdos_renyi_gnm(8, 12, rng);
-
-  Scenario a(truth, small_options(44));
-  a.seed_background();
-  const MeasureConfig cfg = a.default_measure_config();
-  ParallelMeasurement par(a.net(), a.m(), a.accounts(), a.factory(), cfg);
-  par.set_cost_tracker(&a.costs());
-  NetworkMeasurement legacy(par);  // wrap_parallel_measurement under the hood
-  const auto legacy_report = legacy.measure_all(a.net(), a.targets(), 3);
-
-  Scenario b(truth, small_options(44));
-  b.seed_background();
-  auto strat = b.make_strategy(StrategyKind::kToposhot, cfg);
-  NetworkMeasurement owned(*strat);
-  const auto owned_report = owned.measure_all(b.net(), b.targets(), 3);
-
-  EXPECT_EQ(legacy_report.strategy, StrategyKind::kToposhot);
-  EXPECT_EQ(report_to_json(legacy_report).dump(), report_to_json(owned_report).dump());
+  EXPECT_EQ(via_seam.connected, via_direct.connected);
+  EXPECT_EQ(via_seam.verdict, via_direct.verdict);
+  EXPECT_EQ(via_seam.cause, via_direct.cause);
+  EXPECT_EQ(via_seam.attempts, via_direct.attempts);
+  EXPECT_EQ(via_seam.txa_hash, via_direct.txa_hash);
+  EXPECT_EQ(via_seam.txb_hash, via_direct.txb_hash);
+  EXPECT_EQ(via_seam.txc_hash, via_direct.txc_hash);
+  EXPECT_EQ(via_seam.txs_sent, via_direct.txs_sent);
+  EXPECT_DOUBLE_EQ(via_seam.started_at, via_direct.started_at);
+  EXPECT_DOUBLE_EQ(via_seam.finished_at, via_direct.finished_at);
+  EXPECT_EQ(via_seam.txc_evicted_on_a, via_direct.txc_evicted_on_a);
+  EXPECT_EQ(via_seam.txc_evicted_on_b, via_direct.txc_evicted_on_b);
 }
 
 TEST(StrategySeam, SessionEchoesSelectedStrategyIntoReport) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/report_io.h"
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "core/validator.h"
 #include "disc/emergence.h"
@@ -43,13 +44,13 @@ TEST_P(TestnetPipeline, MeasuresWithPerfectPrecision) {
   sc.seed_background();
   sc.start_churn(2.0);
 
-  const auto pre = sc.preprocess(sc.default_measure_config());
+  const auto pre = MeasurementSession(sc).preprocess().value;
   EXPECT_TRUE(pre.future_forwarders.empty());
   EXPECT_TRUE(pre.unresponsive.empty());
 
   MeasureConfig mcfg = sc.default_measure_config();
   mcfg.repetitions = 2;
-  const auto report = sc.measure_network(3, mcfg);
+  const auto report = MeasurementSession(sc, mcfg).network(3).value;
   const auto pr = compare_graphs(truth, report.measured);
   EXPECT_DOUBLE_EQ(pr.precision(), 1.0) << recipe.name;
   EXPECT_GE(pr.recall(), 0.85) << recipe.name;

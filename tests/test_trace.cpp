@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/report_io.h"
+#include "core/session.h"
 #include "core/toposhot.h"
 #include "graph/generators.h"
 #include "obs/export.h"
@@ -278,15 +279,13 @@ TEST(ProbeCausePlumbing, OneLinkDriverAnnotatesVerdictsAndSpans) {
   obs::SpanTracer tracer(0);
   scenario.set_span_tracer(&tracer);
 
-  const auto cfg = scenario.default_measure_config();
-  const auto neg =
-      scenario.measure_one_link(scenario.targets()[0], scenario.targets()[1], cfg);
+  core::MeasurementSession session(scenario);
+  const auto neg = session.one_link(scenario.targets()[0], scenario.targets()[1]).value;
   EXPECT_EQ(neg.verdict, core::Verdict::kNegative);
   EXPECT_EQ(neg.cause, obs::ProbeCause::kTxANeverReturned)
       << "clean negatives name the unreturned probe";
 
-  const auto pos =
-      scenario.measure_one_link(scenario.targets()[0], scenario.targets()[2], cfg);
+  const auto pos = session.one_link(scenario.targets()[0], scenario.targets()[2]).value;
   EXPECT_EQ(pos.verdict, core::Verdict::kConnected);
   EXPECT_EQ(pos.cause, obs::ProbeCause::kNone);
 
