@@ -26,7 +26,7 @@ using namespace topo;
 /// machinery, not mempool admission.
 struct NullPeer final : p2p::Peer {
   uint64_t delivered = 0;
-  void deliver_tx(const eth::Transaction& tx, p2p::PeerId) override {
+  void deliver_tx(const eth::Transaction& tx, eth::TxHash, p2p::PeerId) override {
     benchmark::DoNotOptimize(&tx);
     ++delivered;
   }

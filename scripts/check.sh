@@ -54,38 +54,60 @@ if [[ "${1:-}" != "--fast" ]]; then
     fi
   done
   run_tests build-asan
-  # The fault-injection layer exercises hook/teardown paths (injector
-  # outliving scheduled sim callbacks, node restarts mid-flight) that only
-  # ASan can vouch for; pin its suite explicitly so a filter change in the
-  # main run can never silently drop it. The tracing/diagnostics suites ride
-  # along: span open/close bookkeeping and the ring-walk visit() are exactly
-  # the kind of index arithmetic ASan exists for. The strategy-seam suites
-  # (Strategy*, Dethna*, TxProbe*) too: rival strategies drive raw
-  # announce/echo bookkeeping across node restarts. The world-fork suites
-  # (SnapshotWorld*, ForkWorld*, PeerLifetime*) are here because snapshot
-  # restore rebuilds raw sink pointers and Peer auto-detach is precisely a
-  # use-after-free contract — only ASan can prove the sink slot swap works.
-  # The batched-delivery suites (BatchDelivery*, FifoClock*, PayloadArena*)
-  # ride here too: the drain loop holds references across batch-map
-  # mutation and the arena recycles/releases chunks under live handles —
-  # exactly the lifetime bugs ASan exists for. The monitor suites
-  # (LinkTable*, TopologyMonitor*, MonitorRpc*, MonitorGolden*, etc.) join
-  # them: the daemon hands shared_ptr snapshots across a writer/reader
-  # boundary while concurrent readers race the epoch loop — the
-  # concurrent-reader test is only meaningful with ASan watching. The
-  # telemetry-plane suites (EventLog*, EpochStats via TopologyMonitor*,
-  # Health*, Prometheus*) complete the set: the event log takes concurrent
-  # appends from RPC reader threads (including the reader-vs-epoch-loop
-  # race on topo_getMetrics / topo_getHealth inside MonitorRpc*), and the
-  # exposition walks histogram bucket arrays — ring and index arithmetic
-  # ASan should watch. The mempool suites (MempoolTest*, the parameterized
-  # Seeds/MempoolFuzz*, FlatHashMap*, FlatPriceIndex*) close the list: the
-  # pool's open-addressing index shifts buckets on erase and hands out
-  # pointers into its queues, and the fuzz runs check_invariants() after
-  # every step — this pass is where an assert-only precondition fires.
-  echo "== pass 3: fault-injection + tracing + strategy suites under ASan (focused) =="
-  ./build-asan/tests/toposhot_tests \
-    --gtest_filter='Fault*:TraceRing*:SpanIds*:SpanTracer*:ChromeTrace*:DiagnosticsAnnex*:ProbeCausePlumbing*:GoldenDeterminism*:Strategy*:Dethna*:TxProbe*:SnapshotWorld*:ForkWorld*:PeerLifetime*:BatchDelivery*:FifoClock*:PayloadArena*:LinkTable*:TopologyMonitor*:TopologyDiffTest*:MonitorStatusTest*:MonitorJson*:MonitorSchedule*:MonitorRpc*:MonitorGolden*:EvaluateTracking*:EventLog*:Health*:Prometheus*:Mempool*:*MempoolFuzz*:FlatHashMap*:FlatPriceIndex*'
+  # Suites whose sanitized run is the point of this pass: the
+  # fault-injection layer (injector outliving scheduled sim callbacks, node
+  # restarts mid-flight); tracing/diagnostics (span bookkeeping, ring-walk
+  # index arithmetic); the strategy seam (Strategy*, Dethna*, TxProbe*:
+  # announce/echo bookkeeping across restarts); world forking
+  # (SnapshotWorld*, ForkWorld*, PeerLifetime*: restore rebuilds raw sink
+  # pointers, Peer auto-detach is a use-after-free contract); the message
+  # path (EventQueue*, Simulator*: the wheel's node pool and the closure
+  # table that hands a callable back before it runs; BatchDelivery*,
+  # FifoClock*, PayloadArena*: the drain loop holds a slab reference
+  # across deliveries that open batches, the arena recycles chunks under
+  # live handles; FlatHashMap*: shifts buckets on erase); the monitor and
+  # telemetry plane (concurrent RPC readers racing the epoch loop, ring and
+  # histogram index arithmetic); the mempool (MempoolTest*, the
+  # parameterized Seeds/MempoolFuzz* with check_invariants() after every
+  # step, FlatPriceIndex*). The full ctest run above already ran them under
+  # ASan; this pass only proves a filter or discovery change did not drop
+  # them: each pattern must match at least one test in the sanitized
+  # binary, and every test it matches must be registered with ctest.
+  echo "== pass 3: pinned suites are part of the sanitized run =="
+  pinned=(
+    'Fault*' 'TraceRing*' 'SpanIds*' 'SpanTracer*' 'ChromeTrace*' 'DiagnosticsAnnex*'
+    'ProbeCausePlumbing*' 'GoldenDeterminism*' 'Strategy*' 'Dethna*' 'TxProbe*'
+    'SnapshotWorld*' 'ForkWorld*' 'PeerLifetime*' 'EventQueue*' 'Simulator*'
+    'BatchDelivery*' 'FifoClock*' 'PayloadArena*' 'FlatHashMap*' 'LinkTable*'
+    'TopologyMonitor*' 'TopologyDiffTest*' 'MonitorStatusTest*' 'MonitorJson*'
+    'MonitorSchedule*' 'MonitorRpc*' 'MonitorGolden*' 'EvaluateTracking*' 'EventLog*'
+    'Health*' 'Prometheus*' 'Mempool*' '*MempoolFuzz*' 'FlatPriceIndex*'
+  )
+  # ctest's `-N` listing in machine-readable form. Its display names
+  # rewrite value-parameterized suffixes (`Fuzz/0 # GetParam() = 1` shows
+  # as `Fuzz/1`), so match on the --gtest_filter each entry runs instead.
+  registered=$(ctest --test-dir build-asan --show-only=json-v1 | python3 -c '
+import json, sys
+for test in json.load(sys.stdin)["tests"]:
+    for arg in test.get("command", []):
+        if arg.startswith("--gtest_filter="):
+            print(arg[len("--gtest_filter="):])
+' | sort -u)
+  for pattern in "${pinned[@]}"; do
+    listed=$(./build-asan/tests/toposhot_tests --gtest_list_tests --gtest_filter="$pattern" |
+      awk '/^[^ ].*\.$/ {suite = $1; next} /^  / {print suite $1}' | sort -u)
+    if [[ -z "$listed" ]]; then
+      echo "pinned pattern '$pattern' matches no test in build-asan/tests/toposhot_tests" >&2
+      exit 1
+    fi
+    missing=$(comm -23 <(echo "$listed") <(echo "$registered"))
+    if [[ -n "$missing" ]]; then
+      echo "tests matching '$pattern' are not registered with ctest in build-asan:" >&2
+      echo "$missing" >&2
+      exit 1
+    fi
+    echo "  $pattern: $(echo "$listed" | wc -l) tests in the sanitized run"
+  done
 fi
 
 echo "All checks passed."

@@ -11,6 +11,7 @@
 #include "mempool/policy.h"
 #include "obs/metrics.h"
 #include "util/cow.h"
+#include "util/flat_hash_map.h"
 #include "util/rng.h"
 
 namespace topo::mempool {
@@ -247,7 +248,7 @@ class Mempool {
     std::vector<eth::Address> slot_addr;
     std::vector<AccountQueue> slot_queue;
     std::vector<uint32_t> free_slots;
-    FlatHashMap<uint32_t> slot_of;
+    util::FlatHashMap<uint32_t> slot_of;
 
     // Cheapest-first for eviction (see flat_index.h); keys carry the hash.
     FlatPriceIndex price_index;
@@ -255,7 +256,7 @@ class Mempool {
     FlatPriceIndex future_index;
     // The one transaction index: content hash -> location. Serves the
     // duplicate probe, find_hash, and victims read from the price indexes.
-    FlatHashMap<TxLoc> txs;
+    util::FlatHashMap<TxLoc> txs;
     size_t size = 0;
     size_t pending_count = 0;
     // Cheap guards so maintain() skips full scans (and, post-fork, the

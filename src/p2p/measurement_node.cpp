@@ -14,11 +14,10 @@ MeasurementNode::MeasurementNode(Network* net, const eth::StateView* state, doub
       blocks_seen_(net->chain().height()),
       send_spacing_(send_spacing) {}
 
-void MeasurementNode::deliver_tx(const eth::Transaction& tx, PeerId from) {
+void MeasurementNode::deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) {
   // Hot under batched delivery: a drained flood batch funnels hundreds of
   // these back-to-back, so read the clock once per delivery.
   const double now = net_->simulator().now();
-  const eth::TxHash hash = tx.hash();
   log_[hash].emplace_back(from, now);
   view_.add(tx, hash, now);
 }

@@ -37,7 +37,7 @@ class MeasurementNode final : public Peer {
                   std::optional<mempool::MempoolPolicy> view_policy = std::nullopt);
 
   // -- Peer interface ------------------------------------------------------
-  void deliver_tx(const eth::Transaction& tx, PeerId from) override;
+  void deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) override;
   void deliver_announce(eth::TxHash hash, PeerId from) override;
   void deliver_get_tx(eth::TxHash hash, PeerId from) override;
   void on_block_commit() override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstddef>
 
 #include "eth/miner.h"
 #include "p2p/node.h"
@@ -76,7 +75,7 @@ namespace {
 /// Inert stand-in for detached peers.
 class SinkPeer final : public Peer {
  public:
-  void deliver_tx(const eth::Transaction&, PeerId) override {}
+  void deliver_tx(const eth::Transaction&, eth::TxHash, PeerId) override {}
   void deliver_announce(eth::TxHash, PeerId) override {}
   void deliver_get_tx(eth::TxHash, PeerId) override {}
 };
@@ -130,24 +129,60 @@ bool Network::disconnect(PeerId a, PeerId b) {
 }
 
 void Network::prune_stream(PeerId from, PeerId to) {
-  auto it = streams_.find(stream_key(from, to));
-  if (it == streams_.end()) return;
-  if (it->second.open_batch != 0) {
-    auto bit = batches_.find(it->second.open_batch);
-    assert(bit != batches_.end());
+  const uint64_t key = stream_key(from, to);
+  const StreamState* ss = streams_.find(key);
+  if (ss == nullptr) return;
+  if (ss->open_batch != 0) {
+    TxBatch& b = batch(ss->open_batch);
+    assert(b.in_use);
     // Seal rather than drop: staged members are already "on the wire".
     // Sealing matters for correctness, not just hygiene — a reconnect
     // restarts the FIFO clock, so later sends may deliver *earlier* than
     // the staged members and must go into a fresh batch to keep each
     // batch's member times monotone.
-    bit->second.sealed = true;
-    if (!bit->second.live_event) {
+    b.sealed = true;
+    if (!b.live_event) {
       // Fully drained already; nothing in flight references it.
-      assert(bit->second.next >= bit->second.members.size());
-      batches_.erase(bit);
+      assert(b.head == kNoMember);
+      free_batch(ss->open_batch);
     }
   }
-  streams_.erase(it);
+  streams_.erase(key);
+}
+
+uint64_t Network::new_batch(PeerId from, PeerId to, double window_start) {
+  uint64_t id;
+  if (free_batches_.empty()) {
+    batches_.emplace_back();
+    id = batches_.size();
+  } else {
+    id = free_batches_.back();
+    free_batches_.pop_back();
+  }
+  TxBatch& b = batch(id);
+  b = TxBatch{};
+  b.from = from;
+  b.to = to;
+  b.in_use = true;
+  b.window_start = window_start;
+  return id;
+}
+
+void Network::free_batch(uint64_t id) {
+  TxBatch& b = batch(id);
+  assert(b.in_use && b.head == kNoMember);
+  b.in_use = false;
+  free_batches_.push_back(static_cast<uint32_t>(id));
+}
+
+void Network::append_member(TxBatch& b, const BatchMember& m) {
+  const uint32_t n = members_.alloc(m);
+  if (b.head == kNoMember) {
+    b.head = n;
+  } else {
+    members_.next(b.tail) = n;
+  }
+  b.tail = n;
 }
 
 bool Network::linked(PeerId a, PeerId b) const {
@@ -175,8 +210,12 @@ double Network::fifo_delivery_time(PeerId from, PeerId to, double delay) {
 }
 
 void Network::send_tx(PeerId from, PeerId to, const eth::Transaction& tx, double extra_delay) {
+  send_tx(from, to, tx, tx.hash(), wire::transaction_wire_size(tx), extra_delay);
+}
+
+void Network::send_tx(PeerId from, PeerId to, const eth::Transaction& tx, eth::TxHash hash,
+                      uint64_t size, double extra_delay) {
   ++messages_;
-  const uint64_t size = wire::transaction_wire_size(tx);
   bytes_ += size;
   if (obs_.messages != nullptr) {
     obs_.messages->inc();
@@ -194,7 +233,7 @@ void Network::send_tx(PeerId from, PeerId to, const eth::Transaction& tx, double
   StreamState& ss = streams_[stream_key(from, to)];
   const double at = std::max(sim_->now() + lat + extra_delay, ss.last_delivery + 1e-6);
   ss.last_delivery = at;
-  const uint32_t slot = arena_.acquire(tx);
+  const uint32_t slot = arena_.acquire(tx, hash);
   if (batch_window_ <= 0.0) {
     sim_->schedule_at(at, sim::Event::typed(sim::EventKind::kDeliverTx, this, to, from, slot));
     return;
@@ -204,14 +243,14 @@ void Network::send_tx(PeerId from, PeerId to, const eth::Transaction& tx, double
 
 void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint32_t slot) {
   if (ss.open_batch != 0) {
-    TxBatch& b = batches_[ss.open_batch];
+    TxBatch& b = batch(ss.open_batch);
     if (at - b.window_start <= batch_window_) {
       // Reserved at the instant the unbatched path would have pushed, so
       // the member's (t, seq) key — and therefore its position in the
       // global total order — is exactly what the one-event-per-message
       // trajectory would use.
       const uint64_t seq = sim_->reserve_seq();
-      b.members.push_back(BatchMember{at, seq, slot});
+      append_member(b, BatchMember{at, seq, slot});
       if (!b.live_event) {
         sim_->schedule_at_seq(
             at, sim::Event::typed(sim::EventKind::kDeliverTxBatch, this, to, from, ss.open_batch),
@@ -230,12 +269,9 @@ void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint3
     // shipped as a plain kDeliverTx and is not a member; the window stays
     // anchored at its delivery time.
     const uint64_t seq = sim_->reserve_seq();
-    ss.open_batch = next_batch_id_++;
-    TxBatch& b = batches_[ss.open_batch];
-    b.from = from;
-    b.to = to;
-    b.window_start = ss.window_start;
-    b.members.push_back(BatchMember{at, seq, slot});
+    ss.open_batch = new_batch(from, to, ss.window_start);
+    TxBatch& b = batch(ss.open_batch);
+    append_member(b, BatchMember{at, seq, slot});
     sim_->schedule_at_seq(
         at, sim::Event::typed(sim::EventKind::kDeliverTxBatch, this, to, from, ss.open_batch),
         seq);
@@ -244,7 +280,7 @@ void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint3
   }
   // First send of a fresh window: one plain event, zero staging overhead —
   // a single-send stream (every stream, in a one-tx flood) never touches
-  // the batch map at all.
+  // the batch slab at all.
   ss.window_start = at;
   sim_->schedule_at(at, sim::Event::typed(sim::EventKind::kDeliverTx, this, to, from, slot));
 }
@@ -379,13 +415,16 @@ Network::Snapshot Network::snapshot() const {
   s.mine_interval = mine_interval_;
   s.arena = arena_.snapshot();
   s.streams.reserve(streams_.size());
-  for (const auto& [key, ss] : streams_) {
-    s.streams.push_back(Snapshot::StreamClock{key, ss.last_delivery, ss.open_batch, ss.window_start});
-  }
+  streams_.for_each([&s](uint64_t key, const StreamState& ss) {
+    s.streams.push_back(
+        Snapshot::StreamClock{key, ss.last_delivery, ss.open_batch, ss.window_start});
+  });
   std::sort(s.streams.begin(), s.streams.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
-  s.batches.reserve(batches_.size());
-  for (const auto& [id, b] : batches_) {
+  s.batches.reserve(staged_batches());
+  for (uint64_t id = 1; id <= batches_.size(); ++id) {
+    const TxBatch& b = batches_[id - 1];
+    if (!b.in_use) continue;
     Snapshot::StagedBatch sb;
     sb.id = id;
     sb.from = b.from;
@@ -393,12 +432,12 @@ Network::Snapshot Network::snapshot() const {
     sb.sealed = b.sealed;
     sb.live_event = b.live_event;
     sb.window_start = b.window_start;
-    sb.members.assign(b.members.begin() + static_cast<std::ptrdiff_t>(b.next), b.members.end());
+    for (uint32_t n = b.head; n != kNoMember; n = members_.next(n)) {
+      sb.members.push_back(members_[n]);
+    }
     s.batches.push_back(std::move(sb));
   }
-  std::sort(s.batches.begin(), s.batches.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-  s.next_batch_id = next_batch_id_;
+  s.free_batches = free_batches_;
   return s;
 }
 
@@ -434,22 +473,21 @@ void Network::restore(const Snapshot& snap) {
   miners_ = snap.miners;
   mine_interval_ = snap.mine_interval;
   arena_.restore(snap.arena);
-  streams_.clear();
   for (const auto& sc : snap.streams) {
-    streams_[sc.key] = StreamState{sc.last_delivery, sc.open_batch, sc.window_start};
+    streams_.insert(sc.key, StreamState{sc.last_delivery, sc.open_batch, sc.window_start});
   }
-  batches_.clear();
+  batches_.resize(snap.batches.size() + snap.free_batches.size());
+  free_batches_ = snap.free_batches;
   for (const auto& sb : snap.batches) {
-    TxBatch b;
+    TxBatch& b = batch(sb.id);
     b.from = sb.from;
     b.to = sb.to;
+    b.in_use = true;
     b.sealed = sb.sealed;
     b.live_event = sb.live_event;
     b.window_start = sb.window_start;
-    b.members = sb.members;
-    batches_[sb.id] = std::move(b);
+    for (const BatchMember& m : sb.members) append_member(b, m);
   }
-  next_batch_id_ = snap.next_batch_id;
 }
 
 void Network::rebind_external(PeerId id, Peer* peer) {
@@ -468,32 +506,32 @@ void Network::start_mining(std::vector<PeerId> miners, double interval) {
   sim_->schedule_after(interval, sim::Event::typed(sim::EventKind::kMineTick, this));
 }
 
+void Network::deliver_from_arena(PeerId to, PeerId from, uint32_t slot) {
+  // Copy out and release the slot before delivering: propagation inside
+  // deliver_tx may send again and reuse the slot.
+  const PayloadArena::Payload p = arena_.take(slot);
+  peers_[to]->deliver_tx(p.tx, p.hash, from);
+}
+
 void Network::on_event(const sim::Event& ev) {
   switch (ev.kind) {
-    case sim::EventKind::kDeliverTx: {
-      // Copy out and release the slot before delivering: propagation inside
-      // deliver_tx may send again and reuse the slot.
-      const uint32_t slot = static_cast<uint32_t>(ev.payload);
-      const eth::Transaction tx = arena_.take(slot);
-      peers_[ev.a]->deliver_tx(tx, ev.b);
+    case sim::EventKind::kDeliverTx:
+      deliver_from_arena(ev.a, ev.b, static_cast<uint32_t>(ev.payload));
       break;
-    }
     case sim::EventKind::kDeliverTxBatch: {
       // Deliveries below can propagate (admit -> send_tx -> stage_tx) and
-      // insert new entries into batches_; a rehash invalidates every
-      // iterator into the map (references survive, iterators do not). So:
-      // only the reference `b` may outlive a deliver_tx call — the batch is
-      // re-found or erased *by key* (ev.payload) after the loop, never via
-      // the pre-drain iterator. `live_event` also stays true for the whole
-      // dispatch: a delivery that detaches ev.a runs prune_stream on this
-      // stream, and a false flag there would erase the batch out from under
-      // this loop (prune seals live batches instead).
-      auto it = batches_.find(ev.payload);
-      assert(it != batches_.end() && "batch event for an erased batch");
-      TxBatch& b = it->second;
+      // open new batches, appending slab entries and member-pool nodes.
+      // The slab is a deque, so `b` stays valid across that; members are
+      // copied out before each delivery because the pool's arrays may
+      // grow. `live_event` also stays true for the whole dispatch: a
+      // delivery that detaches ev.a runs prune_stream on this stream, and
+      // a false flag there would free the batch out from under this loop
+      // (prune seals live batches instead).
+      TxBatch& b = batch(ev.payload);
+      assert(b.in_use && "batch event for a freed batch");
       const sim::Time bound = sim_->drain_bound();
-      while (b.next < b.members.size()) {
-        const BatchMember m = b.members[b.next];
+      while (b.head != kNoMember) {
+        const BatchMember m = members_[b.head];
         if (m.t > bound) break;  // honour the enclosing run_until horizon
         // Yield whenever any queued event's (t, seq) key precedes this
         // member's: delivering it now would reorder the global trajectory.
@@ -501,30 +539,28 @@ void Network::on_event(const sim::Event& ev) {
         // minimum at exactly (m.t, m.seq).
         const auto [qt, qseq] = sim_->next_event_key();
         if (m.t > qt || (m.t == qt && m.seq > qseq)) break;
-        ++b.next;
+        const uint32_t n = b.head;
+        b.head = members_.next(n);
+        members_.release(n);
         sim_->advance_to(m.t);
         sim_->note_drained_delivery();
-        const eth::Transaction tx = arena_.take(m.slot);
-        // Re-read the peer slot each iteration: a delivery can detach ev.a.
-        peers_[ev.a]->deliver_tx(tx, ev.b);
+        // deliver_from_arena re-reads the peer slot: a delivery can detach ev.a.
+        deliver_from_arena(ev.a, ev.b, m.slot);
       }
-      if (b.next < b.members.size()) {
+      if (b.head != kNoMember) {
         // Park the batch back in the queue at its next member's reserved
         // key; it pops again exactly when that member would have.
-        const BatchMember& m = b.members[b.next];
+        const BatchMember& m = members_[b.head];
         sim_->schedule_at_seq(m.t, ev, m.seq);
       } else {
-        // Fully drained: erase the batch and return the stream to its
+        // Fully drained: free the batch and return the stream to its
         // plain single-event regime — the next send inside the window
-        // opens a fresh batch only if another one joins it. By key, not
-        // via `it` (see above).
+        // opens a fresh batch only if another one joins it.
         if (!b.sealed) {
-          auto sit = streams_.find(stream_key(ev.b, ev.a));
-          if (sit != streams_.end() && sit->second.open_batch == ev.payload) {
-            sit->second.open_batch = 0;
-          }
+          StreamState* ss = streams_.find(stream_key(ev.b, ev.a));
+          if (ss != nullptr && ss->open_batch == ev.payload) ss->open_batch = 0;
         }
-        batches_.erase(ev.payload);
+        free_batch(ev.payload);
       }
       break;
     }

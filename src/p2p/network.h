@@ -1,8 +1,8 @@
 #pragma once
 
+#include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -17,6 +17,8 @@
 #include "p2p/peer.h"
 #include "sim/latency.h"
 #include "sim/simulator.h"
+#include "util/flat_hash_map.h"
+#include "util/list_pool.h"
 #include "util/rng.h"
 
 namespace topo::p2p {
@@ -38,8 +40,11 @@ struct NetObs {
 /// against.
 ///
 /// Delivery is scheduled as typed sim::Events (no per-message closure
-/// allocation); full-transaction payloads ride in a chunked PayloadArena,
-/// so a send costs one arena copy and zero heap traffic in steady state.
+/// allocation); full-transaction payloads ride in a chunked PayloadArena
+/// together with their content hash, so a send costs one arena copy and
+/// zero heap traffic in steady state. Per-stream state lives in flat
+/// tables: the FIFO clocks in a util::FlatHashMap, staged batches in a
+/// slab indexed by batch id, their members in one shared util::ListPool.
 ///
 /// Full-transaction sends on the same directed (from, to) stream within
 /// one batch window coalesce into a single kDeliverTxBatch event (see
@@ -102,6 +107,11 @@ class Network : public sim::EventSink {
 
   /// Message primitives (latency applied; extra fixed `delay` optional).
   void send_tx(PeerId from, PeerId to, const eth::Transaction& tx, double extra_delay = 0.0);
+  /// Same, for a fan-out that already holds the transaction's content hash
+  /// (`tx.hash()`) and RLP wire size (`wire::transaction_wire_size(tx)`):
+  /// Node::propagate computes both once and sends to every peer with them.
+  void send_tx(PeerId from, PeerId to, const eth::Transaction& tx, eth::TxHash hash,
+               uint64_t wire_size, double extra_delay = 0.0);
   void send_announce(PeerId from, PeerId to, eth::TxHash hash);
   void send_get_tx(PeerId from, PeerId to, eth::TxHash hash);
 
@@ -121,7 +131,7 @@ class Network : public sim::EventSink {
   /// (the leak regression), batches currently staged, and the payload
   /// arena itself.
   size_t stream_count() const { return streams_.size(); }
-  size_t staged_batches() const { return batches_.size(); }
+  size_t staged_batches() const { return batches_.size() - free_batches_.size(); }
   const PayloadArena& arena() const { return arena_; }
   PayloadArena& arena() { return arena_; }
 
@@ -165,12 +175,13 @@ class Network : public sim::EventSink {
   /// payloads (the arena), the per-stream FIFO clocks, and staged delivery
   /// batches are captured symbolically — batch ids and arena slot handles
   /// are preserved verbatim so the pending kDeliverTxBatch/kDeliverTx
-  /// events the scenario re-pushes resolve identically; member *sequence
-  /// numbers* are queue-relative, so the scenario layer renumbers them
-  /// (rank-compacted together with the pending events' seqs) before the
-  /// snapshot leaves the source world. Link churn is closure-scheduled and
-  /// deliberately not captured; the scenario layer rejects worlds with
-  /// pending closures.
+  /// events the scenario re-pushes resolve identically (the free batch ids
+  /// ride along in their recycling order, so the fork hands out the same
+  /// ids the source world would); member *sequence numbers* are
+  /// queue-relative, so the scenario layer renumbers them (rank-compacted
+  /// together with the pending events' seqs) before the snapshot leaves
+  /// the source world. Link churn is closure-scheduled and deliberately
+  /// not captured; the scenario layer rejects worlds with pending closures.
   struct Snapshot {
     /// A staged batch, undelivered members only, in delivery order.
     struct StagedBatch {
@@ -204,7 +215,7 @@ class Network : public sim::EventSink {
     PayloadArena::Snapshot arena;
     std::vector<StreamClock> streams;   ///< sorted by key
     std::vector<StagedBatch> batches;   ///< sorted by id
-    uint64_t next_batch_id = 1;
+    std::vector<uint32_t> free_batches;  ///< free ids, LIFO (back is reused first)
   };
   Snapshot snapshot() const;
 
@@ -312,23 +323,27 @@ class Network : public sim::EventSink {
     double window_start = -std::numeric_limits<double>::infinity();
   };
 
-  /// A staged per-stream delivery batch. `members[next..]` are the
-  /// undelivered staged sends, strictly increasing in both t and seq;
-  /// `live_event` says a kDeliverTxBatch event (scheduled at exactly the
-  /// first undelivered member's (t, seq)) is in the queue or currently
-  /// mid-dispatch in the drain loop — the flag stays set for the whole
-  /// drain so prune_stream (reachable from a delivery that detaches a
-  /// peer) never erases a batch the loop still references. Sealed batches
+  static constexpr uint32_t kNoMember = util::ListPool<BatchMember>::kNil;
+
+  /// A staged per-stream delivery batch (a slab entry; see batches_). Its
+  /// undelivered staged sends form a FIFO list in the shared member pool,
+  /// `head` to `tail`, strictly increasing in both t and seq; `head ==
+  /// kNoMember` means drained. `live_event` says a kDeliverTxBatch event
+  /// (scheduled at exactly the head member's (t, seq)) is in the queue or
+  /// currently mid-dispatch in the drain loop — the flag stays set for the
+  /// whole drain so prune_stream (reachable from a delivery that detaches
+  /// a peer) never frees a batch the loop still references. Sealed batches
   /// no longer accept members (their stream disconnected, rolled its
-  /// window, or opened a newer batch) and are erased once drained.
+  /// window, or opened a newer batch) and are freed once drained.
   struct TxBatch {
     PeerId from = 0;
     PeerId to = 0;
+    bool in_use = false;  ///< false while the id sits on the free list
     bool sealed = false;
     bool live_event = false;
     double window_start = 0.0;
-    size_t next = 0;
-    std::vector<BatchMember> members;
+    uint32_t head = kNoMember;
+    uint32_t tail = kNoMember;
   };
 
   /// Enforces the per-stream FIFO clock and returns the delivery time
@@ -345,10 +360,25 @@ class Network : public sim::EventSink {
   /// still deliver) and erases the FIFO clock.
   void prune_stream(PeerId from, PeerId to);
 
+  /// Batch slab access by id (ids start at 1; 0 means "no batch").
+  TxBatch& batch(uint64_t id) { return batches_[id - 1]; }
+  /// Takes a free batch id (recycled LIFO, else a new slab entry).
+  uint64_t new_batch(PeerId from, PeerId to, double window_start);
+  /// Returns a drained batch's id to the free list.
+  void free_batch(uint64_t id);
+  /// Appends a staged member to batch `b`'s list.
+  void append_member(TxBatch& b, const BatchMember& m);
+
+  /// Copies the payload out of `slot`, releases the slot, and delivers it.
+  void deliver_from_arena(PeerId to, PeerId from, uint32_t slot);
+
   PayloadArena arena_;  ///< in-flight full-tx payloads (kDeliverTx + staged batches)
-  std::unordered_map<uint64_t, StreamState> streams_;
-  std::unordered_map<uint64_t, TxBatch> batches_;  ///< by batch id
-  uint64_t next_batch_id_ = 1;
+  util::FlatHashMap<StreamState> streams_;  ///< by stream_key
+  /// Batch slab: id i lives at batches_[i - 1]. A deque, so the drain
+  /// loop's TxBatch& survives deliveries that open new batches.
+  std::deque<TxBatch> batches_;
+  std::vector<uint32_t> free_batches_;   ///< recycled batch ids (LIFO)
+  util::ListPool<BatchMember> members_;  ///< every batch's staged members
   double batch_window_ = kDefaultBatchWindow;
 };
 

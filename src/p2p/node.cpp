@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "p2p/network.h"
+#include "wire/messages.h"
 
 namespace topo::p2p {
 
@@ -77,35 +78,36 @@ std::string Node::client_version() const {
 }
 
 mempool::AdmitResult Node::submit(const eth::Transaction& tx) {
-  const auto result = pool_.add(tx, net_->simulator().now());
+  const eth::TxHash hash = tx.hash();
+  const auto result = pool_.add(tx, hash, net_->simulator().now());
   if (!unresponsive_ && config_.forwards_transactions) {
-    if (result.admitted_pending()) propagate(tx, id());
-    for (const auto& p : result.promoted) propagate(p, id());
+    if (result.admitted_pending()) propagate(tx, hash, id());
+    for (const auto& p : result.promoted) propagate(p, p.hash(), id());
     if (result.code == mempool::AdmitCode::kAddedFuture && config_.forwards_future)
-      propagate(tx, id());
+      propagate(tx, hash, id());
   }
   return result;
 }
 
-void Node::admit_and_propagate(const eth::Transaction& tx, PeerId from) {
-  const auto result = pool_.add(tx, net_->simulator().now());
+void Node::admit_and_propagate(const eth::Transaction& tx, eth::TxHash hash, PeerId from) {
+  const auto result = pool_.add(tx, hash, net_->simulator().now());
   if (unresponsive_ || !config_.forwards_transactions) return;
-  if (result.admitted_pending()) propagate(tx, from);
-  for (const auto& p : result.promoted) propagate(p, from);
+  if (result.admitted_pending()) propagate(tx, hash, from);
+  for (const auto& p : result.promoted) propagate(p, p.hash(), from);
   if (result.code == mempool::AdmitCode::kAddedFuture && config_.forwards_future)
-    propagate(tx, from);
+    propagate(tx, hash, from);
 }
 
-void Node::deliver_tx(const eth::Transaction& tx, PeerId from) {
+void Node::deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) {
   if (unresponsive_) return;
   // Body arrival settles any outstanding fetch, however it got here (a
   // direct push races the announce protocol and must still release the
   // fetcher entry). Flood-admission fast path: with no fetches outstanding
   // — the overwhelmingly common state in push-mode floods, where batched
   // delivery funnels hundreds of admissions through here back-to-back —
-  // skip the content-hash computation and both map probes entirely.
-  if (!announce_block_until_.empty() || !announce_sources_.empty()) prune_fetcher(tx.hash());
-  admit_and_propagate(tx, from);
+  // skip both map probes entirely.
+  if (!announce_block_until_.empty() || !announce_sources_.empty()) prune_fetcher(hash);
+  admit_and_propagate(tx, hash, from);
 }
 
 void Node::prune_fetcher(eth::TxHash hash) {
@@ -191,10 +193,10 @@ void Node::on_block_commit() {
   const auto update = pool_.on_block(chain.senders_since(blocks_seen_));
   blocks_seen_ = chain.height();
   if (unresponsive_ || !config_.forwards_transactions) return;
-  for (const auto& p : update.promoted) propagate(p, id());
+  for (const auto& p : update.promoted) propagate(p, p.hash(), id());
 }
 
-void Node::propagate(const eth::Transaction& tx, PeerId exclude) {
+void Node::propagate(const eth::Transaction& tx, eth::TxHash hash, PeerId exclude) {
   const auto& peers = net_->peers_of(id());
   if (peers.empty()) return;
   if (obs::TraceRing* trace = net_->obs_trace()) {
@@ -203,13 +205,14 @@ void Node::propagate(const eth::Transaction& tx, PeerId exclude) {
   if (config_.announce_only) {
     // Bitcoin-style: hashes only; bodies travel by request.
     for (PeerId p : peers) {
-      if (p != exclude) net_->send_announce(id(), p, tx.hash());
+      if (p != exclude) net_->send_announce(id(), p, hash);
     }
     return;
   }
+  const uint64_t size = wire::transaction_wire_size(tx);
   if (!config_.use_announcements) {
     for (PeerId p : peers) {
-      if (p != exclude) net_->send_tx(id(), p, tx);
+      if (p != exclude) net_->send_tx(id(), p, tx, hash, size);
     }
     return;
   }
@@ -222,9 +225,9 @@ void Node::propagate(const eth::Transaction& tx, PeerId exclude) {
   for (size_t i = 0; i < order.size(); ++i) {
     if (order[i] == exclude) continue;
     if (i < push_count) {
-      net_->send_tx(id(), order[i], tx);
+      net_->send_tx(id(), order[i], tx, hash, size);
     } else {
-      net_->send_announce(id(), order[i], tx.hash());
+      net_->send_announce(id(), order[i], hash);
     }
   }
 }

@@ -51,7 +51,7 @@ class Node final : public Peer, public sim::EventSink {
   /// once by the Network after registration.
   void start();
 
-  void deliver_tx(const eth::Transaction& tx, PeerId from) override;
+  void deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) override;
   void deliver_announce(eth::TxHash hash, PeerId from) override;
   void deliver_get_tx(eth::TxHash hash, PeerId from) override;
   void on_peer_connected(PeerId peer) override;
@@ -93,8 +93,12 @@ class Node final : public Peer, public sim::EventSink {
   }
 
  private:
-  void propagate(const eth::Transaction& tx, PeerId exclude);
-  void admit_and_propagate(const eth::Transaction& tx, PeerId from);
+  /// Fans `tx` (content hash `hash`) out to every neighbour but
+  /// `exclude`; the wire size is computed once for the whole fan-out.
+  void propagate(const eth::Transaction& tx, eth::TxHash hash, PeerId exclude);
+  /// Offers `tx` to the pool and propagates whatever the admission makes
+  /// pending (the tx itself, promoted followers), as a received message.
+  void admit_and_propagate(const eth::Transaction& tx, eth::TxHash hash, PeerId from);
 
   NodeConfig config_;
   Network* net_;

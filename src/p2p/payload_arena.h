@@ -12,7 +12,9 @@
 namespace topo::p2p {
 
 /// Chunked pool of in-flight full-transaction payloads (kDeliverTx slots
-/// and staged batch members). Successor of the grow-only tx slab: slots
+/// and staged batch members). Each slot holds the transaction together
+/// with its content hash, computed once by the sending fan-out and handed
+/// to the receiver with the delivery. Successor of the grow-only tx slab: slots
 /// are recycled LIFO within fixed-size chunks, and a chunk whose slots all
 /// drain is *released* (its memory freed, the chunk index retired for
 /// reuse) once the arena is mostly empty — so an eviction-flood spike no
@@ -28,30 +30,37 @@ class PayloadArena {
  public:
   static constexpr uint32_t kChunkSlots = 256;
 
-  /// Copies `tx` into a free slot and returns its handle.
-  uint32_t acquire(const eth::Transaction& tx) {
+  /// One in-flight payload: the transaction and its content hash.
+  struct Payload {
+    eth::Transaction tx;
+    eth::TxHash hash = 0;
+  };
+
+  /// Copies `tx` (whose content hash is `hash`) into a free slot and
+  /// returns its handle.
+  uint32_t acquire(const eth::Transaction& tx, eth::TxHash hash) {
     if (nonfull_.empty()) materialize_chunk();
     const uint32_t ci = nonfull_.back();
     Chunk& c = chunks_[ci];
     const uint32_t off = c.free_local.back();
     c.free_local.pop_back();
     if (c.free_local.empty()) nonfull_.pop_back();
-    c.txs[off] = tx;
+    c.txs[off] = Payload{tx, hash};
     ++c.live;
     ++live_;
     if (live_ > peak_) peak_ = live_;
     return ci * kChunkSlots + off;
   }
 
-  const eth::Transaction& peek(uint32_t slot) const {
+  const Payload& peek(uint32_t slot) const {
     return chunks_[slot / kChunkSlots].txs[slot % kChunkSlots];
   }
 
   /// Copies the payload out and releases the slot (the delivery path).
-  eth::Transaction take(uint32_t slot) {
-    eth::Transaction tx = peek(slot);
+  Payload take(uint32_t slot) {
+    Payload p = peek(slot);
     release(slot);
-    return tx;
+    return p;
   }
 
   void release(uint32_t slot) {
@@ -84,7 +93,7 @@ class PayloadArena {
   /// Live payloads only, by handle — chunk layout is rebuilt on restore,
   /// so a spike that preceded the snapshot costs the replica nothing.
   struct Snapshot {
-    std::vector<std::pair<uint32_t, eth::Transaction>> slots;
+    std::vector<std::pair<uint32_t, Payload>> slots;
   };
 
   Snapshot snapshot() const {
@@ -109,17 +118,17 @@ class PayloadArena {
     live_ = 0;
     peak_ = 0;
     uint32_t max_chunk = 0;
-    for (const auto& [slot, tx] : snap.slots) max_chunk = std::max(max_chunk, slot / kChunkSlots);
+    for (const auto& entry : snap.slots) max_chunk = std::max(max_chunk, entry.first / kChunkSlots);
     if (!snap.slots.empty()) chunks_.resize(max_chunk + 1);
     std::vector<std::vector<bool>> used(chunks_.size());
-    for (const auto& [slot, tx] : snap.slots) {
+    for (const auto& [slot, payload] : snap.slots) {
       Chunk& c = chunks_[slot / kChunkSlots];
       if (c.txs.empty()) {
         c.txs.resize(kChunkSlots);
         used[slot / kChunkSlots].assign(kChunkSlots, false);
         ++materialized_;
       }
-      c.txs[slot % kChunkSlots] = tx;
+      c.txs[slot % kChunkSlots] = payload;
       used[slot / kChunkSlots][slot % kChunkSlots] = true;
       ++c.live;
       ++live_;
@@ -140,7 +149,7 @@ class PayloadArena {
 
  private:
   struct Chunk {
-    std::vector<eth::Transaction> txs;  ///< empty = released, else kChunkSlots
+    std::vector<Payload> txs;           ///< empty = released, else kChunkSlots
     std::vector<uint32_t> free_local;   ///< free offsets, LIFO
     uint32_t live = 0;
   };
@@ -172,7 +181,7 @@ class PayloadArena {
 
   void release_chunk(uint32_t ci) {
     Chunk& c = chunks_[ci];
-    std::vector<eth::Transaction>().swap(c.txs);
+    std::vector<Payload>().swap(c.txs);
     std::vector<uint32_t>().swap(c.free_local);
     nonfull_.erase(std::find(nonfull_.begin(), nonfull_.end(), ci));
     retired_.push_back(ci);

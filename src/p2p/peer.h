@@ -22,7 +22,9 @@ class Peer {
   virtual ~Peer();
 
   /// A full transaction pushed by `from` (devp2p Transactions message).
-  virtual void deliver_tx(const eth::Transaction& tx, PeerId from) = 0;
+  /// `hash` is `tx.hash()`, computed once by the sender's fan-out and
+  /// carried with the payload, so a receiver never recomputes it.
+  virtual void deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) = 0;
 
   /// A hash announcement (NewPooledTransactionHashes).
   virtual void deliver_announce(eth::TxHash hash, PeerId from) = 0;

@@ -2,8 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <utility>
+#include <type_traits>
 
 namespace topo::sim {
 
@@ -15,8 +14,8 @@ using Time = double;
 /// fetch timeouts, mining, pool maintenance, campaign traffic — is one of
 /// these, dispatched through an EventSink without any per-event heap
 /// allocation. kClosure is the cold-path escape hatch (discv4 lookups,
-/// fault schedules, tests): an arbitrary std::function, exactly the old
-/// type-erased behaviour.
+/// fault schedules, churn ticks, tests): an arbitrary callable, held by the
+/// queue rather than by the event.
 enum class EventKind : uint8_t {
   kClosure = 0,      ///< arbitrary callback (cold paths only)
   kDeliverTx,        ///< Network: deliver a full transaction (a=to, b=from, payload=tx-slab slot)
@@ -66,24 +65,19 @@ class EventSink {
   ~EventSink() = default;
 };
 
-/// One scheduled event: a small tagged record. Typed kinds carry their
-/// whole payload inline (two peer ids + one 64-bit word — a hash, a slab
-/// slot, or unused) and cost no allocation to schedule, move, or run.
-/// kClosure events own a std::function and keep the old semantics.
+/// One scheduled event: a small tagged record, trivially copyable, so a
+/// queue slot is plain data the heap sifts and the wheel relinks without
+/// touching an allocator. Typed kinds carry their whole payload inline (two
+/// peer ids + one 64-bit word — a hash, an arena slot, a batch id). A
+/// kClosure event carries only a handle: its callable lives in the owning
+/// EventQueue's closure table (payload = table slot), and EventQueue::pop
+/// hands the callable back beside the event.
 struct Event {
   EventKind kind = EventKind::kClosure;
   uint32_t a = 0;        ///< primary id (destination peer / node)
   uint32_t b = 0;        ///< secondary id (source peer)
-  uint64_t payload = 0;  ///< hash, slab slot, or kind-specific word
-  EventSink* sink = nullptr;
-  std::function<void()> fn;  ///< kClosure only; empty otherwise
-
-  static Event closure(std::function<void()> f) {
-    Event ev;
-    ev.kind = EventKind::kClosure;
-    ev.fn = std::move(f);
-    return ev;
-  }
+  uint64_t payload = 0;  ///< hash, arena slot, batch id, or closure-table slot
+  EventSink* sink = nullptr;  ///< typed kinds only
 
   static Event typed(EventKind k, EventSink* sink, uint32_t a = 0, uint32_t b = 0,
                      uint64_t payload = 0) {
@@ -95,14 +89,9 @@ struct Event {
     ev.payload = payload;
     return ev;
   }
-
-  void fire() {
-    if (kind == EventKind::kClosure) {
-      fn();
-    } else {
-      sink->on_event(*this);
-    }
-  }
 };
+
+static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) <= 32,
+              "Event is the plain-data half of a 48-byte queue slot");
 
 }  // namespace topo::sim

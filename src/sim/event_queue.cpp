@@ -28,7 +28,17 @@ void EventQueue::reset_wheel_to(int64_t slot) {
   l0_base_ = slot & ~static_cast<int64_t>(kL0Buckets - 1);
 }
 
-void EventQueue::wheel_push(Slot&& slot) {
+template <size_t N>
+void EventQueue::link(std::array<uint32_t, N>& heads, std::array<uint64_t, N / 64>& bits,
+                      size_t idx, uint32_t n) {
+  uint64_t& word = bits[idx >> 6];
+  const uint64_t bit = uint64_t{1} << (idx & 63);
+  nodes_.next(n) = (word & bit) != 0 ? heads[idx] : kNil;
+  heads[idx] = n;
+  word |= bit;
+}
+
+void EventQueue::wheel_push(const Slot& slot) {
   // cur_slot_ never jumps forward on push: it tracks the bucket currently
   // draining, so only genuine same-bucket (or clamped-past) events take the
   // binary-insert path into due_. Jumping cur_slot_ to a far-future first
@@ -42,39 +52,52 @@ void EventQueue::wheel_push(Slot&& slot) {
     // follow-ups scheduled mid-bucket. O(log k) keeps dense single-bucket
     // bursts (flood frontiers with sub-tick latencies) from degenerating
     // into an insertion sort.
-    due_.push_back(std::move(slot));
+    due_.push_back(slot);
     std::push_heap(due_.begin(), due_.end(), Later{});
     if (due_.size() > stats_.due_peak) stats_.due_peak = due_.size();
     return;
   }
   if (s < l0_base_ + static_cast<int64_t>(kL0Buckets)) {
-    const size_t idx = static_cast<size_t>(s) & (kL0Buckets - 1);
-    l0_[idx].push_back(std::move(slot));
-    l0_bits_[idx >> 6] |= uint64_t{1} << (idx & 63);
+    link(l0_head_, l0_bits_, static_cast<size_t>(s) & (kL0Buckets - 1), nodes_.alloc(slot));
     return;
   }
   const int64_t w = s >> kL0Bits;
   const int64_t b0 = l0_base_ >> kL0Bits;
   if (w - b0 <= static_cast<int64_t>(kL1Buckets)) {
-    const size_t idx = static_cast<size_t>(w) & (kL1Buckets - 1);
-    l1_[idx].push_back(std::move(slot));
-    l1_bits_[idx >> 6] |= uint64_t{1} << (idx & 63);
+    link(l1_head_, l1_bits_, static_cast<size_t>(w) & (kL1Buckets - 1), nodes_.alloc(slot));
     return;
   }
-  overflow_.push_back(std::move(slot));
+  overflow_.push_back(slot);
   std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   if (overflow_.size() > stats_.overflow_peak) stats_.overflow_peak = overflow_.size();
 }
 
 void EventQueue::push(Time t, Event ev) {
-  push_at_seq(t, std::move(ev), next_seq_);
+  push_at_seq(t, ev, next_seq_);
+}
+
+void EventQueue::push(Time t, Action action) {
+  Event ev;  // kClosure
+  if (free_closures_.empty()) {
+    ev.payload = closures_.size();
+    closures_.push_back(std::move(action));
+  } else {
+    ev.payload = free_closures_.back();
+    free_closures_.pop_back();
+    closures_[ev.payload] = std::move(action);
+  }
+  insert(t, ev, next_seq_);
 }
 
 void EventQueue::push_at_seq(Time t, Event ev, uint64_t seq) {
-  Slot slot{t, seq, std::move(ev)};
+  assert(ev.kind != EventKind::kClosure && "closures go through push(Time, Action)");
+  insert(t, ev, seq);
+}
+
+void EventQueue::insert(Time t, Event ev, uint64_t seq) {
   if (seq >= next_seq_) next_seq_ = seq + 1;
   ++size_;
-  wheel_push(std::move(slot));
+  wheel_push(Slot{t, seq, ev});
   // Invariant: due_ is non-empty whenever size_ > 0 (next_time() and pop()
   // read due_.front() unconditionally). A push into a drained queue lands
   // in the rings, so pull the earliest bucket forward here.
@@ -83,15 +106,14 @@ void EventQueue::push_at_seq(Time t, Event ev, uint64_t seq) {
 
 void EventQueue::cascade_l1(size_t l1_index) {
   ++stats_.l1_cascades;
-  std::vector<Slot> bucket = std::move(l1_[l1_index]);
-  l1_[l1_index].clear();
   l1_bits_[l1_index >> 6] &= ~(uint64_t{1} << (l1_index & 63));
-  for (Slot& slot : bucket) {
-    const int64_t s = slot_of(slot.t);
+  // Relink every node of the L1 list into its L0 bucket; no slot moves.
+  for (uint32_t n = l1_head_[l1_index]; n != kNil;) {
+    const uint32_t next = nodes_.next(n);
+    const int64_t s = slot_of(nodes_[n].t);
     assert(s >= l0_base_ && s < l0_base_ + static_cast<int64_t>(kL0Buckets));
-    const size_t idx = static_cast<size_t>(s) & (kL0Buckets - 1);
-    l0_[idx].push_back(std::move(slot));
-    l0_bits_[idx >> 6] |= uint64_t{1} << (idx & 63);
+    link(l0_head_, l0_bits_, static_cast<size_t>(s) & (kL0Buckets - 1), n);
+    n = next;
   }
 }
 
@@ -103,13 +125,11 @@ void EventQueue::cascade_overflow_window(int64_t w_base) {
   while (!overflow_.empty() &&
          (slot_of(overflow_.front().t) >> kL0Bits) == w_base) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Slot slot = std::move(overflow_.back());
+    const Slot slot = overflow_.back();
     overflow_.pop_back();
     ++stats_.overflow_cascaded;
-    const int64_t s = slot_of(slot.t);
-    const size_t idx = static_cast<size_t>(s) & (kL0Buckets - 1);
-    l0_[idx].push_back(std::move(slot));
-    l0_bits_[idx >> 6] |= uint64_t{1} << (idx & 63);
+    const size_t idx = static_cast<size_t>(slot_of(slot.t)) & (kL0Buckets - 1);
+    link(l0_head_, l0_bits_, idx, nodes_.alloc(slot));
   }
 }
 
@@ -125,18 +145,14 @@ void EventQueue::drain_overflow_into_wheel() {
     const int64_t w = slot_of(overflow_.front().t) >> kL0Bits;
     if (w - w_base > static_cast<int64_t>(kL1Buckets)) break;
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Slot slot = std::move(overflow_.back());
+    const Slot slot = overflow_.back();
     overflow_.pop_back();
     ++stats_.overflow_cascaded;
-    const int64_t s = slot_of(slot.t);
     if (w == w_base) {
-      const size_t idx = static_cast<size_t>(s) & (kL0Buckets - 1);
-      l0_[idx].push_back(std::move(slot));
-      l0_bits_[idx >> 6] |= uint64_t{1} << (idx & 63);
+      const size_t idx = static_cast<size_t>(slot_of(slot.t)) & (kL0Buckets - 1);
+      link(l0_head_, l0_bits_, idx, nodes_.alloc(slot));
     } else {
-      const size_t idx = static_cast<size_t>(w) & (kL1Buckets - 1);
-      l1_[idx].push_back(std::move(slot));
-      l1_bits_[idx >> 6] |= uint64_t{1} << (idx & 63);
+      link(l1_head_, l1_bits_, static_cast<size_t>(w) & (kL1Buckets - 1), nodes_.alloc(slot));
     }
   }
 }
@@ -164,9 +180,15 @@ void EventQueue::refill_due() {
     if (found >= 0) {
       cur_slot_ = found;
       const size_t idx = static_cast<size_t>(found) & (kL0Buckets - 1);
-      due_ = std::move(l0_[idx]);
-      l0_[idx].clear();
       l0_bits_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
+      // due_ is empty here; its buffer is the one drain heap every bucket
+      // shares, so moving a bucket in allocates nothing once warm.
+      for (uint32_t n = l0_head_[idx]; n != kNil;) {
+        const uint32_t next = nodes_.next(n);
+        due_.push_back(nodes_[n]);
+        nodes_.release(n);
+        n = next;
+      }
       std::make_heap(due_.begin(), due_.end(), Later{});
       if (due_.size() > stats_.due_peak) stats_.due_peak = due_.size();
       return;
@@ -231,13 +253,16 @@ std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
   // then sort by the total order. O(n log n), capture path only.
   std::vector<Slot> slots;
   slots.reserve(size_);
-  const auto take = [&slots](const std::vector<Slot>& v) {
-    slots.insert(slots.end(), v.begin(), v.end());
+  slots.insert(slots.end(), due_.begin(), due_.end());
+  const auto take_lists = [&](const auto& heads, const auto& bits) {
+    for (size_t idx = 0; idx < heads.size(); ++idx) {
+      if ((bits[idx >> 6] >> (idx & 63) & 1) == 0) continue;
+      for (uint32_t n = heads[idx]; n != kNil; n = nodes_.next(n)) slots.push_back(nodes_[n]);
+    }
   };
-  take(due_);
-  for (const auto& bucket : l0_) take(bucket);
-  for (const auto& bucket : l1_) take(bucket);
-  take(overflow_);
+  take_lists(l0_head_, l0_bits_);
+  take_lists(l1_head_, l1_bits_);
+  slots.insert(slots.end(), overflow_.begin(), overflow_.end());
   assert(slots.size() == size_);
   std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
     if (a.t != b.t) return a.t < b.t;
@@ -245,7 +270,7 @@ std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
   });
   std::vector<Scheduled> out;
   out.reserve(slots.size());
-  for (Slot& s : slots) out.push_back(Scheduled{s.t, s.seq, std::move(s.ev)});
+  for (const Slot& s : slots) out.push_back(Scheduled{s.t, s.seq, s.ev, {}});
   return out;
 }
 
@@ -265,8 +290,16 @@ EventQueue::Scheduled EventQueue::pop() {
   assert(size_ > 0);
   --size_;
   std::pop_heap(due_.begin(), due_.end(), Later{});
-  Scheduled out{due_.back().t, due_.back().seq, std::move(due_.back().ev)};
+  Scheduled out{due_.back().t, due_.back().seq, due_.back().ev, {}};
   due_.pop_back();
+  if (out.ev.kind == EventKind::kClosure) {
+    // Move the callable out before it runs and recycle its slot: a closure
+    // that schedules closures may then reuse the slot it came from.
+    const auto c = static_cast<uint32_t>(out.ev.payload);
+    out.fn = std::move(closures_[c]);
+    closures_[c] = nullptr;
+    free_closures_.push_back(c);
+  }
   if (due_.empty() && size_ > 0) refill_due();
   return out;
 }

@@ -3,10 +3,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/event.h"
+#include "util/list_pool.h"
 
 namespace topo::sim {
 
@@ -31,18 +33,40 @@ namespace topo::sim {
 /// seq tiebreak at bucket boundaries, heap order beyond the horizon. Dense
 /// single-bucket bursts therefore cost O(log k) per op, never worse than
 /// one global binary heap.
+///
+/// Storage: every slot is 48 bytes of plain data (time, seq, Event). The
+/// events of both wheel levels live in one node pool (util::ListPool) with
+/// an intrusive list per bucket; reaching a bucket moves its list into the
+/// single drain heap and returns the nodes to the pool, so steady-state
+/// scheduling allocates nothing and no bucket keeps capacity of its own.
+/// Within a bucket the list order is arbitrary: (t, seq) keys are unique,
+/// so the heap pops them in the same order whatever order they arrive in.
+/// Closure callables live in a table the queue owns; a kClosure event
+/// holds its table slot, and pop() moves the callable out (freeing the
+/// slot) before anyone runs it, so a closure may schedule closures.
 class EventQueue {
  public:
   using Action = std::function<void()>;
 
   /// One popped entry: the scheduled time, the queue sequence number that
-  /// tie-breaks equal times, and the event. The seq is what batched
+  /// tie-breaks equal times, the event, and — for kClosure events — the
+  /// callable, moved out of the closure table. The seq is what batched
   /// delivery (p2p::Network) uses to prove a staged member would have been
   /// the very next pop: comparing (t, seq) against next_key() is exact.
   struct Scheduled {
     Time t = 0.0;
     uint64_t seq = 0;
     Event ev;
+    Action fn;  ///< kClosure only; empty otherwise
+
+    /// Runs the event: the closure, or the typed dispatch through its sink.
+    void fire() {
+      if (ev.kind == EventKind::kClosure) {
+        fn();
+      } else {
+        ev.sink->on_event(ev);
+      }
+    }
   };
 
   /// Timing-wheel introspection tallies. A forked world rebuilds its queue
@@ -58,9 +82,10 @@ class EventQueue {
     uint64_t overflow_peak = 0;      ///< deepest overflow heap (far-future backlog)
   };
 
+  /// Schedules a typed event (kind != kClosure).
   void push(Time t, Event ev);
-  /// Convenience for closure events (the pre-typed API shape).
-  void push(Time t, Action action) { push(t, Event::closure(std::move(action))); }
+  /// Schedules a closure: the callable goes into the closure table.
+  void push(Time t, Action action);
 
   /// Claims the next sequence number without pushing anything. A caller
   /// staging work outside the queue (per-link delivery batches) reserves
@@ -69,7 +94,7 @@ class EventQueue {
   /// never, when the batch drains the member directly).
   uint64_t reserve_seq() { return next_seq_++; }
 
-  /// Pushes an event under a previously reserved (or snapshot-captured)
+  /// Pushes a typed event under a previously reserved (or snapshot-captured)
   /// sequence number instead of assigning a fresh one. Advances the
   /// internal counter past `seq` so later plain pushes still sort after
   /// it; the caller owns not reusing a seq that is already queued.
@@ -95,17 +120,20 @@ class EventQueue {
   /// (+inf, max) when empty so any real key compares below it.
   std::pair<Time, uint64_t> next_key() const;
 
-  /// Pops the earliest event by (time, seq); undefined if empty.
+  /// Pops the earliest event by (time, seq); undefined if empty. A closure
+  /// comes back in Scheduled::fn and its table slot is already free.
   Scheduled pop();
 
   /// Non-destructive copy of every pending event in pop order — the
-  /// world-snapshot capture path. Entries carry their sequence numbers:
-  /// absolute seq values are meaningless across queues, but their *ranks*
-  /// pin the relative order against out-of-queue reserved seqs (staged
-  /// batch members), so the capture path compacts the union of both to
-  /// ranks and replays them via push_at_seq. Re-pushing in order with
-  /// fresh seqs (plain push) also reconstructs the same pop order when no
-  /// reserved seqs are in play.
+  /// world-snapshot capture path. Closure events appear with their kind
+  /// but without their callable (Scheduled::fn stays empty): a snapshot
+  /// cannot replay them, and its consumer rejects them. Entries carry
+  /// their sequence numbers: absolute seq values are meaningless across
+  /// queues, but their *ranks* pin the relative order against out-of-queue
+  /// reserved seqs (staged batch members), so the capture path compacts
+  /// the union of both to ranks and replays them via push_at_seq.
+  /// Re-pushing in order with fresh seqs (plain push) also reconstructs
+  /// the same pop order when no reserved seqs are in play.
   std::vector<Scheduled> pending_snapshot() const;
 
  private:
@@ -114,6 +142,10 @@ class EventQueue {
     uint64_t seq;
     Event ev;
   };
+  static_assert(std::is_trivially_copyable_v<Slot> && sizeof(Slot) <= 48,
+                "queue slots stay plain data, at most 48 bytes");
+
+  static constexpr uint32_t kNil = util::ListPool<Slot>::kNil;
 
   // -- wheel geometry -------------------------------------------------------
   static constexpr int kL0Bits = 10;
@@ -128,7 +160,13 @@ class EventQueue {
     return s <= 0.0 ? 0 : static_cast<int64_t>(s);
   }
 
-  void wheel_push(Slot&& slot);
+  void insert(Time t, Event ev, uint64_t seq);
+  void wheel_push(const Slot& slot);
+  /// Pushes pool node `n` onto bucket `idx` of one wheel level (its list
+  /// heads and occupancy bitmap); a head is valid only while its bit is set.
+  template <size_t N>
+  void link(std::array<uint32_t, N>& heads, std::array<uint64_t, N / 64>& bits, size_t idx,
+            uint32_t n);
 
   /// Re-establishes the invariant: if size_ > 0, due_ is non-empty and its
   /// front is the global minimum. Advances the wheel, cascading L1 buckets
@@ -150,11 +188,15 @@ class EventQueue {
   std::vector<Slot> due_;
   int64_t cur_slot_ = -1;  ///< L0 slot whose events live in due_
   int64_t l0_base_ = 0;    ///< first absolute L0 slot of the current window (kL0Buckets-aligned)
-  std::array<std::vector<Slot>, kL0Buckets> l0_{};
+  util::ListPool<Slot> nodes_;  ///< events of both wheel levels
+  std::array<uint32_t, kL0Buckets> l0_head_{};  ///< list heads; valid where the bit is set
   std::array<uint64_t, kL0Buckets / 64> l0_bits_{};
-  std::array<std::vector<Slot>, kL1Buckets> l1_{};
+  std::array<uint32_t, kL1Buckets> l1_head_{};
   std::array<uint64_t, kL1Buckets / 64> l1_bits_{};
   std::vector<Slot> overflow_;  ///< min-heap by (t, seq), beyond the L1 horizon
+
+  std::vector<Action> closures_;        ///< kClosure callables, by Event::payload
+  std::vector<uint32_t> free_closures_;  ///< recycled closure-table slots (LIFO)
 };
 
 }  // namespace topo::sim

@@ -20,7 +20,8 @@ void Simulator::schedule_after(Time delay, Event ev) {
 }
 
 void Simulator::at(Time t, EventQueue::Action action) {
-  schedule_at(t, Event::closure(std::move(action)));
+  queue_.push(std::max(t, now_), std::move(action));
+  if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
 }
 
 void Simulator::after(Time delay, EventQueue::Action action) {
@@ -53,7 +54,7 @@ void Simulator::run() {
     now_ = std::max(now_, s.t);
     ++processed_;
     ++dispatched_[static_cast<size_t>(s.ev.kind)];
-    s.ev.fire();
+    s.fire();
   }
 }
 
@@ -69,7 +70,7 @@ void Simulator::run_until(Time t) {
     now_ = std::max(now_, s.t);
     ++processed_;
     ++dispatched_[static_cast<size_t>(s.ev.kind)];
-    s.ev.fire();
+    s.fire();
   }
   drain_bound_ = prev_bound;
   now_ = std::max(now_, t);
@@ -84,7 +85,7 @@ bool Simulator::run_capped(size_t max_events) {
     ++processed_;
     ++dispatched_[static_cast<size_t>(s.ev.kind)];
     const size_t drained_before = drained_;
-    s.ev.fire();
+    s.fire();
     // A kDeliverTxBatch dispatch drains up to its whole member list here
     // (drain_bound is +inf), so charge one budget unit per drained member
     // — exactly what the unbatched kDeliverTx-per-message trajectory would

@@ -14,8 +14,8 @@ namespace topo::sim {
 ///
 /// Hot paths schedule typed events (schedule_at/schedule_after — a tagged
 /// record dispatched through its EventSink, no per-event allocation); cold
-/// paths keep the closure overloads (at/after/every), which wrap the
-/// callback in a kClosure event.
+/// paths keep the closure overloads (at/after/every), whose callables the
+/// queue holds in its closure table behind a kClosure event.
 class Simulator {
  public:
   Simulator() = default;

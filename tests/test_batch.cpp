@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/toposhot.h"
@@ -61,8 +63,9 @@ struct RecordingPeer : Peer {
   sim::Simulator* sim = nullptr;
   std::vector<Rx> rxs;
 
-  void deliver_tx(const eth::Transaction& tx, PeerId from) override {
-    rxs.push_back({sim->now(), from, tx.hash()});
+  void deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) override {
+    EXPECT_EQ(hash, tx.hash()) << "the carried hash is the payload's";
+    rxs.push_back({sim->now(), from, hash});
   }
   void deliver_announce(eth::TxHash, PeerId) override {}
   void deliver_get_tx(eth::TxHash, PeerId) override {}
@@ -362,10 +365,13 @@ TEST(PayloadArena, AcquireTakeRoundTripsThePayload) {
   World w;
   PayloadArena arena;
   const auto tx = w.pending_tx();
-  const uint32_t slot = arena.acquire(tx);
+  const uint32_t slot = arena.acquire(tx, tx.hash());
   EXPECT_EQ(arena.live(), 1u);
-  EXPECT_EQ(arena.peek(slot).hash(), tx.hash());
-  EXPECT_EQ(arena.take(slot).hash(), tx.hash());
+  EXPECT_EQ(arena.peek(slot).tx.hash(), tx.hash());
+  EXPECT_EQ(arena.peek(slot).hash, tx.hash()) << "the slot carries the hash";
+  const PayloadArena::Payload p = arena.take(slot);
+  EXPECT_EQ(p.tx.hash(), tx.hash());
+  EXPECT_EQ(p.hash, tx.hash());
   EXPECT_EQ(arena.live(), 0u);
 }
 
@@ -375,11 +381,11 @@ TEST(PayloadArena, HandlesStayStableAcrossChunkGrowth) {
   std::vector<std::pair<uint32_t, eth::TxHash>> held;
   for (uint32_t i = 0; i < PayloadArena::kChunkSlots + 40; ++i) {
     const auto tx = w.pending_tx();
-    held.emplace_back(arena.acquire(tx), tx.hash());
+    held.emplace_back(arena.acquire(tx, tx.hash()), tx.hash());
   }
   EXPECT_GT(arena.capacity_slots(), size_t{PayloadArena::kChunkSlots});
-  for (const auto& [slot, hash] : held) EXPECT_EQ(arena.peek(slot).hash(), hash);
-  for (const auto& [slot, hash] : held) EXPECT_EQ(arena.take(slot).hash(), hash);
+  for (const auto& [slot, hash] : held) EXPECT_EQ(arena.peek(slot).tx.hash(), hash);
+  for (const auto& [slot, hash] : held) EXPECT_EQ(arena.take(slot).tx.hash(), hash);
   EXPECT_EQ(arena.live(), 0u);
 }
 
@@ -388,7 +394,10 @@ TEST(PayloadArena, SpikeCapacityIsReleasedAfterDrain) {
   PayloadArena arena;
   std::vector<uint32_t> slots;
   const uint32_t spike = PayloadArena::kChunkSlots * 4;
-  for (uint32_t i = 0; i < spike; ++i) slots.push_back(arena.acquire(w.pending_tx()));
+  for (uint32_t i = 0; i < spike; ++i) {
+    const auto tx = w.pending_tx();
+    slots.push_back(arena.acquire(tx, tx.hash()));
+  }
   EXPECT_GE(arena.capacity_slots(), size_t{spike});
   EXPECT_EQ(arena.peak(), spike);
   for (uint32_t s : slots) arena.release(s);
@@ -406,7 +415,7 @@ TEST(PayloadArena, SnapshotRestoreRebuildsLivePayloads) {
   std::vector<std::pair<uint32_t, eth::TxHash>> held;
   for (int i = 0; i < 10; ++i) {
     const auto tx = w.pending_tx();
-    held.emplace_back(arena.acquire(tx), tx.hash());
+    held.emplace_back(arena.acquire(tx, tx.hash()), tx.hash());
   }
   for (int i = 0; i < 10; i += 2) arena.release(held[static_cast<size_t>(i)].first);
   const PayloadArena::Snapshot snap = arena.snapshot();
@@ -416,12 +425,12 @@ TEST(PayloadArena, SnapshotRestoreRebuildsLivePayloads) {
   EXPECT_EQ(copy.live(), 5u);
   for (int i = 1; i < 10; i += 2) {
     const auto& [slot, hash] = held[static_cast<size_t>(i)];
-    EXPECT_EQ(copy.peek(slot).hash(), hash) << "slot handles preserved verbatim";
+    EXPECT_EQ(copy.peek(slot).tx.hash(), hash) << "slot handles preserved verbatim";
   }
   // The restored arena is a working arena: new acquires and releases land.
   const auto tx = w.pending_tx();
-  const uint32_t slot = copy.acquire(tx);
-  EXPECT_EQ(copy.take(slot).hash(), tx.hash());
+  const uint32_t slot = copy.acquire(tx, tx.hash());
+  EXPECT_EQ(copy.take(slot).tx.hash(), tx.hash());
 }
 
 // --- Snapshot / fork with staged batches in flight --------------------------
@@ -464,6 +473,100 @@ TEST(BatchDelivery, ForkCarriesStagedBatchesAcrossTheSnapshot) {
         << "staged batch member lost across the fork";
   }
   EXPECT_EQ(fork->net().arena().live(), base.net().arena().live());
+}
+
+
+/// Everything a network's future depends on, as text: stream clocks, staged
+/// batches (ids, flags, member times and arena slots), the batch free list,
+/// in-flight payloads, traffic tallies and every regular node's pending
+/// pool. Member seqs are left out: a fork renumbers them to ranks.
+std::string network_state(const Network& net) {
+  const Network::Snapshot s = net.snapshot();
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const auto& c : s.streams) {
+    out << "stream " << c.key << ' ' << c.last_delivery << ' ' << c.open_batch << ' '
+        << c.window_start << '\n';
+  }
+  for (const auto& b : s.batches) {
+    out << "batch " << b.id << ' ' << b.from << "->" << b.to << ' ' << b.sealed << b.live_event
+        << ' ' << b.window_start;
+    for (const auto& m : b.members) out << ' ' << m.t << '@' << m.slot;
+    out << '\n';
+  }
+  for (uint32_t id : s.free_batches) out << "free " << id << '\n';
+  for (const auto& [slot, p] : s.arena.slots) out << "slot " << slot << ' ' << p.hash << '\n';
+  out << "traffic " << s.messages << ' ' << s.bytes << '\n';
+  for (PeerId id : s.regular) {
+    out << "pool " << id << ':';
+    for (const auto& tx : net.node(id).pool().pending_snapshot()) out << ' ' << tx.hash();
+    out << '\n';
+  }
+  return out.str();
+}
+
+TEST(BatchDelivery, ForkWithRecycledBatchIdsAndChurnedStreamsDrainsIdentically) {
+  util::Rng grng(5);
+  const graph::Graph truth = graph::erdos_renyi_gnm(12, 24, grng);
+  core::ScenarioOptions opt;
+  opt.seed = 11;
+  opt.mempool_capacity = 96;
+  opt.future_cap = 24;
+  opt.background_txs = 64;
+  core::Scenario base(truth, opt);
+  base.seed_background();
+  Network& net = base.net();
+  const auto& t = base.targets();
+  const auto burst = [&base](PeerId from, PeerId to, int n) {
+    for (int i = 0; i < n; ++i) {
+      const eth::Address a = base.accounts().create_one();
+      base.net().send_tx(from, to, base.factory().make(a, base.accounts().allocate_nonce(a), 300));
+    }
+  };
+
+  // Phase 1: bursts on many streams open many batches; drain them all, so
+  // every id they used sits on the free list.
+  for (size_t i = 0; i + 1 < t.size(); ++i) burst(t[i], t[i + 1], 3);
+  const size_t opened = net.staged_batches();
+  ASSERT_GE(opened, 6u);
+  base.sim().run_until(base.sim().now() + 5.0);
+  ASSERT_EQ(net.staged_batches(), 0u);
+  const size_t slab = net.snapshot().free_batches.size();
+  ASSERT_GE(slab, opened);
+
+  // Churn: drop links (their streams leave the table), dial new ones.
+  const size_t streams_before = net.stream_count();
+  size_t dropped = 0;
+  for (PeerId u : t) {
+    const auto peers = net.peers_of(u);
+    if (!peers.empty() && net.disconnect(u, peers.front())) ++dropped;
+    if (dropped == 4) break;
+  }
+  ASSERT_EQ(dropped, 4u);
+  EXPECT_LT(net.stream_count(), streams_before) << "disconnects erase stream clocks";
+  for (size_t i = 0; i + 3 < t.size(); i += 3) net.connect(t[i], t[i + 3]);
+
+  // Phase 2: fresh bursts stage batches under recycled ids.
+  burst(t[0], t[2], 4);
+  burst(t[5], t[1], 3);
+  const Network::Snapshot staged = net.snapshot();
+  ASSERT_GE(staged.batches.size(), 2u);
+  ASSERT_EQ(staged.batches.size() + staged.free_batches.size(), slab)
+      << "no new slab entries: every staged batch reuses a freed id";
+
+  const core::WorldSnapshot snap = base.snapshot();
+  auto fork = core::Scenario::fork(snap);
+  ASSERT_EQ(network_state(fork->net()), network_state(net));
+  for (const double dt : {0.03, 0.08, 0.2, 5.0}) {
+    const double horizon = snap.now + dt;
+    base.sim().run_until(horizon);
+    fork->sim().run_until(horizon);
+    ASSERT_EQ(fork->sim().processed(), base.sim().processed()) << "dt " << dt;
+    ASSERT_EQ(fork->sim().dispatch_counts(), base.sim().dispatch_counts()) << "dt " << dt;
+    ASSERT_EQ(network_state(fork->net()), network_state(net)) << "dt " << dt;
+  }
+  EXPECT_EQ(net.staged_batches(), 0u);
+  EXPECT_EQ(net.arena().live(), 0u);
 }
 
 }  // namespace

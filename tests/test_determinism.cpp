@@ -129,7 +129,7 @@ TEST(GoldenDeterminism, SmokeCampaignIsByteIdenticalAcrossBackends) {
   EXPECT_EQ(fast.report_json.find("\"diagnostics\""), std::string::npos);
 }
 
-TEST(GoldenDeterminism, ThreadWidthChangesNothingOnEitherBackend) {
+TEST(GoldenDeterminism, ThreadWidthChangesNothing) {
   const auto serial = run_campaign(1, 3, false);
   const auto wide = run_campaign(4, 3, false);
   EXPECT_EQ(serial.report_json, wide.report_json);
@@ -143,7 +143,7 @@ TEST(GoldenDeterminism, ThreadWidthChangesNothingOnEitherBackend) {
 // default one does: byte-identical artifacts across thread widths (per
 // strategy, fixed shards) — the rivalry bench's numbers are only
 // comparable because each strategy is deterministic on its own.
-TEST(GoldenDeterminism, RivalStrategiesAreByteIdenticalAcrossBackendsAndWidths) {
+TEST(GoldenDeterminism, RivalStrategiesAreByteIdenticalAcrossWidths) {
   for (core::StrategyKind strategy :
        {core::StrategyKind::kDethna, core::StrategyKind::kTxprobe}) {
     SCOPED_TRACE(core::strategy_name(strategy));
@@ -406,7 +406,7 @@ MonitorArtifacts run_monitor(size_t threads, size_t shards) {
   return out;
 }
 
-TEST(MonitorGolden, ScriptedRunIsByteIdenticalAcrossThreadsAndBackends) {
+TEST(MonitorGolden, ScriptedRunIsByteIdenticalAcrossThreads) {
   const auto serial = run_monitor(1, 2);
   const auto wide = run_monitor(4, 2);
   EXPECT_EQ(serial.serve, wide.serve);

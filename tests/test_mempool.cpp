@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "eth/account.h"
 #include "eth/transaction.h"
@@ -536,44 +535,6 @@ TEST(FlatPriceIndex, CompactionReleasesTombstoneCapacity) {
     idx.erase({price, id, hash});
   }
   EXPECT_TRUE(idx.empty());
-}
-
-// The transaction index against std::unordered_map: a small key space
-// (key 0 included) keeps probe runs long, so inserts wrap around the bucket
-// array and erases shift later run members back into the hole.
-TEST(FlatHashMap, MatchesReferenceMapUnderChurn) {
-  FlatHashMap<uint64_t> map;
-  std::unordered_map<uint64_t, uint64_t> ref;
-  util::Rng rng(7);
-  for (int step = 0; step < 40000; ++step) {
-    const uint64_t key = rng.index(700);
-    if (ref.count(key) != 0) {
-      ASSERT_NE(map.find(key), nullptr) << "step " << step;
-      ASSERT_EQ(*map.find(key), ref[key]);
-      if (rng.chance(0.6)) {
-        map.erase(key);
-        ref.erase(key);
-      } else {
-        *map.find(key) = step;
-        ref[key] = step;
-      }
-    } else {
-      ASSERT_EQ(map.find(key), nullptr) << "step " << step;
-      map.insert(key, step);
-      ref[key] = step;
-    }
-    ASSERT_EQ(map.size(), ref.size());
-    if (step % 4000 == 0) {
-      for (uint64_t k = 0; k < 700; ++k) {
-        const auto it = ref.find(k);
-        const uint64_t* got = map.find(k);
-        ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << k;
-        if (got != nullptr) {
-          ASSERT_EQ(*got, it->second);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

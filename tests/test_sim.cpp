@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,7 @@ TEST(EventQueue, OrdersByTimeThenInsertion) {
   q.push(2.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
   q.push(1.0, [&] { order.push_back(2); });  // same time: insertion order
-  while (!q.empty()) q.pop().ev.fire();
+  while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -33,14 +34,15 @@ struct RecordingSink final : EventSink {
 
 /// The oracle the timing wheel is checked against: one binary min-heap by
 /// (time, seq), the simplest structure with the queue's total order,
-/// behind the same sequence-number API.
+/// behind the same sequence-number API. Closures ride inline in the heap.
 class ReferenceHeap {
  public:
-  void push(Time t, Event ev) { push_at_seq(t, std::move(ev), next_seq_); }
+  void push(Time t, Event ev) { push_at_seq(t, ev, next_seq_); }
+  void push(Time t, EventQueue::Action fn) {
+    insert(EventQueue::Scheduled{t, next_seq_, Event{}, std::move(fn)});
+  }
   void push_at_seq(Time t, Event ev, uint64_t seq) {
-    next_seq_ = std::max(next_seq_, seq + 1);
-    heap_.push_back({t, seq, std::move(ev)});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    insert(EventQueue::Scheduled{t, seq, ev, nullptr});
   }
   uint64_t reserve_seq() { return next_seq_++; }
   void advance_seq(uint64_t min_next) { next_seq_ = std::max(next_seq_, min_next); }
@@ -64,6 +66,11 @@ class ReferenceHeap {
   }
 
  private:
+  void insert(EventQueue::Scheduled s) {
+    next_seq_ = std::max(next_seq_, s.seq + 1);
+    heap_.push_back(std::move(s));
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
   static bool later(const EventQueue::Scheduled& x, const EventQueue::Scheduled& y) {
     return x.t != y.t ? x.t > y.t : x.seq > y.seq;
   }
@@ -71,15 +78,36 @@ class ReferenceHeap {
   uint64_t next_seq_ = 0;
 };
 
+/// A closure event for the lockstep queues: logs its tag when it fires and,
+/// while `depth` > 0, first schedules its successor (tag + 1, depth - 1)
+/// `dt` later into the queue that fired it — a closure that schedules
+/// closures. It reads its own state only after that push, so a queue that
+/// recycled the running closure's table slot early logs the wrong tag.
+template <typename Q>
+struct Spawner {
+  uint64_t tag;
+  Q* queue;
+  std::vector<uint64_t>* log;
+  Time t;
+  Time dt;
+  int depth;
+  void operator()() const {
+    if (depth > 0) queue->push(t + dt, Spawner{tag + 1, queue, log, t + dt, dt, depth - 1});
+    log->push_back(tag);
+  }
+};
+
 /// Applies every operation to the wheel and the reference heap alike and
 /// asserts they agree: claimed seqs, next_key() before each pop, each
-/// popped (time, seq, event), and pending_snapshot() on demand. Events are
-/// typed, tagged with a unique payload; they are compared, never fired.
+/// popped (time, seq, event), and pending_snapshot() on demand. Typed
+/// events are tagged with a unique payload and compared, never fired;
+/// closure events are fired on both sides and must log the same tag.
 struct Lockstep {
   RecordingSink sink;
   EventQueue wheel;
   ReferenceHeap ref;
   std::vector<uint64_t> reserved;  ///< claimed, not yet pushed
+  std::vector<uint64_t> wheel_fired, ref_fired;  ///< closure tags, in firing order
   uint64_t next_tag = 0;
   double now = 0.0;  ///< time of the latest pop
 
@@ -91,12 +119,28 @@ struct Lockstep {
     ref.push(t, ev);
   }
 
+  /// A closure at `t` that, when fired, schedules a chain of `depth` more
+  /// closures `dt` apart.
+  void push_closure(double t, double dt, int depth) {
+    const uint64_t tag = next_tag;
+    next_tag += static_cast<uint64_t>(depth) + 1;
+    wheel.push(t, Spawner<EventQueue>{tag, &wheel, &wheel_fired, t, dt, depth});
+    ref.push(t, Spawner<ReferenceHeap>{tag, &ref, &ref_fired, t, dt, depth});
+  }
+
+  /// A random closure chain: zero to three successors, each at the same
+  /// time (into the draining bucket), a few ticks on, or past the L0 window.
+  void random_closure(util::Rng& rng, double t) {
+    const double r = rng.uniform();
+    const double dt = r < 0.3 ? 0.0 : r < 0.8 ? rng.uniform() * 0.05 : 2.0 + rng.uniform() * 30.0;
+    push_closure(t, dt, static_cast<int>(rng.index(4)));
+  }
+
   void push_at_seq(double t, uint64_t seq) {
     const Event ev = tagged();
     wheel.push_at_seq(t, ev, seq);
     ref.push_at_seq(t, ev, seq);
   }
-
   void reserve() {
     const uint64_t seq = wheel.reserve_seq();
     ASSERT_EQ(ref.reserve_seq(), seq);
@@ -130,12 +174,20 @@ struct Lockstep {
 
   void pop() {
     ASSERT_EQ(wheel.next_key(), ref.next_key());
-    const EventQueue::Scheduled w = wheel.pop();
-    const EventQueue::Scheduled r = ref.pop();
+    EventQueue::Scheduled w = wheel.pop();
+    EventQueue::Scheduled r = ref.pop();
     ASSERT_EQ(w.t, r.t);
     ASSERT_EQ(w.seq, r.seq);
-    ASSERT_EQ(w.ev.payload, r.ev.payload);
+    ASSERT_EQ(w.ev.kind, r.ev.kind);
     now = std::max(now, w.t);
+    if (w.ev.kind != EventKind::kClosure) {
+      ASSERT_EQ(w.ev.payload, r.ev.payload);
+      return;
+    }
+    w.fire();
+    r.fire();
+    ASSERT_EQ(wheel_fired.size(), ref_fired.size());
+    ASSERT_EQ(wheel_fired.back(), ref_fired.back());
   }
 
   void check_snapshot() const {
@@ -145,7 +197,10 @@ struct Lockstep {
     for (size_t i = 0; i < w.size(); ++i) {
       ASSERT_EQ(w[i].t, r[i].t);
       ASSERT_EQ(w[i].seq, r[i].seq);
-      ASSERT_EQ(w[i].ev.payload, r[i].ev.payload);
+      ASSERT_EQ(w[i].ev.kind, r[i].ev.kind);
+      if (w[i].ev.kind != EventKind::kClosure) {
+        ASSERT_EQ(w[i].ev.payload, r[i].ev.payload);
+      }
     }
   }
 
@@ -158,6 +213,7 @@ struct Lockstep {
     while (!wheel.empty()) ASSERT_NO_FATAL_FAILURE(pop());
     ASSERT_EQ(ref.size(), 0u);
     ASSERT_EQ(wheel.next_key(), ref.next_key());
+    ASSERT_EQ(wheel_fired, ref_fired);
   }
 };
 
@@ -190,22 +246,25 @@ TEST(EventQueue, OverflowPopsBeforeLaterL1PushAfterWheelAdvance) {
   q.push(0.001, [&] { order.push_back(1); });
   q.push(1024.5, [&] { order.push_back(2); });
   q.push(1251.0, [&] { order.push_back(3); });
-  q.pop().ev.fire();
+  q.pop().fire();
   q.push(2000.0, [&] { order.push_back(4); });
-  while (!q.empty()) q.pop().ev.fire();
+  while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 // Property test of the determinism contract: under randomized schedules —
 // equal-time bursts, far-future outliers, interleaved pops, same-bucket
-// re-pushes, seqs reserved now and pushed later — the wheel pops the exact
-// (time, seq) order the reference binary heap does.
+// re-pushes, seqs reserved now and pushed later, closures interleaved with
+// typed events (some scheduling closures while they fire) — the wheel pops
+// the exact (time, seq) order the reference binary heap does.
 TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
   util::Rng rng(99);
   Lockstep q;
   for (int round = 0; round < 4000; ++round) {
     const double r = rng.uniform();
-    if (r < 0.45) {
+    if (r < 0.06) {
+      q.random_closure(rng, q.now + rng.uniform() * (rng.uniform() < 0.1 ? 3000.0 : 3.0));
+    } else if (r < 0.45) {
       double dt = rng.uniform() * 3.0;  // within the L0/L1 horizon
       if (rng.uniform() < 0.10) dt = rng.uniform() * 3000.0;      // L1 / shallow overflow
       if (rng.uniform() < 0.05) dt = 7200.0 + rng.uniform() * 1e5;  // deep overflow
@@ -235,13 +294,16 @@ TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
 // cluster around the horizon, so events keep migrating from the overflow
 // heap into L1 reach as pops advance the wheel while fresh pushes land in
 // L1 directly — the interleaving class the directed regression above pins
-// down, explored at random, with late reserved-seq pushes mixed in.
+// down, explored at random, with late reserved-seq pushes and closure
+// chains mixed in.
 TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
   util::Rng rng(7);
   Lockstep q;
   for (int round = 0; round < 3000; ++round) {
     const double r = rng.uniform();
-    if (r < 0.40) {
+    if (r < 0.05) {
+      q.random_closure(rng, q.now + 800.0 + rng.uniform() * 600.0);
+    } else if (r < 0.40) {
       q.push(q.now + 800.0 + rng.uniform() * 600.0);  // straddles the horizon
     } else if (r < 0.52) {
       q.push(q.now + rng.uniform() * 2.0);  // near-term L0 filler
@@ -255,6 +317,35 @@ TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
     }
   }
   ASSERT_NO_FATAL_FAILURE(q.drain());
+}
+
+// The closure table owns every pending callable: a queue (or simulator)
+// torn down with closures still queued — in the drain heap, both wheel
+// levels and the overflow heap, some in recycled table slots, one a
+// self-rescheduling `every` tick — destroys each exactly once. The
+// capture's use count proves it here; LeakSanitizer checks it on the Asan
+// build.
+TEST(EventQueue, DestroyedWithClosuresPendingReleasesThem) {
+  const auto token = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    for (int i = 0; i < 64; ++i) q.push(0.01 * i, [token] { ++*token; });  // L0
+    q.push(30.0, [token] { ++*token; });                                   // L1
+    q.push(1e6, [token] { ++*token; });                                    // overflow
+    for (int i = 0; i < 10; ++i) q.pop().fire();
+    for (int i = 0; i < 5; ++i) q.push(0.5, [token] { ++*token; });  // recycled slots
+    EXPECT_EQ(*token, 10);
+    EXPECT_EQ(token.use_count(), 1 + 64 + 2 - 10 + 5);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "every pending closure destroyed with its queue";
+  {
+    Simulator sim;
+    sim.every(1.0, 1.0, [token] { return ++*token > 0; });
+    sim.at(5.5, [token] { ++*token; });
+    sim.run_until(3.0);
+    EXPECT_GT(token.use_count(), 1);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "a simulator torn down mid-repeat frees the tick";
 }
 
 TEST(Simulator, TypedEventsDispatchThroughSink) {

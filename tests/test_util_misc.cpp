@@ -1,13 +1,19 @@
-// Coverage for the small util pieces: table rendering, CLI parsing, and
-// log level gating.
+// Coverage for the small util pieces: table rendering, CLI parsing, log
+// level gating, and the open-addressing FlatHashMap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/cli.h"
+#include "util/flat_hash_map.h"
 #include "util/log.h"
+#include "util/rng.h"
 #include "util/table.h"
 
 namespace topo::util {
@@ -127,6 +133,72 @@ TEST(Log, LevelGatesMessages) {
   TOPO_INFO("dropped");
   TOPO_WARN("dropped");
   set_log_level(original);
+}
+
+// The flat table against std::unordered_map: a small key space (key 0
+// included) keeps probe runs long, so inserts wrap around the bucket array
+// and erases shift later run members back into the hole. Updates go
+// through find() and operator[] alike, and at every checkpoint for_each
+// must visit exactly the reference's entries, each once.
+TEST(FlatHashMap, MatchesReferenceMapUnderChurn) {
+  FlatHashMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  Rng rng(7);
+  const auto check_all = [&] {
+    for (uint64_t k = 0; k < 700; ++k) {
+      const auto it = ref.find(k);
+      const uint64_t* got = map.find(k);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << k;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second);
+      }
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> visited;
+    map.for_each([&visited](uint64_t k, uint64_t v) { visited.emplace_back(k, v); });
+    std::vector<std::pair<uint64_t, uint64_t>> expected(ref.begin(), ref.end());
+    std::sort(visited.begin(), visited.end());
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(visited, expected);
+  };
+  for (int step = 0; step < 40000; ++step) {
+    const uint64_t key = rng.index(700);
+    if (ref.count(key) != 0) {
+      ASSERT_NE(map.find(key), nullptr) << "step " << step;
+      ASSERT_EQ(*map.find(key), ref[key]);
+      const double r = rng.uniform();
+      if (r < 0.6) {
+        map.erase(key);
+        ref.erase(key);
+      } else if (r < 0.8) {
+        *map.find(key) = step;
+        ref[key] = step;
+      } else {
+        map[key] = step;
+        ref[key] = step;
+      }
+    } else {
+      ASSERT_EQ(map.find(key), nullptr) << "step " << step;
+      if (rng.chance(0.5)) {
+        map.insert(key, step);
+      } else {
+        ASSERT_EQ(map[key], 0u) << "operator[] value-initializes";
+        map[key] = step;
+      }
+      ref[key] = step;
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    if (step % 4000 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check_all());
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all());
+  // Draining to empty leaves nothing for for_each to visit.
+  for (const auto& [k, v] : std::vector<std::pair<uint64_t, uint64_t>>(ref.begin(), ref.end())) {
+    map.erase(k);
+    ref.erase(k);
+  }
+  ASSERT_EQ(map.size(), 0u);
+  ASSERT_NO_FATAL_FAILURE(check_all());
 }
 
 }  // namespace

@@ -199,7 +199,7 @@ TEST(ForkWorld, ReseedGivesForksIndependentIdentities) {
 
 class RecordingPeer final : public p2p::Peer {
  public:
-  void deliver_tx(const eth::Transaction&, p2p::PeerId) override { ++delivered; }
+  void deliver_tx(const eth::Transaction&, eth::TxHash, p2p::PeerId) override { ++delivered; }
   void deliver_announce(eth::TxHash, p2p::PeerId) override {}
   void deliver_get_tx(eth::TxHash, p2p::PeerId) override {}
   int delivered = 0;
