@@ -55,21 +55,25 @@ if [[ "${1:-}" != "--fast" ]]; then
   done
   run_tests build-asan
   # Suites whose sanitized run is the point of this pass: the
-  # fault-injection layer (injector outliving scheduled sim callbacks, node
-  # restarts mid-flight); tracing/diagnostics (span bookkeeping, ring-walk
-  # index arithmetic); the strategy seam (Strategy*, Dethna*, TxProbe*:
-  # announce/echo bookkeeping across restarts); world forking
+  # fault-injection layer (the injector as the sink of its own outage and
+  # churn events, node restarts mid-flight); tracing/diagnostics (span
+  # bookkeeping, ring-walk index arithmetic); the strategy seam
+  # (Strategy*, Dethna*, TxProbe*: announce/echo bookkeeping across
+  # restarts); world forking
   # (SnapshotWorld*, ForkWorld*, PeerLifetime*: restore rebuilds raw sink
   # pointers, Peer auto-detach is a use-after-free contract); the message
-  # path (EventQueue*, Simulator*: the wheel's node pool and the closure
-  # table that hands a callable back before it runs; BatchDelivery*,
+  # path (EventQueue*, Simulator*: the wheel's node pool, and events that
+  # schedule their successors while they fire; BatchDelivery*,
   # FifoClock*, PayloadArena*: the drain loop holds a slab reference
   # across deliveries that open batches, the arena recycles chunks under
   # live handles; FlatHashMap*: shifts buckets on erase); the monitor and
   # telemetry plane (concurrent RPC readers racing the epoch loop, ring and
   # histogram index arithmetic); the mempool (MempoolTest*, the
   # parameterized Seeds/MempoolFuzz* with check_invariants() after every
-  # step, FlatPriceIndex*). The full ctest run above already ran them under
+  # step, FlatPriceIndex*); discovery (DiscV4*: datagram bodies move out of
+  # a recycled slab before handlers that send again run); the JSON parser
+  # (Json*: recursion bounded by the nesting limit, 100,000-deep input
+  # rejected). The full ctest run above already ran them under
   # ASan; this pass only proves a filter or discovery change did not drop
   # them: each pattern must match at least one test in the sanitized
   # binary, and every test it matches must be registered with ctest.
@@ -81,7 +85,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     'BatchDelivery*' 'FifoClock*' 'PayloadArena*' 'FlatHashMap*' 'LinkTable*'
     'TopologyMonitor*' 'TopologyDiffTest*' 'MonitorStatusTest*' 'MonitorJson*'
     'MonitorSchedule*' 'MonitorRpc*' 'MonitorGolden*' 'EvaluateTracking*' 'EventLog*'
-    'Health*' 'Prometheus*' 'Mempool*' '*MempoolFuzz*' 'FlatPriceIndex*'
+    'Health*' 'Prometheus*' 'Mempool*' '*MempoolFuzz*' 'FlatPriceIndex*' 'DiscV4*' 'Json*'
   )
   # ctest's `-N` listing in machine-readable form. Its display names
   # rewrite value-parameterized suffixes (`Fuzz/0 # GetParam() = 1` shows

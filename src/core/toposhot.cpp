@@ -166,41 +166,21 @@ WorldSnapshot Scenario::snapshot() const {
   // Translate each pending event's sink pointer to symbolic form — the raw
   // pointers die with this world; the fork resolves the symbols against its
   // own objects.
-  std::unordered_map<const sim::EventSink*, p2p::PeerId> node_of;
-  for (p2p::PeerId id : net_->regular_nodes()) {
-    node_of[static_cast<const sim::EventSink*>(&net_->node(id))] = id;
-  }
-  const auto* net_sink = static_cast<const sim::EventSink*>(net_.get());
-  const auto* self_sink = static_cast<const sim::EventSink*>(this);
+  using Sink = WorldSnapshot::PendingEvent::Sink;
+  std::unordered_map<const sim::EventSink*, std::pair<Sink, p2p::PeerId>> symbol_of{
+      {net_.get(), {Sink::kNetwork, 0}}, {this, {Sink::kScenario, 0}}};
+  for (p2p::PeerId id : net_->regular_nodes()) symbol_of[&net_->node(id)] = {Sink::kNode, id};
   const auto pending = sim_->pending_snapshot();
   w.pending.reserve(pending.size());
   for (const auto& sch : pending) {
-    if (sch.ev.kind == sim::EventKind::kClosure) {
+    const auto it = symbol_of.find(sch.ev.sink);
+    if (it == symbol_of.end()) {
       throw std::logic_error(
-          "Scenario::snapshot: a closure event is pending — closures cannot "
-          "be replayed into a forked world (is link churn running?)");
+          "Scenario::snapshot: pending event targets a sink outside this "
+          "world (external driver or fault injector still running?)");
     }
-    WorldSnapshot::PendingEvent pe;
-    pe.t = sch.t;
-    pe.seq = sch.seq;
-    pe.kind = sch.ev.kind;
-    pe.a = sch.ev.a;
-    pe.b = sch.ev.b;
-    pe.payload = sch.ev.payload;
-    if (sch.ev.sink == net_sink) {
-      pe.sink = WorldSnapshot::PendingEvent::Sink::kNetwork;
-    } else if (sch.ev.sink == self_sink) {
-      pe.sink = WorldSnapshot::PendingEvent::Sink::kScenario;
-    } else {
-      auto it = node_of.find(sch.ev.sink);
-      if (it == node_of.end()) {
-        throw std::logic_error(
-            "Scenario::snapshot: pending event targets a sink outside this "
-            "world (external driver still running?)");
-      }
-      pe.sink = WorldSnapshot::PendingEvent::Sink::kNode;
-      pe.node = it->second;
-    }
+    WorldSnapshot::PendingEvent pe{sch.t, sch.seq, it->second.first, it->second.second, sch.ev};
+    pe.ev.sink = nullptr;
     w.pending.push_back(pe);
   }
 
@@ -285,21 +265,13 @@ Scenario::Scenario(const WorldSnapshot& snap)
   // in the queue. Then advance the seq counter past the whole rank space
   // so future sends sort after everything captured.
   uint64_t seq_floor = 0;
+  using Sink = WorldSnapshot::PendingEvent::Sink;
   for (const auto& pe : snap.pending) {
-    sim::EventSink* sink = nullptr;
-    switch (pe.sink) {
-      case WorldSnapshot::PendingEvent::Sink::kNetwork:
-        sink = net_.get();
-        break;
-      case WorldSnapshot::PendingEvent::Sink::kNode:
-        sink = &net_->node(pe.node);
-        break;
-      case WorldSnapshot::PendingEvent::Sink::kScenario:
-        sink = this;
-        break;
-    }
-    sim_->schedule_at_seq(pe.t, sim::Event::typed(pe.kind, sink, pe.a, pe.b, pe.payload),
-                          pe.seq);
+    sim::Event ev = pe.ev;
+    ev.sink = pe.sink == Sink::kNetwork ? net_.get()
+              : pe.sink == Sink::kNode  ? static_cast<sim::EventSink*>(&net_->node(pe.node))
+                                        : this;
+    sim_->schedule_at_seq(pe.t, ev, pe.seq);
     seq_floor = std::max(seq_floor, pe.seq + 1);
   }
   for (const auto& b : snap.net.batches) {

@@ -82,9 +82,10 @@ struct ScenarioOptions {
 ///
 /// Pending simulator events are captured with their sinks translated to
 /// symbolic form (raw sink pointers die with the source world) and
-/// re-pushed into the replica's queue on fork. Closure events cannot be
-/// translated; snapshot() throws std::logic_error if any are pending
-/// (start_link_churn schedules closures — snapshot before starting churn).
+/// re-pushed into the replica's queue on fork — link-churn ticks included,
+/// so a world forks mid-churn. An event whose sink lives outside the world
+/// (a fault::FaultInjector's outages and churn ticks) cannot be
+/// translated; snapshot() throws std::logic_error if one is pending.
 ///
 /// The snapshot outlives the scenario it was taken from: shared pages are
 /// refcounted, so the base world may be destroyed and replicas forked from
@@ -103,10 +104,7 @@ struct WorldSnapshot {
     uint64_t seq = 0;
     Sink sink = Sink::kNetwork;
     p2p::PeerId node = 0;  ///< kNode only
-    sim::EventKind kind = sim::EventKind::kClosure;
-    uint32_t a = 0;
-    uint32_t b = 0;
-    uint64_t payload = 0;
+    sim::Event ev;         ///< sink pointer cleared; `sink` names it
   };
 
   ScenarioOptions options;
@@ -188,9 +186,9 @@ class Scenario : public sim::EventSink {
 
   /// Captures the whole world — chain, every pool, M's state, pending
   /// events, metrics — as a self-contained WorldSnapshot (O(dirty pages) to
-  /// fork from; see WorldSnapshot). Throws std::logic_error if closure
-  /// events are pending (e.g. link churn is running): closures cannot be
-  /// replayed into another world.
+  /// fork from; see WorldSnapshot). Throws std::logic_error if a pending
+  /// event targets a sink outside this world (e.g. an installed
+  /// fault::FaultInjector): it cannot be replayed into another world.
   WorldSnapshot snapshot() const;
 
   /// Stamps out a fresh, fully independent world from a snapshot. The

@@ -1,6 +1,7 @@
 #include "disc/discv4.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace topo::disc {
 
@@ -24,17 +25,20 @@ void DiscV4Node::bootstrap(uint32_t seed_index, const NodeId256& seed_id) {
   consider(seed_index, seed_id);
   auto& sim = net_->simulator();
   const double jitter = rng_.uniform() * config_.refresh_interval;
-  sim.every(sim.now() + 0.01 + jitter * 0.01, config_.refresh_interval, [this] {
-    // discv4 refresh: one self-lookup plus a random-target lookup.
-    lookup(id_);
-    lookup(random_id(rng_));
-    return true;
-  });
+  sim.schedule_at(sim.now() + 0.01 + jitter * 0.01,
+                  sim::Event::typed(sim::EventKind::kDiscRefresh, net_, index_, 1));
   // Kick off immediately as well.
-  sim.after(0.02 + rng_.uniform() * 0.05, [this] {
-    lookup(id_);
-    lookup(random_id(rng_));
-  });
+  sim.schedule_after(0.02 + rng_.uniform() * 0.05,
+                     sim::Event::typed(sim::EventKind::kDiscRefresh, net_, index_, 0));
+}
+
+void DiscV4Node::on_refresh(bool periodic) {
+  lookup(id_);
+  lookup(random_id(rng_));
+  if (periodic) {
+    net_->simulator().schedule_after(
+        config_.refresh_interval, sim::Event::typed(sim::EventKind::kDiscRefresh, net_, index_, 1));
+  }
 }
 
 void DiscV4Node::consider(uint32_t index, const NodeId256& id) {
@@ -63,26 +67,29 @@ void DiscV4Node::ping(uint32_t index) {
   if (ping_deadline_.count(index)) return;  // already in flight
   ping_deadline_[index] = sim.now() + config_.ping_timeout;
   net_->send_ping(index_, index);
-  sim.after(config_.ping_timeout, [this, index] {
-    auto it = ping_deadline_.find(index);
-    if (it == ping_deadline_.end()) return;  // PONG arrived in time
-    ping_deadline_.erase(it);
-    // Timeout: the contact is dead. Resolve any eviction challenge in the
-    // newcomer's favor and drop the entry.
-    auto entry_it = entries_.find(index);
-    if (entry_it != entries_.end()) {
-      auto& bucket = buckets_[entry_it->second];
-      bucket.erase(std::find_if(bucket.begin(), bucket.end(),
-                                [&](const Entry& e) { return e.index == index; }));
-      entries_.erase(entry_it);
-    }
-    auto challenge = challenges_.find(index);
-    if (challenge != challenges_.end()) {
-      const auto [new_index, new_id] = challenge->second;
-      challenges_.erase(challenge);
-      consider(new_index, new_id);
-    }
-  });
+  sim.schedule_after(config_.ping_timeout,
+                     sim::Event::typed(sim::EventKind::kDiscPingTimeout, net_, index_, index));
+}
+
+void DiscV4Node::on_ping_timeout(uint32_t index) {
+  auto it = ping_deadline_.find(index);
+  if (it == ping_deadline_.end()) return;  // PONG arrived in time
+  ping_deadline_.erase(it);
+  // Timeout: the contact is dead. Resolve any eviction challenge in the
+  // newcomer's favor and drop the entry.
+  auto entry_it = entries_.find(index);
+  if (entry_it != entries_.end()) {
+    auto& bucket = buckets_[entry_it->second];
+    bucket.erase(std::find_if(bucket.begin(), bucket.end(),
+                              [&](const Entry& e) { return e.index == index; }));
+    entries_.erase(entry_it);
+  }
+  auto challenge = challenges_.find(index);
+  if (challenge != challenges_.end()) {
+    const auto [new_index, new_id] = challenge->second;
+    challenges_.erase(challenge);
+    consider(new_index, new_id);
+  }
 }
 
 void DiscV4Node::on_ping(uint32_t from, const NodeId256& from_id) {
@@ -165,22 +172,24 @@ void DiscV4Node::lookup_step(size_t lookup_idx) {
     ++launched;
     net_->send_findnode(index_, index, lk.target);
     // Responder may be dead or the datagram lost: time the slot out.
-    auto& sim = net_->simulator();
-    const uint32_t asked_index = index;
-    sim.after(config_.ping_timeout * 2, [this, lookup_idx, asked_index] {
-      if (lookup_idx >= lookups_.size()) return;
-      auto& lk2 = lookups_[lookup_idx];
-      // If the responder never advanced the lookup, release its slot once.
-      if (lk2.in_flight > 0 &&
-          std::find(lk2.asked.begin(), lk2.asked.end(), asked_index) != lk2.asked.end() &&
-          !lk2.timed_out.count(asked_index) && !lk2.responded.count(asked_index)) {
-        lk2.timed_out.insert(asked_index);
-        --lk2.in_flight;
-        lookup_step(lookup_idx);
-      }
-    });
+    net_->simulator().schedule_after(
+        config_.ping_timeout * 2,
+        sim::Event::typed(sim::EventKind::kDiscLookupTimeout, net_, index_, index, lookup_idx));
   }
   if (launched == 0 && lk.in_flight == 0) finish_lookup(lookup_idx);
+}
+
+void DiscV4Node::on_lookup_timeout(size_t lookup_idx, uint32_t asked_index) {
+  if (lookup_idx >= lookups_.size()) return;
+  auto& lk = lookups_[lookup_idx];
+  // If the responder never advanced the lookup, release its slot once.
+  if (lk.in_flight > 0 &&
+      std::find(lk.asked.begin(), lk.asked.end(), asked_index) != lk.asked.end() &&
+      !lk.timed_out.count(asked_index) && !lk.responded.count(asked_index)) {
+    lk.timed_out.insert(asked_index);
+    --lk.in_flight;
+    lookup_step(lookup_idx);
+  }
 }
 
 void DiscV4Node::finish_lookup(size_t lookup_idx) {
@@ -243,34 +252,67 @@ void DiscV4Net::converge(double seconds) {
 
 void DiscV4Net::set_dead(uint32_t index, bool dead) { dead_[index] = dead; }
 
-template <typename Fn>
-void DiscV4Net::deliver(uint32_t to, Fn&& fn) {
+void DiscV4Net::deliver(uint32_t from, uint32_t to, Datagram type, Body body) {
   ++datagrams_;
   if (rng_.chance(loss_)) return;  // dropped datagram
   const double delay = latency_ * (0.5 + rng_.uniform());
-  sim_->after(delay, [this, to, fn = std::forward<Fn>(fn)] {
-    if (dead_[to]) return;  // dead nodes answer nothing
-    fn(*nodes_[to]);
-  });
+  uint64_t payload = static_cast<uint64_t>(type);
+  if (has_body(type)) {
+    const uint32_t slot = bodies_.alloc({});
+    bodies_[slot] = std::move(body);
+    payload |= uint64_t{slot} << 8;
+  }
+  sim_->schedule_after(delay, sim::Event::typed(sim::EventKind::kDiscDatagram, this, to, from,
+                                                payload));
 }
 
-void DiscV4Net::send_ping(uint32_t from, uint32_t to) {
-  const NodeId256 from_id = nodes_[from]->id();
-  deliver(to, [from, from_id](DiscV4Node& n) { n.on_ping(from, from_id); });
-}
+void DiscV4Net::send_ping(uint32_t from, uint32_t to) { deliver(from, to, Datagram::kPing); }
 
-void DiscV4Net::send_pong(uint32_t from, uint32_t to) {
-  deliver(to, [from](DiscV4Node& n) { n.on_pong(from); });
-}
+void DiscV4Net::send_pong(uint32_t from, uint32_t to) { deliver(from, to, Datagram::kPong); }
 
 void DiscV4Net::send_findnode(uint32_t from, uint32_t to, const NodeId256& target) {
-  const NodeId256 from_id = nodes_[from]->id();
-  deliver(to, [from, from_id, target](DiscV4Node& n) { n.on_findnode(from, from_id, target); });
+  deliver(from, to, Datagram::kFindNode, Body{target, {}});
 }
 
 void DiscV4Net::send_neighbors(uint32_t from, uint32_t to,
                                std::vector<std::pair<uint32_t, NodeId256>> nodes) {
-  deliver(to, [from, nodes = std::move(nodes)](DiscV4Node& n) { n.on_neighbors(from, nodes); });
+  deliver(from, to, Datagram::kNeighbors, Body{{}, std::move(nodes)});
+}
+
+void DiscV4Net::on_event(const sim::Event& ev) {
+  DiscV4Node& node = *nodes_[ev.a];
+  switch (ev.kind) {
+    case sim::EventKind::kDiscRefresh:
+      node.on_refresh(ev.b != 0);
+      break;
+    case sim::EventKind::kDiscPingTimeout:
+      node.on_ping_timeout(ev.b);
+      break;
+    case sim::EventKind::kDiscLookupTimeout:
+      node.on_lookup_timeout(static_cast<size_t>(ev.payload), ev.b);
+      break;
+    case sim::EventKind::kDiscDatagram: {
+      const auto type = static_cast<Datagram>(ev.payload & 0xff);
+      const auto slot = static_cast<uint32_t>(ev.payload >> 8);
+      Body body;
+      if (has_body(type)) {
+        // Take the body and free its slot before any handler sends again.
+        body = std::move(bodies_[slot]);
+        bodies_.release(slot);
+      }
+      if (dead_[ev.a]) break;  // dead nodes answer nothing
+      switch (type) {
+        case Datagram::kPing: node.on_ping(ev.b, nodes_[ev.b]->id()); break;
+        case Datagram::kPong: node.on_pong(ev.b); break;
+        case Datagram::kFindNode: node.on_findnode(ev.b, nodes_[ev.b]->id(), body.target); break;
+        case Datagram::kNeighbors: node.on_neighbors(ev.b, body.nodes); break;
+      }
+      break;
+    }
+    default:
+      assert(false && "unexpected event kind routed to DiscV4Net");
+      break;
+  }
 }
 
 }  // namespace topo::disc

@@ -21,6 +21,7 @@
 
 #include "disc/node_id.h"
 #include "sim/simulator.h"
+#include "util/list_pool.h"
 #include "util/rng.h"
 
 namespace topo::disc {
@@ -62,11 +63,15 @@ class DiscV4Node {
   /// related work exploits).
   std::optional<double> last_seen(uint32_t index) const;
 
-  // -- datagram handlers (invoked by DiscV4Net) ----------------------------
+  // -- datagram and timer handlers (invoked by DiscV4Net) ------------------
   void on_ping(uint32_t from, const NodeId256& from_id);
   void on_pong(uint32_t from);
   void on_findnode(uint32_t from, const NodeId256& from_id, const NodeId256& target);
   void on_neighbors(uint32_t from, const std::vector<std::pair<uint32_t, NodeId256>>& nodes);
+  void on_refresh(bool periodic);        ///< self + random lookup; periodic re-arms
+  void on_ping_timeout(uint32_t index);  ///< no PONG in time: the contact is dead
+  /// `asked_index` never answered lookup `lookup_idx`: release its slot.
+  void on_lookup_timeout(size_t lookup_idx, uint32_t asked_index);
 
  private:
   struct Entry {
@@ -106,10 +111,13 @@ class DiscV4Node {
 };
 
 /// The datagram fabric: owns the endpoints and delivers packets with
-/// latency and optional loss.
-class DiscV4Net {
+/// latency and optional loss. It is the sink of every discv4 event: the
+/// datagram deliveries and each node's refresh ticks and timeouts.
+class DiscV4Net : public sim::EventSink {
  public:
   DiscV4Net(sim::Simulator* sim, util::Rng rng, double latency = 0.03, double loss = 0.0);
+  DiscV4Net(const DiscV4Net&) = delete;  ///< nodes and pending events hold its address
+  DiscV4Net& operator=(const DiscV4Net&) = delete;
 
   uint32_t add_node(const DiscV4Config& config = {});
   DiscV4Node& node(uint32_t index) { return *nodes_[index]; }
@@ -131,9 +139,26 @@ class DiscV4Net {
 
   uint64_t datagrams() const { return datagrams_; }
 
+  /// Event dispatch: datagrams, refresh ticks, ping and lookup timeouts.
+  void on_event(const sim::Event& ev) override;
+
  private:
-  template <typename Fn>
-  void deliver(uint32_t to, Fn&& fn);
+  enum class Datagram : uint8_t { kPing, kPong, kFindNode, kNeighbors };
+
+  /// The part of a datagram that does not fit in its event: a FINDNODE
+  /// target or a NEIGHBORS list (the sender's id follows from its index).
+  struct Body {
+    NodeId256 target;
+    std::vector<std::pair<uint32_t, NodeId256>> nodes;
+  };
+  static bool has_body(Datagram type) {
+    return type == Datagram::kFindNode || type == Datagram::kNeighbors;
+  }
+
+  /// Counts a datagram, draws its loss and then its delay, and schedules
+  /// the survivors' delivery. A FINDNODE or NEIGHBORS body waits in the
+  /// slab; the event's payload is the type, plus the body's slot << 8.
+  void deliver(uint32_t from, uint32_t to, Datagram type, Body body = {});
 
   sim::Simulator* sim_;
   util::Rng rng_;
@@ -142,6 +167,7 @@ class DiscV4Net {
   std::vector<std::unique_ptr<DiscV4Node>> nodes_;
   std::vector<bool> dead_;
   uint64_t datagrams_ = 0;
+  util::ListPool<Body> bodies_;  ///< in-flight datagram bodies (a slab; no lists)
 };
 
 }  // namespace topo::disc

@@ -1,8 +1,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
+#include <cassert>
 
 #include "p2p/node.h"
 
@@ -27,20 +26,50 @@ FaultInjector::FaultInjector(FaultPlan plan, uint64_t seed)
 
 void FaultInjector::install(p2p::Network& net, obs::MetricsRegistry* reg) {
   if (reg != nullptr) obs_ = FaultObs::wire(*reg);
+  net_ = &net;
   active_ = true;
   if (plan_.drop_tx > 0.0 || plan_.drop_announce > 0.0 || plan_.drop_get_tx > 0.0 ||
       plan_.spike_prob > 0.0) {
     net.set_fault_hook(this);
   }
-  auto& sim = net.simulator();
-  for (const NodeFaultEvent& ev : plan_.scheduled) {
-    if (ev.node >= net.regular_nodes().size()) continue;
-    sim.at(ev.at, [this, &net, ev] {
-      apply_node_fault(net, ev.node, ev.duration, ev.crash);
-    });
+  for (size_t i = 0; i < plan_.scheduled.size(); ++i) {
+    if (plan_.scheduled[i].node >= net.regular_nodes().size()) continue;
+    net.simulator().schedule_at(plan_.scheduled[i].at,
+                                sim::Event::typed(sim::EventKind::kFaultStart, this, 0, 0, i));
   }
   if (plan_.churn_rate > 0.0 && !net.regular_nodes().empty()) {
-    schedule_churn(net);
+    schedule_churn();
+  }
+}
+
+void FaultInjector::on_event(const sim::Event& ev) {
+  switch (ev.kind) {
+    case sim::EventKind::kFaultStart: {
+      const NodeFaultEvent& f = plan_.scheduled[ev.payload];
+      apply_node_fault(f.node, f.duration, f.crash);
+      break;
+    }
+    case sim::EventKind::kFaultEnd: {
+      p2p::Node& n = net_->node(ev.a);
+      if (ev.b != 0) {
+        n.restart();
+        ++restarts_;
+        if (obs_.enabled()) obs_.restarts->inc();
+      }
+      n.set_unresponsive(false);
+      break;
+    }
+    case sim::EventKind::kFaultChurn: {
+      if (!active_) break;
+      const size_t victim = churn_rng_.index(net_->regular_nodes().size());
+      const bool crash = churn_rng_.chance(plan_.crash_fraction);
+      apply_node_fault(victim, plan_.churn_duration, crash);
+      schedule_churn();
+      break;
+    }
+    default:
+      assert(false && "unexpected event kind routed to FaultInjector");
+      break;
   }
 }
 
@@ -81,34 +110,20 @@ double FaultInjector::latency_multiplier(p2p::MsgKind /*kind*/, p2p::PeerId from
   return plan_.spike_mult;
 }
 
-void FaultInjector::apply_node_fault(p2p::Network& net, size_t node_index, double duration,
-                                     bool crash) {
-  p2p::Node& node = net.node(net.regular_nodes()[node_index]);
+void FaultInjector::apply_node_fault(size_t node_index, double duration, bool crash) {
+  const p2p::PeerId id = net_->regular_nodes()[node_index];
+  p2p::Node& node = net_->node(id);
   if (node.unresponsive()) return;  // already inside a fault window
   node.set_unresponsive(true);
   ++windows_;
   if (obs_.enabled()) obs_.windows->inc();
-  const p2p::PeerId id = net.regular_nodes()[node_index];
-  net.simulator().after(duration, [this, &net, id, crash] {
-    p2p::Node& n = net.node(id);
-    if (crash) {
-      n.restart();
-      ++restarts_;
-      if (obs_.enabled()) obs_.restarts->inc();
-    }
-    n.set_unresponsive(false);
-  });
+  net_->simulator().schedule_after(
+      duration, sim::Event::typed(sim::EventKind::kFaultEnd, this, id, crash ? 1 : 0));
 }
 
-void FaultInjector::schedule_churn(p2p::Network& net) {
+void FaultInjector::schedule_churn() {
   const double gap = churn_rng_.exponential(1.0 / plan_.churn_rate);
-  net.simulator().after(gap, [this, &net] {
-    if (!active_) return;
-    const size_t victim = churn_rng_.index(net.regular_nodes().size());
-    const bool crash = churn_rng_.chance(plan_.crash_fraction);
-    apply_node_fault(net, victim, plan_.churn_duration, crash);
-    schedule_churn(net);
-  });
+  net_->simulator().schedule_after(gap, sim::Event::typed(sim::EventKind::kFaultChurn, this));
 }
 
 core::FaultReport make_fault_report(const FaultPlan& plan, size_t retries) {

@@ -73,13 +73,17 @@ struct FaultObs {
 
 /// Executes a FaultPlan against one Network. Construction derives the
 /// decision streams from (seed); install() arms the message hook and
-/// schedules the node faults on the network's simulator. The injector must
-/// outlive the network's remaining sim activity (declare it after the
-/// scenario/network so it is destroyed first — pending callbacks only fire
-/// while the simulator runs).
-class FaultInjector final : public p2p::FaultHook {
+/// schedules the node faults on the network's simulator as events this
+/// injector receives (kFaultStart, kFaultEnd, kFaultChurn). The injector
+/// lives outside the scenario's world: it must outlive every run of the
+/// network's simulator (declare it after the scenario so it is destroyed
+/// first — its pending events only fire while the simulator runs), and
+/// Scenario::snapshot() rejects a world with its events pending.
+class FaultInjector final : public p2p::FaultHook, public sim::EventSink {
  public:
   FaultInjector(FaultPlan plan, uint64_t seed);
+  FaultInjector(const FaultInjector&) = delete;  ///< pending events hold its address
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Arms the injector: installs the message hook (only when the plan has
   /// message faults), schedules the plan's node-fault events, and starts
@@ -93,6 +97,9 @@ class FaultInjector final : public p2p::FaultHook {
   // p2p::FaultHook:
   bool should_drop(p2p::MsgKind kind, p2p::PeerId from, p2p::PeerId to) override;
   double latency_multiplier(p2p::MsgKind kind, p2p::PeerId from, p2p::PeerId to) override;
+
+  // sim::EventSink: planned faults, window closes, churn ticks.
+  void on_event(const sim::Event& ev) override;
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -108,10 +115,11 @@ class FaultInjector final : public p2p::FaultHook {
   uint64_t unresponsive_windows() const { return windows_; }
 
  private:
-  void apply_node_fault(p2p::Network& net, size_t node_index, double duration, bool crash);
-  void schedule_churn(p2p::Network& net);
+  void apply_node_fault(size_t node_index, double duration, bool crash);
+  void schedule_churn();
 
   FaultPlan plan_;
+  p2p::Network* net_ = nullptr;  ///< set by install()
   util::Rng msg_rng_;    ///< drop decisions, in message-send order
   util::Rng churn_rng_;  ///< churn gaps + victim selection
   uint64_t link_seed_;   ///< spike membership hash (stateless, order-free)

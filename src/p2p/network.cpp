@@ -369,11 +369,12 @@ const eth::Block& Network::mine_block(PeerId miner) {
 void Network::start_link_churn(double events_per_sec) {
   if (events_per_sec <= 0.0 || regular_.size() < 4) return;
   churn_on_ = true;
-  sim_->after(rng_.exponential(1.0 / events_per_sec),
-              [this, events_per_sec] { churn_tick(events_per_sec); });
+  churn_rate_ = events_per_sec;
+  sim_->schedule_after(rng_.exponential(1.0 / churn_rate_),
+                       sim::Event::typed(sim::EventKind::kLinkChurn, this));
 }
 
-void Network::churn_tick(double events_per_sec) {
+void Network::churn_tick() {
   if (!churn_on_) return;
   // Drop one random link between regular nodes.
   std::unordered_set<PeerId> regular_set(regular_.begin(), regular_.end());
@@ -394,9 +395,8 @@ void Network::churn_tick(double events_per_sec) {
     connect(a, b);
     break;
   }
-  // A fresh closure per tick: the pending event is the only owner.
-  sim_->after(rng_.exponential(1.0 / events_per_sec),
-              [this, events_per_sec] { churn_tick(events_per_sec); });
+  sim_->schedule_after(rng_.exponential(1.0 / churn_rate_),
+                       sim::Event::typed(sim::EventKind::kLinkChurn, this));
 }
 
 Network::Snapshot Network::snapshot() const {
@@ -413,6 +413,9 @@ Network::Snapshot Network::snapshot() const {
   s.next_miner = next_miner_;
   s.miners = miners_;
   s.mine_interval = mine_interval_;
+  s.churn_on = churn_on_;
+  s.churn_rate = churn_rate_;
+  s.churn_events = churn_events_;
   s.arena = arena_.snapshot();
   s.streams.reserve(streams_.size());
   streams_.for_each([&s](uint64_t key, const StreamState& ss) {
@@ -472,6 +475,9 @@ void Network::restore(const Snapshot& snap) {
   next_miner_ = snap.next_miner;
   miners_ = snap.miners;
   mine_interval_ = snap.mine_interval;
+  churn_on_ = snap.churn_on;
+  churn_rate_ = snap.churn_rate;
+  churn_events_ = snap.churn_events;
   arena_.restore(snap.arena);
   for (const auto& sc : snap.streams) {
     streams_.insert(sc.key, StreamState{sc.last_delivery, sc.open_batch, sc.window_start});
@@ -577,6 +583,9 @@ void Network::on_event(const sim::Event& ev) {
       if (!mining_on_) break;
       mine_block(miners_[next_miner_++ % miners_.size()]);
       sim_->schedule_after(mine_interval_, sim::Event::typed(sim::EventKind::kMineTick, this));
+      break;
+    case sim::EventKind::kLinkChurn:
+      churn_tick();
       break;
     default:
       assert(false && "unexpected event kind routed to Network");

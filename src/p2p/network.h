@@ -39,7 +39,7 @@ struct NetObs {
 /// (the adjacency) is what TopoShot's validator compares measurements
 /// against.
 ///
-/// Delivery is scheduled as typed sim::Events (no per-message closure
+/// Delivery is scheduled as plain-data sim::Events (no per-message
 /// allocation); full-transaction payloads ride in a chunked PayloadArena
 /// together with their content hash, so a send costs one arena copy and
 /// zero heap traffic in steady state. Per-stream state lives in flat
@@ -180,8 +180,9 @@ class Network : public sim::EventSink {
   /// ids the source world would); member *sequence numbers* are
   /// queue-relative, so the scenario layer renumbers them (rank-compacted
   /// together with the pending events' seqs) before the snapshot leaves
-  /// the source world. Link churn is closure-scheduled and deliberately
-  /// not captured; the scenario layer rejects worlds with pending closures.
+  /// the source world. Link churn rides along too (its flag, rate and
+  /// tally), so a world forks mid-churn: the pending kLinkChurn tick the
+  /// scenario re-pushes re-binds to the replica's network.
   struct Snapshot {
     /// A staged batch, undelivered members only, in delivery order.
     struct StagedBatch {
@@ -212,6 +213,9 @@ class Network : public sim::EventSink {
     size_t next_miner = 0;
     std::vector<PeerId> miners;
     double mine_interval = 0.0;
+    bool churn_on = false;
+    double churn_rate = 0.0;
+    uint64_t churn_events = 0;
     PayloadArena::Snapshot arena;
     std::vector<StreamClock> streams;   ///< sorted by key
     std::vector<StagedBatch> batches;   ///< sorted by id
@@ -272,7 +276,7 @@ class Network : public sim::EventSink {
   /// bandwidth accounting for the measurement-overhead analyses.
   uint64_t bytes_sent() const { return bytes_; }
 
-  /// Typed-event dispatch: message deliveries, block commits, mining ticks.
+  /// Event dispatch: deliveries, block commits, mining and churn ticks.
   void on_event(const sim::Event& ev) override;
 
  private:
@@ -298,10 +302,11 @@ class Network : public sim::EventSink {
   std::vector<PeerId> miners_;  ///< round-robin order for kMineTick
   double mine_interval_ = 0.0;
   bool churn_on_ = false;
+  double churn_rate_ = 0.0;  ///< link-churn events per second
   uint64_t churn_events_ = 0;
 
-  /// One start_link_churn step: drop a link, dial a replacement, re-arm.
-  void churn_tick(double events_per_sec);
+  /// One kLinkChurn step: drop a link, dial a replacement, re-arm.
+  void churn_tick();
 
   static uint64_t stream_key(PeerId from, PeerId to) {
     return (static_cast<uint64_t>(from) << 32) | to;

@@ -114,6 +114,7 @@ void dump_value(const Json& v, std::string& out) {
 struct Parser {
   const char* p;
   const char* end;
+  size_t depth = 0;  ///< arrays and objects currently open
 
   void skip_ws() {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
@@ -133,8 +134,14 @@ struct Parser {
       case 't': return literal("true") ? std::optional<Json>(Json(true)) : std::nullopt;
       case 'f': return literal("false") ? std::optional<Json>(Json(false)) : std::nullopt;
       case '"': return string_value();
-      case '[': return array_value();
-      case '{': return object_value();
+      case '[':
+      case '{': {
+        if (depth == Json::kMaxDepth) return std::nullopt;
+        ++depth;
+        auto v = *p == '[' ? array_value() : object_value();
+        --depth;
+        return v;
+      }
       default: return number_value();
     }
   }

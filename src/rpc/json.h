@@ -6,6 +6,7 @@
 // surrogates rejected as parse errors; numbers are stored as double
 // (sufficient for RPC ids) with integral fast-paths for serialization.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -56,6 +57,10 @@ class Json {
   const Json& operator[](size_t i) const;
 
   std::string dump() const;
+
+  /// Deepest nesting of arrays and objects parse() accepts: the parser
+  /// recurses once per level, so deeper input is a parse error.
+  static constexpr size_t kMaxDepth = 256;
 
   /// Strict parse of a complete document; nullopt on any syntax error.
   static std::optional<Json> parse(const std::string& text);

@@ -38,7 +38,7 @@ void EventQueue::link(std::array<uint32_t, N>& heads, std::array<uint64_t, N / 6
   word |= bit;
 }
 
-void EventQueue::wheel_push(const Slot& slot) {
+void EventQueue::wheel_push(const Scheduled& slot) {
   // cur_slot_ never jumps forward on push: it tracks the bucket currently
   // draining, so only genuine same-bucket (or clamped-past) events take the
   // binary-insert path into due_. Jumping cur_slot_ to a far-future first
@@ -76,28 +76,10 @@ void EventQueue::push(Time t, Event ev) {
   push_at_seq(t, ev, next_seq_);
 }
 
-void EventQueue::push(Time t, Action action) {
-  Event ev;  // kClosure
-  if (free_closures_.empty()) {
-    ev.payload = closures_.size();
-    closures_.push_back(std::move(action));
-  } else {
-    ev.payload = free_closures_.back();
-    free_closures_.pop_back();
-    closures_[ev.payload] = std::move(action);
-  }
-  insert(t, ev, next_seq_);
-}
-
 void EventQueue::push_at_seq(Time t, Event ev, uint64_t seq) {
-  assert(ev.kind != EventKind::kClosure && "closures go through push(Time, Action)");
-  insert(t, ev, seq);
-}
-
-void EventQueue::insert(Time t, Event ev, uint64_t seq) {
   if (seq >= next_seq_) next_seq_ = seq + 1;
   ++size_;
-  wheel_push(Slot{t, seq, ev});
+  wheel_push(Scheduled{t, seq, ev});
   // Invariant: due_ is non-empty whenever size_ > 0 (next_time() and pop()
   // read due_.front() unconditionally). A push into a drained queue lands
   // in the rings, so pull the earliest bucket forward here.
@@ -125,7 +107,7 @@ void EventQueue::cascade_overflow_window(int64_t w_base) {
   while (!overflow_.empty() &&
          (slot_of(overflow_.front().t) >> kL0Bits) == w_base) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    const Slot slot = overflow_.back();
+    const Scheduled slot = overflow_.back();
     overflow_.pop_back();
     ++stats_.overflow_cascaded;
     const size_t idx = static_cast<size_t>(slot_of(slot.t)) & (kL0Buckets - 1);
@@ -145,7 +127,7 @@ void EventQueue::drain_overflow_into_wheel() {
     const int64_t w = slot_of(overflow_.front().t) >> kL0Bits;
     if (w - w_base > static_cast<int64_t>(kL1Buckets)) break;
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    const Slot slot = overflow_.back();
+    const Scheduled slot = overflow_.back();
     overflow_.pop_back();
     ++stats_.overflow_cascaded;
     if (w == w_base) {
@@ -251,7 +233,7 @@ void EventQueue::refill_due() {
 std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
   // Collect every buried slot — drain heap, both wheel levels, overflow —
   // then sort by the total order. O(n log n), capture path only.
-  std::vector<Slot> slots;
+  std::vector<Scheduled> slots;
   slots.reserve(size_);
   slots.insert(slots.end(), due_.begin(), due_.end());
   const auto take_lists = [&](const auto& heads, const auto& bits) {
@@ -264,14 +246,11 @@ std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
   take_lists(l1_head_, l1_bits_);
   slots.insert(slots.end(), overflow_.begin(), overflow_.end());
   assert(slots.size() == size_);
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+  std::sort(slots.begin(), slots.end(), [](const Scheduled& a, const Scheduled& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   });
-  std::vector<Scheduled> out;
-  out.reserve(slots.size());
-  for (const Slot& s : slots) out.push_back(Scheduled{s.t, s.seq, s.ev, {}});
-  return out;
+  return slots;
 }
 
 Time EventQueue::next_time() const {
@@ -290,16 +269,8 @@ EventQueue::Scheduled EventQueue::pop() {
   assert(size_ > 0);
   --size_;
   std::pop_heap(due_.begin(), due_.end(), Later{});
-  Scheduled out{due_.back().t, due_.back().seq, due_.back().ev, {}};
+  const Scheduled out = due_.back();
   due_.pop_back();
-  if (out.ev.kind == EventKind::kClosure) {
-    // Move the callable out before it runs and recycle its slot: a closure
-    // that schedules closures may then reuse the slot it came from.
-    const auto c = static_cast<uint32_t>(out.ev.payload);
-    out.fn = std::move(closures_[c]);
-    closures_[c] = nullptr;
-    free_closures_.push_back(c);
-  }
   if (due_.empty() && size_ > 0) refill_due();
   return out;
 }

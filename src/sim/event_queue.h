@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -41,33 +40,25 @@ namespace topo::sim {
 /// scheduling allocates nothing and no bucket keeps capacity of its own.
 /// Within a bucket the list order is arbitrary: (t, seq) keys are unique,
 /// so the heap pops them in the same order whatever order they arrive in.
-/// Closure callables live in a table the queue owns; a kClosure event
-/// holds its table slot, and pop() moves the callable out (freeing the
-/// slot) before anyone runs it, so a closure may schedule closures.
+/// pop() returns its entry by value, so a handler may schedule while it
+/// runs.
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
-  /// One popped entry: the scheduled time, the queue sequence number that
-  /// tie-breaks equal times, the event, and — for kClosure events — the
-  /// callable, moved out of the closure table. The seq is what batched
-  /// delivery (p2p::Network) uses to prove a staged member would have been
-  /// the very next pop: comparing (t, seq) against next_key() is exact.
+  /// One queue slot, and what pop() returns: the scheduled time, the
+  /// queue sequence number that tie-breaks equal times, and the event. The
+  /// seq is what batched delivery (p2p::Network) uses to prove a staged
+  /// member would have been the very next pop: comparing (t, seq) against
+  /// next_key() is exact.
   struct Scheduled {
     Time t = 0.0;
     uint64_t seq = 0;
     Event ev;
-    Action fn;  ///< kClosure only; empty otherwise
 
-    /// Runs the event: the closure, or the typed dispatch through its sink.
-    void fire() {
-      if (ev.kind == EventKind::kClosure) {
-        fn();
-      } else {
-        ev.sink->on_event(ev);
-      }
-    }
+    /// Runs the event: dispatches it to its sink.
+    void fire() const { ev.sink->on_event(ev); }
   };
+  static_assert(std::is_trivially_copyable_v<Scheduled> && sizeof(Scheduled) <= 48,
+                "queue slots stay plain data, at most 48 bytes");
 
   /// Timing-wheel introspection tallies. A forked world rebuilds its queue
   /// by re-pushing the captured events, so these differ between a forked
@@ -82,10 +73,8 @@ class EventQueue {
     uint64_t overflow_peak = 0;      ///< deepest overflow heap (far-future backlog)
   };
 
-  /// Schedules a typed event (kind != kClosure).
+  /// Schedules an event under the next sequence number.
   void push(Time t, Event ev);
-  /// Schedules a closure: the callable goes into the closure table.
-  void push(Time t, Action action);
 
   /// Claims the next sequence number without pushing anything. A caller
   /// staging work outside the queue (per-link delivery batches) reserves
@@ -94,7 +83,7 @@ class EventQueue {
   /// never, when the batch drains the member directly).
   uint64_t reserve_seq() { return next_seq_++; }
 
-  /// Pushes a typed event under a previously reserved (or snapshot-captured)
+  /// Pushes an event under a previously reserved (or snapshot-captured)
   /// sequence number instead of assigning a fresh one. Advances the
   /// internal counter past `seq` so later plain pushes still sort after
   /// it; the caller owns not reusing a seq that is already queued.
@@ -120,14 +109,11 @@ class EventQueue {
   /// (+inf, max) when empty so any real key compares below it.
   std::pair<Time, uint64_t> next_key() const;
 
-  /// Pops the earliest event by (time, seq); undefined if empty. A closure
-  /// comes back in Scheduled::fn and its table slot is already free.
+  /// Pops the earliest event by (time, seq); undefined if empty.
   Scheduled pop();
 
   /// Non-destructive copy of every pending event in pop order — the
-  /// world-snapshot capture path. Closure events appear with their kind
-  /// but without their callable (Scheduled::fn stays empty): a snapshot
-  /// cannot replay them, and its consumer rejects them. Entries carry
+  /// world-snapshot capture path. Entries carry
   /// their sequence numbers: absolute seq values are meaningless across
   /// queues, but their *ranks* pin the relative order against out-of-queue
   /// reserved seqs (staged batch members), so the capture path compacts
@@ -137,15 +123,7 @@ class EventQueue {
   std::vector<Scheduled> pending_snapshot() const;
 
  private:
-  struct Slot {
-    Time t;
-    uint64_t seq;
-    Event ev;
-  };
-  static_assert(std::is_trivially_copyable_v<Slot> && sizeof(Slot) <= 48,
-                "queue slots stay plain data, at most 48 bytes");
-
-  static constexpr uint32_t kNil = util::ListPool<Slot>::kNil;
+  static constexpr uint32_t kNil = util::ListPool<Scheduled>::kNil;
 
   // -- wheel geometry -------------------------------------------------------
   static constexpr int kL0Bits = 10;
@@ -160,8 +138,7 @@ class EventQueue {
     return s <= 0.0 ? 0 : static_cast<int64_t>(s);
   }
 
-  void insert(Time t, Event ev, uint64_t seq);
-  void wheel_push(const Slot& slot);
+  void wheel_push(const Scheduled& slot);
   /// Pushes pool node `n` onto bucket `idx` of one wheel level (its list
   /// heads and occupancy bitmap); a head is valid only while its bit is set.
   template <size_t N>
@@ -185,18 +162,15 @@ class EventQueue {
   // due_ holds the events of the bucket currently draining (plus any
   // pushed at/before it) as a min-heap by (t, seq): front() is the
   // minimum; pops and mid-drain pushes are O(log bucket-size).
-  std::vector<Slot> due_;
+  std::vector<Scheduled> due_;
   int64_t cur_slot_ = -1;  ///< L0 slot whose events live in due_
   int64_t l0_base_ = 0;    ///< first absolute L0 slot of the current window (kL0Buckets-aligned)
-  util::ListPool<Slot> nodes_;  ///< events of both wheel levels
+  util::ListPool<Scheduled> nodes_;  ///< events of both wheel levels
   std::array<uint32_t, kL0Buckets> l0_head_{};  ///< list heads; valid where the bit is set
   std::array<uint64_t, kL0Buckets / 64> l0_bits_{};
   std::array<uint32_t, kL1Buckets> l1_head_{};
   std::array<uint64_t, kL1Buckets / 64> l1_bits_{};
-  std::vector<Slot> overflow_;  ///< min-heap by (t, seq), beyond the L1 horizon
-
-  std::vector<Action> closures_;        ///< kClosure callables, by Event::payload
-  std::vector<uint32_t> free_closures_;  ///< recycled closure-table slots (LIFO)
+  std::vector<Scheduled> overflow_;  ///< min-heap by (t, seq), beyond the L1 horizon
 };
 
 }  // namespace topo::sim

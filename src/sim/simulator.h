@@ -12,21 +12,20 @@ namespace topo::sim {
 /// expressed as events; wall-clock quantities reported by benches (e.g. the
 /// Fig 5 speedup) are simulation seconds.
 ///
-/// Hot paths schedule typed events (schedule_at/schedule_after — a tagged
-/// record dispatched through its EventSink, no per-event allocation); cold
-/// paths keep the closure overloads (at/after/every), whose callables the
-/// queue holds in its closure table behind a kClosure event.
+/// Every event is a tagged record (schedule_at/schedule_after) dispatched
+/// through its EventSink, with no per-event allocation; a periodic activity
+/// is an event whose handler schedules its successor.
 class Simulator {
  public:
   Simulator() = default;
 
   Time now() const { return now_; }
 
-  /// Schedules a typed event at an absolute time (clamped to now if in the
+  /// Schedules an event at an absolute time (clamped to now if in the
   /// past). Allocation-free.
   void schedule_at(Time t, Event ev);
 
-  /// Schedules a typed event under a previously reserved queue sequence
+  /// Schedules an event under a previously reserved queue sequence
   /// number (see reserve_seq). Same clamping as schedule_at.
   void schedule_at_seq(Time t, Event ev, uint64_t seq);
 
@@ -38,19 +37,9 @@ class Simulator {
   /// restore over reserved-but-unqueued seqs; EventQueue::advance_seq).
   void advance_seq(uint64_t min_next) { queue_.advance_seq(min_next); }
 
-  /// Schedules a typed event `delay` seconds from now (delay < 0 treated
-  /// as 0). Allocation-free.
+  /// Schedules an event `delay` seconds from now (delay < 0 treated as 0).
+  /// Allocation-free.
   void schedule_after(Time delay, Event ev);
-
-  /// Schedules a closure at an absolute time (clamped to now if in the past).
-  void at(Time t, EventQueue::Action action);
-
-  /// Schedules a closure `delay` seconds from now (delay < 0 treated as 0).
-  void after(Time delay, EventQueue::Action action);
-
-  /// Repeats `action` every `interval` seconds starting at `start`, for as
-  /// long as it returns true.
-  void every(Time start, Time interval, std::function<bool()> action);
 
   /// Runs until the queue drains.
   void run();
@@ -131,6 +120,9 @@ class Simulator {
   }
 
  private:
+  /// Pops the next event, advances the clock to it, counts it and fires it.
+  void step();
+
   EventQueue queue_;
   Time now_ = 0.0;
   Time drain_bound_ = std::numeric_limits<Time>::infinity();

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "disc/discv4.h"
+#include "util/rng.h"
 
 namespace topo::disc {
 namespace {
@@ -100,6 +103,40 @@ TEST(DiscV4, DatagramsAreCounted) {
   for (int i = 0; i < 5; ++i) net.add_node();
   net.converge(30.0);
   EXPECT_GT(net.datagrams(), 20u);
+}
+
+// The whole protocol trajectory, pinned: a lossy run in which a node dies
+// mid-way and newcomers join. Any change to when a datagram, refresh or
+// timeout fires, or to the order of the loss and delay draws, moves the
+// recorded values. discv4 draws only uniform/chance and calls no libm, so
+// they hold on every platform.
+TEST(DiscV4, TrajectoryMatchesRecordedFingerprint) {
+  sim::Simulator sim;
+  DiscV4Net net(&sim, util::Rng(11), 0.03, /*loss=*/0.1);
+  for (int i = 0; i < 24; ++i) net.add_node();
+  net.converge(45.0);
+  net.set_dead(5, true);
+  for (int i = 0; i < 8; ++i) net.add_node();
+  for (uint32_t i = 24; i < 32; ++i) net.node(i).bootstrap(0, net.node(0).id());
+  sim.run_until(sim.now() + 75.0);
+
+  // Every node's sorted table with each entry's last PONG time.
+  uint64_t h = 0;
+  const auto mix = [&h](uint64_t v) {
+    h ^= v;
+    util::splitmix64(h);
+  };
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    mix(i);
+    for (uint32_t e : net.node(i).table_entries()) {
+      mix(e);
+      const auto seen = net.node(i).last_seen(e);
+      mix(seen ? std::bit_cast<uint64_t>(*seen) : ~uint64_t{0});
+    }
+  }
+  EXPECT_EQ(net.datagrams(), 14407u);
+  EXPECT_EQ(sim.processed(), 20795u);
+  EXPECT_EQ(h, 0x8739f7ba6c33b8f0u);
 }
 
 }  // namespace

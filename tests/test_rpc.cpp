@@ -41,6 +41,25 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("nul").has_value());
 }
 
+TEST(Json, RejectsNestingPastTheLimit) {
+  const auto arrays = [](size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](size_t depth) {
+    std::string doc;
+    for (size_t i = 1; i < depth; ++i) doc += R"({"a":)";
+    doc += "{}";
+    return doc + std::string(depth - 1, '}');
+  };
+  for (const auto& nested : {+arrays, +objects}) {
+    const auto at_limit = Json::parse(nested(Json::kMaxDepth));
+    ASSERT_TRUE(at_limit.has_value());
+    EXPECT_EQ(at_limit->dump(), nested(Json::kMaxDepth));
+    EXPECT_FALSE(Json::parse(nested(Json::kMaxDepth + 1)).has_value());
+    EXPECT_FALSE(Json::parse(nested(100'000)).has_value()) << "rejected, not a stack overflow";
+  }
+}
+
 TEST(Json, UnicodeEscapes) {
   auto v = Json::parse(R"("Aé")");
   ASSERT_TRUE(v.has_value());
@@ -261,6 +280,17 @@ TEST(Rpc, ErrorsForUnknownMethodAndBadRequests) {
       w.server.handle(R"({"jsonrpc":"2.0","id":1,"method":"eth_getTransactionByHash"})");
   parsed = Json::parse(bad_params);
   EXPECT_DOUBLE_EQ((*parsed)["error"]["code"].as_number(), kInvalidParams);
+}
+
+TEST(Rpc, NestingPastTheJsonLimitIsAParseError) {
+  RpcWorld w;
+  for (const size_t depth : {Json::kMaxDepth + 1, size_t{100'000}}) {
+    const auto resp =
+        Json::parse(w.server.handle(std::string(depth, '[') + std::string(depth, ']')));
+    ASSERT_TRUE(resp.has_value()) << "depth " << depth;
+    EXPECT_DOUBLE_EQ((*resp)["error"]["code"].as_number(), kParseError);
+    EXPECT_TRUE((*resp)["id"].is_null());
+  }
 }
 
 // -- JSON-RPC 2.0 batch framing ---------------------------------------------

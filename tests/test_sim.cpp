@@ -4,8 +4,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
+#include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,12 +18,25 @@
 namespace topo::sim {
 namespace {
 
+/// Test-only sink for ad-hoc callbacks: event(fn) parks `fn` and returns
+/// an event whose payload indexes it. A deque, so a running callback stays
+/// put while it schedules more.
+struct CallbackSink final : EventSink {
+  std::deque<std::function<void()>> callbacks;
+  Event event(std::function<void()> fn) {
+    callbacks.push_back(std::move(fn));
+    return Event::typed(EventKind::kMaintenance, this, 0, 0, callbacks.size() - 1);
+  }
+  void on_event(const Event& ev) override { callbacks[ev.payload](); }
+};
+
 TEST(EventQueue, OrdersByTimeThenInsertion) {
+  CallbackSink cb;
   EventQueue q;
   std::vector<int> order;
-  q.push(2.0, [&] { order.push_back(3); });
-  q.push(1.0, [&] { order.push_back(1); });
-  q.push(1.0, [&] { order.push_back(2); });  // same time: insertion order
+  q.push(2.0, cb.event([&] { order.push_back(3); }));
+  q.push(1.0, cb.event([&] { order.push_back(1); }));
+  q.push(1.0, cb.event([&] { order.push_back(2); }));  // same time: insertion order
   while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -34,15 +48,14 @@ struct RecordingSink final : EventSink {
 
 /// The oracle the timing wheel is checked against: one binary min-heap by
 /// (time, seq), the simplest structure with the queue's total order,
-/// behind the same sequence-number API. Closures ride inline in the heap.
+/// behind the same sequence-number API.
 class ReferenceHeap {
  public:
   void push(Time t, Event ev) { push_at_seq(t, ev, next_seq_); }
-  void push(Time t, EventQueue::Action fn) {
-    insert(EventQueue::Scheduled{t, next_seq_, Event{}, std::move(fn)});
-  }
   void push_at_seq(Time t, Event ev, uint64_t seq) {
-    insert(EventQueue::Scheduled{t, seq, ev, nullptr});
+    next_seq_ = std::max(next_seq_, seq + 1);
+    heap_.push_back(EventQueue::Scheduled{t, seq, ev});
+    std::push_heap(heap_.begin(), heap_.end(), later);
   }
   uint64_t reserve_seq() { return next_seq_++; }
   void advance_seq(uint64_t min_next) { next_seq_ = std::max(next_seq_, min_next); }
@@ -55,7 +68,7 @@ class ReferenceHeap {
   }
   EventQueue::Scheduled pop() {
     std::pop_heap(heap_.begin(), heap_.end(), later);
-    EventQueue::Scheduled out = std::move(heap_.back());
+    const EventQueue::Scheduled out = heap_.back();
     heap_.pop_back();
     return out;
   }
@@ -66,11 +79,6 @@ class ReferenceHeap {
   }
 
  private:
-  void insert(EventQueue::Scheduled s) {
-    next_seq_ = std::max(next_seq_, s.seq + 1);
-    heap_.push_back(std::move(s));
-    std::push_heap(heap_.begin(), heap_.end(), later);
-  }
   static bool later(const EventQueue::Scheduled& x, const EventQueue::Scheduled& y) {
     return x.t != y.t ? x.t > y.t : x.seq > y.seq;
   }
@@ -78,36 +86,56 @@ class ReferenceHeap {
   uint64_t next_seq_ = 0;
 };
 
-/// A closure event for the lockstep queues: logs its tag when it fires and,
-/// while `depth` > 0, first schedules its successor (tag + 1, depth - 1)
-/// `dt` later into the queue that fired it — a closure that schedules
-/// closures. It reads its own state only after that push, so a queue that
-/// recycled the running closure's table slot early logs the wrong tag.
+/// The kind of the lockstep queues' chain events (any kind would do: the
+/// sink decides what an event means).
+constexpr EventKind kChainKind = EventKind::kRegossip;
+
+/// The sink of one lockstep queue's chain events. A chain event logs its
+/// tag (payload) when it fires and, while its depth (a) is above 0, first
+/// pushes its successor (tag + 1, depth - 1) one step `dt` later into the
+/// queue it fired from — an event that schedules events while it fires. It
+/// reads its tag only after that push, so a pop() that handed out a view
+/// of storage the push reuses would log a clobbered tag.
 template <typename Q>
-struct Spawner {
-  uint64_t tag;
-  Q* queue;
-  std::vector<uint64_t>* log;
-  Time t;
-  Time dt;
-  int depth;
-  void operator()() const {
-    if (depth > 0) queue->push(t + dt, Spawner{tag + 1, queue, log, t + dt, dt, depth - 1});
-    log->push_back(tag);
+struct Spawner final : EventSink {
+  struct Chain {
+    Time t;   ///< time of the chain's latest link
+    Time dt;  ///< step between links
+  };
+  explicit Spawner(Q* q) : queue(q) {}
+
+  /// The first link of a new chain (b = chain index).
+  Event start(Time t, Time dt, int depth, uint64_t tag) {
+    chains.push_back(Chain{t, dt});
+    return Event::typed(kChainKind, this, static_cast<uint32_t>(depth),
+                        static_cast<uint32_t>(chains.size() - 1), tag);
   }
+  void on_event(const Event& ev) override {
+    if (ev.a > 0) {
+      Chain& c = chains[ev.b];
+      c.t += c.dt;
+      queue->push(c.t, Event::typed(kChainKind, this, ev.a - 1, ev.b, ev.payload + 1));
+    }
+    fired.push_back(ev.payload);
+  }
+
+  Q* queue;
+  std::vector<Chain> chains;
+  std::vector<uint64_t> fired;  ///< chain tags, in firing order
 };
 
 /// Applies every operation to the wheel and the reference heap alike and
 /// asserts they agree: claimed seqs, next_key() before each pop, each
-/// popped (time, seq, event), and pending_snapshot() on demand. Typed
-/// events are tagged with a unique payload and compared, never fired;
-/// closure events are fired on both sides and must log the same tag.
+/// popped (time, seq, event), and pending_snapshot() on demand. Every
+/// event is tagged with a unique payload and compared; chain events are
+/// also fired on both sides and must log the same tag.
 struct Lockstep {
   RecordingSink sink;
   EventQueue wheel;
   ReferenceHeap ref;
+  Spawner<EventQueue> wheel_chains{&wheel};
+  Spawner<ReferenceHeap> ref_chains{&ref};
   std::vector<uint64_t> reserved;  ///< claimed, not yet pushed
-  std::vector<uint64_t> wheel_fired, ref_fired;  ///< closure tags, in firing order
   uint64_t next_tag = 0;
   double now = 0.0;  ///< time of the latest pop
 
@@ -119,21 +147,21 @@ struct Lockstep {
     ref.push(t, ev);
   }
 
-  /// A closure at `t` that, when fired, schedules a chain of `depth` more
-  /// closures `dt` apart.
-  void push_closure(double t, double dt, int depth) {
+  /// A chain event at `t` that, when fired, schedules a chain of `depth`
+  /// more events `dt` apart.
+  void push_chain(double t, double dt, int depth) {
     const uint64_t tag = next_tag;
     next_tag += static_cast<uint64_t>(depth) + 1;
-    wheel.push(t, Spawner<EventQueue>{tag, &wheel, &wheel_fired, t, dt, depth});
-    ref.push(t, Spawner<ReferenceHeap>{tag, &ref, &ref_fired, t, dt, depth});
+    wheel.push(t, wheel_chains.start(t, dt, depth, tag));
+    ref.push(t, ref_chains.start(t, dt, depth, tag));
   }
 
-  /// A random closure chain: zero to three successors, each at the same
-  /// time (into the draining bucket), a few ticks on, or past the L0 window.
-  void random_closure(util::Rng& rng, double t) {
+  /// A random chain: zero to three successors, each at the same time
+  /// (into the draining bucket), a few ticks on, or past the L0 window.
+  void random_chain(util::Rng& rng, double t) {
     const double r = rng.uniform();
     const double dt = r < 0.3 ? 0.0 : r < 0.8 ? rng.uniform() * 0.05 : 2.0 + rng.uniform() * 30.0;
-    push_closure(t, dt, static_cast<int>(rng.index(4)));
+    push_chain(t, dt, static_cast<int>(rng.index(4)));
   }
 
   void push_at_seq(double t, uint64_t seq) {
@@ -174,20 +202,18 @@ struct Lockstep {
 
   void pop() {
     ASSERT_EQ(wheel.next_key(), ref.next_key());
-    EventQueue::Scheduled w = wheel.pop();
-    EventQueue::Scheduled r = ref.pop();
+    const EventQueue::Scheduled w = wheel.pop();
+    const EventQueue::Scheduled r = ref.pop();
     ASSERT_EQ(w.t, r.t);
     ASSERT_EQ(w.seq, r.seq);
     ASSERT_EQ(w.ev.kind, r.ev.kind);
+    ASSERT_EQ(w.ev.payload, r.ev.payload);
     now = std::max(now, w.t);
-    if (w.ev.kind != EventKind::kClosure) {
-      ASSERT_EQ(w.ev.payload, r.ev.payload);
-      return;
-    }
+    if (w.ev.kind != kChainKind) return;
     w.fire();
     r.fire();
-    ASSERT_EQ(wheel_fired.size(), ref_fired.size());
-    ASSERT_EQ(wheel_fired.back(), ref_fired.back());
+    ASSERT_EQ(wheel_chains.fired.size(), ref_chains.fired.size());
+    ASSERT_EQ(wheel_chains.fired.back(), ref_chains.fired.back());
   }
 
   void check_snapshot() const {
@@ -198,9 +224,7 @@ struct Lockstep {
       ASSERT_EQ(w[i].t, r[i].t);
       ASSERT_EQ(w[i].seq, r[i].seq);
       ASSERT_EQ(w[i].ev.kind, r[i].ev.kind);
-      if (w[i].ev.kind != EventKind::kClosure) {
-        ASSERT_EQ(w[i].ev.payload, r[i].ev.payload);
-      }
+      ASSERT_EQ(w[i].ev.payload, r[i].ev.payload);
     }
   }
 
@@ -213,7 +237,7 @@ struct Lockstep {
     while (!wheel.empty()) ASSERT_NO_FATAL_FAILURE(pop());
     ASSERT_EQ(ref.size(), 0u);
     ASSERT_EQ(wheel.next_key(), ref.next_key());
-    ASSERT_EQ(wheel_fired, ref_fired);
+    ASSERT_EQ(wheel_chains.fired, ref_chains.fired);
   }
 };
 
@@ -241,21 +265,22 @@ TEST(EventQueue, BothBackendsOrderIdentically) {
 // that advances to the next occupied L1 bucket without considering the
 // overflow minimum pops 2000 before 1251.
 TEST(EventQueue, OverflowPopsBeforeLaterL1PushAfterWheelAdvance) {
+  CallbackSink cb;
   EventQueue q;
   std::vector<int> order;
-  q.push(0.001, [&] { order.push_back(1); });
-  q.push(1024.5, [&] { order.push_back(2); });
-  q.push(1251.0, [&] { order.push_back(3); });
+  q.push(0.001, cb.event([&] { order.push_back(1); }));
+  q.push(1024.5, cb.event([&] { order.push_back(2); }));
+  q.push(1251.0, cb.event([&] { order.push_back(3); }));
   q.pop().fire();
-  q.push(2000.0, [&] { order.push_back(4); });
+  q.push(2000.0, cb.event([&] { order.push_back(4); }));
   while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 // Property test of the determinism contract: under randomized schedules —
 // equal-time bursts, far-future outliers, interleaved pops, same-bucket
-// re-pushes, seqs reserved now and pushed later, closures interleaved with
-// typed events (some scheduling closures while they fire) — the wheel pops
+// re-pushes, seqs reserved now and pushed later, event chains that
+// schedule their successors while they fire — the wheel pops
 // the exact (time, seq) order the reference binary heap does.
 TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
   util::Rng rng(99);
@@ -263,7 +288,7 @@ TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
   for (int round = 0; round < 4000; ++round) {
     const double r = rng.uniform();
     if (r < 0.06) {
-      q.random_closure(rng, q.now + rng.uniform() * (rng.uniform() < 0.1 ? 3000.0 : 3.0));
+      q.random_chain(rng, q.now + rng.uniform() * (rng.uniform() < 0.1 ? 3000.0 : 3.0));
     } else if (r < 0.45) {
       double dt = rng.uniform() * 3.0;  // within the L0/L1 horizon
       if (rng.uniform() < 0.10) dt = rng.uniform() * 3000.0;      // L1 / shallow overflow
@@ -294,7 +319,7 @@ TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
 // cluster around the horizon, so events keep migrating from the overflow
 // heap into L1 reach as pops advance the wheel while fresh pushes land in
 // L1 directly — the interleaving class the directed regression above pins
-// down, explored at random, with late reserved-seq pushes and closure
+// down, explored at random, with late reserved-seq pushes and event
 // chains mixed in.
 TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
   util::Rng rng(7);
@@ -302,7 +327,7 @@ TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
   for (int round = 0; round < 3000; ++round) {
     const double r = rng.uniform();
     if (r < 0.05) {
-      q.random_closure(rng, q.now + 800.0 + rng.uniform() * 600.0);
+      q.random_chain(rng, q.now + 800.0 + rng.uniform() * 600.0);
     } else if (r < 0.40) {
       q.push(q.now + 800.0 + rng.uniform() * 600.0);  // straddles the horizon
     } else if (r < 0.52) {
@@ -319,50 +344,25 @@ TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
   ASSERT_NO_FATAL_FAILURE(q.drain());
 }
 
-// The closure table owns every pending callable: a queue (or simulator)
-// torn down with closures still queued — in the drain heap, both wheel
-// levels and the overflow heap, some in recycled table slots, one a
-// self-rescheduling `every` tick — destroys each exactly once. The
-// capture's use count proves it here; LeakSanitizer checks it on the Asan
-// build.
-TEST(EventQueue, DestroyedWithClosuresPendingReleasesThem) {
-  const auto token = std::make_shared<int>(0);
-  {
-    EventQueue q;
-    for (int i = 0; i < 64; ++i) q.push(0.01 * i, [token] { ++*token; });  // L0
-    q.push(30.0, [token] { ++*token; });                                   // L1
-    q.push(1e6, [token] { ++*token; });                                    // overflow
-    for (int i = 0; i < 10; ++i) q.pop().fire();
-    for (int i = 0; i < 5; ++i) q.push(0.5, [token] { ++*token; });  // recycled slots
-    EXPECT_EQ(*token, 10);
-    EXPECT_EQ(token.use_count(), 1 + 64 + 2 - 10 + 5);
-  }
-  EXPECT_EQ(token.use_count(), 1) << "every pending closure destroyed with its queue";
-  {
-    Simulator sim;
-    sim.every(1.0, 1.0, [token] { return ++*token > 0; });
-    sim.at(5.5, [token] { ++*token; });
-    sim.run_until(3.0);
-    EXPECT_GT(token.use_count(), 1);
-  }
-  EXPECT_EQ(token.use_count(), 1) << "a simulator torn down mid-repeat frees the tick";
-}
-
 TEST(Simulator, TypedEventsDispatchThroughSink) {
   RecordingSink sink;
+  CallbackSink cb;
   Simulator sim;
   sim.schedule_at(1.0, Event::typed(EventKind::kFetchTimeout, &sink, 0, 0, 11));
   sim.schedule_after(2.0, Event::typed(EventKind::kFetchTimeout, &sink, 0, 0, 22));
-  sim.at(1.5, [&] { sink.seen.push_back(99); });  // closures interleave freely
+  sim.schedule_at(1.5, cb.event([&] { sink.seen.push_back(99); }));  // sinks interleave freely
   sim.run();
   EXPECT_EQ(sink.seen, (std::vector<uint64_t>{11, 99, 22}));
   EXPECT_EQ(sim.processed(), 3u);
+  EXPECT_EQ(sim.dispatch_counts()[static_cast<size_t>(EventKind::kFetchTimeout)], 2u);
+  EXPECT_EQ(sim.dispatch_counts()[static_cast<size_t>(EventKind::kMaintenance)], 1u);
 }
 
 TEST(Simulator, RunExecutesAllAndAdvancesClock) {
+  CallbackSink cb;
   Simulator sim;
   double seen = -1.0;
-  sim.at(5.0, [&] { seen = sim.now(); });
+  sim.schedule_at(5.0, cb.event([&] { seen = sim.now(); }));
   sim.run();
   EXPECT_DOUBLE_EQ(seen, 5.0);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -370,32 +370,35 @@ TEST(Simulator, RunExecutesAllAndAdvancesClock) {
 }
 
 TEST(Simulator, AfterSchedulesRelative) {
+  CallbackSink cb;
   Simulator sim;
-  sim.at(2.0, [&] {
-    sim.after(3.0, [&] { EXPECT_DOUBLE_EQ(sim.now(), 5.0); });
-  });
+  sim.schedule_at(2.0, cb.event([&] {
+    sim.schedule_after(3.0, cb.event([&] { EXPECT_DOUBLE_EQ(sim.now(), 5.0); }));
+  }));
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
 TEST(Simulator, PastTimesClampToNow) {
+  CallbackSink cb;
   Simulator sim;
   sim.run_until(10.0);
   bool ran = false;
-  sim.at(1.0, [&] {
+  sim.schedule_at(1.0, cb.event([&] {
     ran = true;
     EXPECT_GE(sim.now(), 10.0);
-  });
+  }));
   sim.run();
   EXPECT_TRUE(ran);
 }
 
 TEST(Simulator, RunUntilStopsAtBoundary) {
+  CallbackSink cb;
   Simulator sim;
   int count = 0;
-  sim.at(1.0, [&] { ++count; });
-  sim.at(2.0, [&] { ++count; });
-  sim.at(3.0, [&] { ++count; });
+  sim.schedule_at(1.0, cb.event([&] { ++count; }));
+  sim.schedule_at(2.0, cb.event([&] { ++count; }));
+  sim.schedule_at(3.0, cb.event([&] { ++count; }));
   sim.run_until(2.0);
   EXPECT_EQ(count, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
@@ -403,30 +406,25 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(Simulator, EveryRepeatsUntilFalse) {
-  Simulator sim;
-  int ticks = 0;
-  sim.every(1.0, 1.0, [&] { return ++ticks < 5; });
-  sim.run();
-  EXPECT_EQ(ticks, 5);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
 TEST(Simulator, RunCappedStopsEarly) {
+  RecordingSink sink;
   Simulator sim;
-  for (int i = 0; i < 10; ++i) sim.at(static_cast<double>(i), [] {});
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule_at(static_cast<double>(i), Event::typed(EventKind::kMaintenance, &sink));
+  }
   EXPECT_FALSE(sim.run_capped(5));
   EXPECT_TRUE(sim.run_capped(100));
 }
 
 TEST(Simulator, NestedSchedulingKeepsOrder) {
+  CallbackSink cb;
   Simulator sim;
   std::vector<int> order;
-  sim.at(1.0, [&] {
+  sim.schedule_at(1.0, cb.event([&] {
     order.push_back(1);
-    sim.at(1.0, [&] { order.push_back(2); });  // same timestamp, runs after
-  });
-  sim.at(2.0, [&] { order.push_back(3); });
+    sim.schedule_at(1.0, cb.event([&] { order.push_back(2); }));  // same timestamp, runs after
+  }));
+  sim.schedule_at(2.0, cb.event([&] { order.push_back(3); }));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }

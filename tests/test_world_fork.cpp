@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
 #include "core/session.h"
 #include "core/toposhot.h"
+#include "fault/fault.h"
 #include "graph/generators.h"
 #include "p2p/network.h"
 #include "p2p/node.h"
@@ -40,12 +42,22 @@ graph::Graph small_truth() {
 }
 
 /// Name-sorted JSON-ish fingerprint of a scenario's full metrics export.
-std::string metrics_fingerprint(core::Scenario& sc) {
+/// A fork rebuilds its queue by re-pushing the captured events, so a
+/// fork-vs-source comparison strips the timing-wheel `sim.queue.impl.*`
+/// gauges.
+std::string metrics_fingerprint(core::Scenario& sc, bool strip_queue_internals = false) {
   const obs::MetricsSnapshot snap = sc.snapshot_metrics();
+  const auto kept = [&](const std::string& k) {
+    return !strip_queue_internals || k.rfind("sim.queue.impl.", 0) != 0;
+  };
   std::string out;
   for (const auto& [k, v] : snap.counters) out += k + "=" + std::to_string(v) + ";";
-  for (const auto& [k, v] : snap.gauges) out += k + "=" + std::to_string(v) + ";";
-  for (const auto& [k, v] : snap.gauge_maxes) out += k + "^" + std::to_string(v) + ";";
+  for (const auto& [k, v] : snap.gauges) {
+    if (kept(k)) out += k + "=" + std::to_string(v) + ";";
+  }
+  for (const auto& [k, v] : snap.gauge_maxes) {
+    if (kept(k)) out += k + "^" + std::to_string(v) + ";";
+  }
   return out;
 }
 
@@ -72,13 +84,50 @@ TEST(SnapshotWorld, CapturesWarmedStateAndSurvivesBaseDestruction) {
   EXPECT_GT(fork->sim().processed(), 0u);
 }
 
-TEST(SnapshotWorld, RejectsPendingClosureEvents) {
+TEST(SnapshotWorld, ForkMidLinkChurnMatchesSource) {
   const graph::Graph truth = small_truth();
   core::Scenario base(truth, small_options());
   base.seed_background();
-  // Link churn schedules closures — symbolically untranslatable.
   base.net().start_link_churn(5.0);
+  base.sim().run_until(base.sim().now() + 2.0);
+  const uint64_t churned = base.net().churn_events();
+  ASSERT_GT(churned, 0u);
+
+  // The pending churn tick is captured like any other event and re-binds
+  // to the replica's network.
+  const core::WorldSnapshot snap = base.snapshot();
+  ASSERT_TRUE(std::any_of(snap.pending.begin(), snap.pending.end(), [](const auto& pe) {
+    return pe.ev.kind == sim::EventKind::kLinkChurn;
+  }));
+  auto fork = core::Scenario::fork(snap);
+  EXPECT_EQ(fork->net().churn_events(), churned);
+
+  const double until = base.sim().now() + 5.0;
+  base.sim().run_until(until);
+  fork->sim().run_until(until);
+  EXPECT_GT(base.net().churn_events(), churned) << "churn keeps running in the source";
+  EXPECT_EQ(fork->net().churn_events(), base.net().churn_events());
+  EXPECT_EQ(fork->net().snapshot_topology().edges(), base.net().snapshot_topology().edges());
+  EXPECT_EQ(metrics_fingerprint(*fork, /*strip_queue_internals=*/true),
+            metrics_fingerprint(base, /*strip_queue_internals=*/true));
+}
+
+TEST(SnapshotWorld, RejectsPendingEventsOfAnOutsideSink) {
+  const graph::Graph truth = small_truth();
+  core::Scenario base(truth, small_options());
+  base.seed_background();
+  fault::FaultPlan plan;
+  plan.scheduled.push_back(fault::NodeFaultEvent{base.sim().now() + 1.0, 2.0, 3, false});
+  fault::FaultInjector injector(plan, 9);
+  injector.install(base.net());
+  // The injector lives outside the world: its pending outage cannot be
+  // replayed into a fork.
   EXPECT_THROW((void)base.snapshot(), std::logic_error);
+  // Once the outage has started and its window closed, nothing of the
+  // injector's is pending and the world snapshots again.
+  base.sim().run_until(base.sim().now() + 5.0);
+  EXPECT_EQ(injector.unresponsive_windows(), 1u);
+  EXPECT_NO_THROW((void)base.snapshot());
 }
 
 TEST(ForkWorld, MutatingOneReplicaNeverLeaksIntoAnother) {
