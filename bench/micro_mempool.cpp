@@ -1,15 +1,36 @@
 // google-benchmark microbenchmarks for the mempool substrate: admission,
 // replacement, eviction floods, duplicate rejection, maintenance
-// truncation, block commits, and block packing.
+// truncation, block commits, block packing, and the flood cycle of a
+// campaign (with its heap allocations counted).
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "eth/miner.h"
 #include "mempool/client_profile.h"
 #include "mempool/mempool.h"
 #include "util/rng.h"
+
+// Heap allocations made by this binary, counted by the replacement global
+// operator new below (BM_MempoolFloodCycle reports them per cycle).
+std::atomic<uint64_t> g_allocations{0};
+
+// GCC flags free() on memory from operator new once both are inlined, not
+// knowing that this operator new is malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -134,6 +155,45 @@ void BM_MempoolOnBlock(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MempoolOnBlock)->Arg(5120);
+
+/// Chain view of the flood cycle: every account below `mined_below` has
+/// its nonce 0 confirmed.
+class FloodCycleChain final : public eth::StateView {
+ public:
+  eth::Nonce next_nonce(eth::Address a) const override { return a < mined_below ? 1 : 0; }
+  eth::Address mined_below = 1;
+};
+
+void BM_MempoolFloodCycle(benchmark::State& state) {
+  // The campaign's shape: a flood of futures from fresh accounts through a
+  // full pool, then the block that makes the flood's senders executable.
+  // Each flood outprices the previous one, so once the pool is full every
+  // admission evicts. allocs_per_op counts the heap allocations of one
+  // cycle's pool calls after three warm-up cycles (steady state).
+  const size_t capacity = static_cast<size_t>(state.range(0));
+  FloodCycleChain chain;
+  eth::TxFactory f;
+  mempool::Mempool pool(policy_with_capacity(capacity), &chain);
+  std::vector<eth::Address> senders(capacity);
+  eth::Address next_account = 1;
+  eth::Wei price = 100;
+  const auto cycle = [&] {
+    for (eth::Address& a : senders) {
+      a = next_account++;
+      benchmark::DoNotOptimize(pool.add(f.make(a, 1, ++price), 0.0));
+    }
+    chain.mined_below = next_account;
+    benchmark::DoNotOptimize(pool.on_block(senders));
+  };
+  for (int i = 0; i < 3; ++i) cycle();
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) cycle();
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before),
+      benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * capacity);
+}
+BENCHMARK(BM_MempoolFloodCycle)->Arg(512);
 
 void BM_MinerPackBlock(benchmark::State& state) {
   eth::MapState chain;

@@ -86,6 +86,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     'TopologyMonitor*' 'TopologyDiffTest*' 'MonitorStatusTest*' 'MonitorJson*'
     'MonitorSchedule*' 'MonitorRpc*' 'MonitorGolden*' 'EvaluateTracking*' 'EventLog*'
     'Health*' 'Prometheus*' 'Mempool*' '*MempoolFuzz*' 'FlatPriceIndex*' 'DiscV4*' 'Json*'
+    'Miner*' 'MeasurementLog*'
   )
   # ctest's `-N` listing in machine-readable form. Its display names
   # rewrite value-parameterized suffixes (`Fuzz/0 # GetParam() = 1` shows

@@ -35,7 +35,7 @@ size_t ClientProfiler::measure_capacity(const mempool::MempoolPolicy& policy) co
   // evict the cheapest entry, which is the first observable "full" event.
   for (uint64_t i = 0; i < probe_cap_; ++i) {
     const auto result = probe.add_pending(1000 + i);
-    if (!result.evicted.empty()) return probe.pool->size();
+    if (result.evicted) return probe.pool->size();
     if (!result.admitted()) return probe.pool->size();
   }
   return static_cast<size_t>(probe_cap_);
@@ -95,7 +95,7 @@ size_t ClientProfiler::measure_min_pending(const mempool::MempoolPolicy& policy,
     }
     const eth::Address prober = probe.accounts.create_one();
     const auto result = probe.add_future(prober, 1, 10'000);
-    return result.admitted() && !result.evicted.empty();
+    return result.admitted() && result.evicted.has_value();
   };
   size_t lo = 0, hi = capacity;
   if (evicts(0)) return 0;

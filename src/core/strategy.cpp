@@ -129,8 +129,7 @@ void DethnaStrategy::prepare(Scenario& sc) {
 }
 
 double DethnaStrategy::announce_gap() const {
-  return announce_gap_override_ > 0.0 ? announce_gap_override_
-                                      : link_latency_hint_ * kDethnaGapFactor;
+  return link_latency_hint_ * kDethnaGapFactor;
 }
 
 eth::Wei DethnaStrategy::marker_price() const { return below_market_price(m_.view()); }

@@ -215,9 +215,8 @@ class DethnaStrategy final : public StrategyBase {
                                  const std::vector<ParallelEdge>& edges) override;
 
   /// Classifier threshold: a sink whose echo trails the earliest echo by
-  /// more than this is ruled not-adjacent. 0 (default) derives it from the
-  /// calibrated link latency.
-  void set_announce_gap(double seconds) { announce_gap_override_ = seconds; }
+  /// more than this is ruled not-adjacent. Derived from the calibrated link
+  /// latency.
   double announce_gap() const;
 
  private:
@@ -226,8 +225,7 @@ class DethnaStrategy final : public StrategyBase {
                               const std::vector<ParallelEdge>& edges);
   eth::Wei marker_price() const;
 
-  double link_latency_hint_ = 0.05;      ///< overwritten by prepare()
-  double announce_gap_override_ = 0.0;   ///< 0 = derive from the hint
+  double link_latency_hint_ = 0.05;  ///< overwritten by prepare()
 };
 
 /// TxProbe-style rival: the announcement-blocking isolation prototyped in

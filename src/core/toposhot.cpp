@@ -280,10 +280,9 @@ Scenario::Scenario(const WorldSnapshot& snap)
   sim_->advance_seq(seq_floor);
   sim_->restore_state(snap.now, snap.events_processed, snap.queue_high_water, snap.dispatched);
 
-  // Peak telemetry is per-world: a replica starts its high-water gauges
+  // Peak telemetry is per-world: a replica starts its high-water gauge
   // from the restored level, exactly like a freshly rebuilt world whose
-  // warm phase creates no tombstones and leaves no payloads in flight.
-  metrics_.gauge("mempool.index.tombstone_peak").restore(0.0, 0.0);
+  // warm phase leaves no payloads in flight.
   net_->arena().reset_peak();
   metrics_.gauge("net.arena_peak").restore(0.0, 0.0);
 }

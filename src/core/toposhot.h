@@ -176,7 +176,6 @@ class Scenario : public sim::EventSink {
   /// measurement driver the scenario constructs. The tracer must outlive
   /// the scenario's measurement calls.
   void set_span_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
-  obs::SpanTracer* span_tracer() const { return tracer_; }
 
   /// Peer ids of the regular nodes, in ground-truth graph order.
   const std::vector<p2p::PeerId>& targets() const { return targets_; }

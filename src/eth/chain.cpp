@@ -8,9 +8,8 @@ Chain::Chain(uint64_t block_gas_limit, Wei base_fee)
     : gas_limit_(block_gas_limit), base_fee_(base_fee) {}
 
 Nonce Chain::next_nonce(Address a) const {
-  const State& s = *st_;
-  auto it = s.next_nonce.find(a);
-  return it == s.next_nonce.end() ? 0 : it->second;
+  const Nonce* n = st_->next_nonce.find(a);
+  return n == nullptr ? 0 : *n;
 }
 
 const Block& Chain::commit(Block b) {
@@ -32,13 +31,12 @@ const Block& Chain::commit(Block b) {
   return stored;
 }
 
-std::vector<Address> Chain::senders_since(uint64_t from) const {
-  std::vector<Address> out;
+void Chain::senders_since(uint64_t from, std::vector<Address>& out) const {
+  out.clear();
   const std::vector<Block>& blocks = st_->blocks;
   for (size_t h = from; h < blocks.size(); ++h) {
     for (const auto& tx : blocks[h].txs) out.push_back(tx.sender);
   }
-  return out;
 }
 
 std::vector<const Block*> Chain::blocks_in(double t1, double t2) const {

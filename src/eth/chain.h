@@ -1,12 +1,12 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "eth/account.h"
 #include "eth/block.h"
 #include "util/cow.h"
+#include "util/flat_hash_map.h"
 
 namespace topo::eth {
 
@@ -50,14 +50,15 @@ class Chain final : public StateView {
   /// cumulative gauges use +infinity).
   std::vector<const Block*> blocks_in(double t1, double t2) const;
 
-  /// Senders of every transaction in blocks [from, height()), in block
-  /// order (repeats kept). commit() is the only writer of confirmed nonces,
-  /// so these are the only accounts whose next_nonce moved since the chain
-  /// was `from` blocks high.
-  std::vector<Address> senders_since(uint64_t from) const;
+  /// Replaces `out` with the senders of every transaction in blocks
+  /// [from, height()), in block order (repeats kept). commit() is the only
+  /// writer of confirmed nonces, so these are the only accounts whose
+  /// next_nonce moved since the chain was `from` blocks high. Callers keep
+  /// `out` as a scratch buffer across blocks.
+  void senders_since(uint64_t from, std::vector<Address>& out) const;
 
   /// True if a transaction with this hash has been included in any block.
-  bool includes(TxHash h) const { return st_->included.count(h) > 0; }
+  bool includes(TxHash h) const { return st_->included.find(h) != nullptr; }
 
   /// Observer invoked after each commit (nodes subscribe to prune mempools).
   void subscribe(std::function<void(const Block&)> fn) { observers_.push_back(std::move(fn)); }
@@ -66,8 +67,8 @@ class Chain final : public StateView {
   /// Ledger content behind the copy-on-write handle.
   struct State {
     std::vector<Block> blocks;
-    std::unordered_map<Address, Nonce> next_nonce;
-    std::unordered_map<TxHash, uint64_t> included;  // hash -> block number
+    util::FlatHashMap<Nonce> next_nonce;
+    util::FlatHashMap<uint64_t> included;  // hash -> block number
   };
 
  public:

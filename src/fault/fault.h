@@ -104,9 +104,6 @@ class FaultInjector final : public p2p::FaultHook, public sim::EventSink {
   const FaultPlan& plan() const { return plan_; }
 
   // Tallies (kept locally so tests need no metrics registry).
-  uint64_t dropped_tx() const { return dropped_tx_; }
-  uint64_t dropped_announce() const { return dropped_announce_; }
-  uint64_t dropped_get_tx() const { return dropped_get_tx_; }
   uint64_t dropped_total() const {
     return dropped_tx_ + dropped_announce_ + dropped_get_tx_;
   }

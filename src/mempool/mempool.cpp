@@ -37,8 +37,6 @@ PoolObs PoolObs::wire(obs::MetricsRegistry& reg) {
   o.evictions_basefee = &reg.counter("mempool.evictions.basefee");
   o.drops_mined = &reg.counter("mempool.drops.mined");
   o.occupancy = &reg.histogram("mempool.occupancy", obs::fraction_bounds());
-  o.index_compactions = &reg.counter("mempool.index.compactions");
-  o.index_tombstone_peak = &reg.gauge("mempool.index.tombstone_peak");
   o.trace = &reg.trace();
   return o;
 }
@@ -48,9 +46,9 @@ Mempool::Mempool(MempoolPolicy policy, const eth::StateView* state)
   assert(state_ != nullptr);
 }
 
-const Mempool::AccountQueue* Mempool::account(const State& s, eth::Address sender) {
+const Mempool::Account* Mempool::account(const State& s, eth::Address sender) {
   const uint32_t* slot = s.slot_of.find(sender);
-  return slot == nullptr ? nullptr : &s.slot_queue[*slot];
+  return slot == nullptr ? nullptr : &s.slots[*slot];
 }
 
 uint32_t Mempool::ensure_slot(State& s, eth::Address sender, eth::Nonce chain_next) {
@@ -59,62 +57,72 @@ uint32_t Mempool::ensure_slot(State& s, eth::Address sender, eth::Nonce chain_ne
   if (!s.free_slots.empty()) {
     slot = s.free_slots.back();
     s.free_slots.pop_back();
-    s.slot_addr[slot] = sender;
   } else {
-    slot = static_cast<uint32_t>(s.slot_addr.size());
-    s.slot_addr.push_back(sender);
-    s.slot_queue.emplace_back();
+    slot = static_cast<uint32_t>(s.slots.size());
+    s.slots.emplace_back();
   }
   s.slot_of.insert(sender, slot);
-  s.slot_queue[slot].classified_at = chain_next;
+  s.slots[slot].addr = sender;
+  s.slots[slot].classified_at = chain_next;
   return slot;
 }
 
 void Mempool::release_slot(State& s, uint32_t slot) {
-  assert(s.slot_queue[slot].txs.empty());
-  s.slot_of.erase(s.slot_addr[slot]);
-  s.slot_addr[slot] = eth::kNoAddress;
-  s.slot_queue[slot] = AccountQueue{};  // release the queue's allocation
+  assert(s.slots[slot].head == kNil);
+  s.slot_of.erase(s.slots[slot].addr);
+  s.slots[slot] = Account{};
   s.free_slots.push_back(slot);
 }
 
-void Mempool::promote(State& s, AccountQueue& q, Entry& e) {
-  assert(!e.pending && q.futures > 0);
-  e.pending = true;
-  ++s.pending_count;
-  --q.futures;
-  s.future_index.erase(key_of(e), index_compactions(), index_tombstone_peak());
+uint32_t Mempool::lower_bound(const State& s, const Account& a, eth::Nonce n) {
+  // Runs are short and offers mostly extend them, so check the tail first.
+  if (a.tail == kNil || s.entries[a.tail].tx.nonce < n) return kNil;
+  uint32_t i = a.head;
+  while (s.entries[i].tx.nonce < n) i = s.entries[i].next;
+  return i;
 }
 
-void Mempool::demote(State& s, AccountQueue& q, Entry& e) {
-  assert(e.pending && s.pending_count > 0);
-  e.pending = false;
+void Mempool::promote(State& s, uint32_t e) {
+  Entry& entry = s.entries[e];
+  Account& a = s.slots[entry.slot];
+  assert(!entry.pending && a.futures > 0);
+  entry.pending = true;
+  ++s.pending_count;
+  --a.futures;
+  s.future_index.erase(e);
+}
+
+void Mempool::demote(State& s, uint32_t e) {
+  Entry& entry = s.entries[e];
+  assert(entry.pending && s.pending_count > 0);
+  entry.pending = false;
   --s.pending_count;
-  ++q.futures;
-  s.future_index.insert(key_of(e));
+  ++s.slots[entry.slot].futures;
+  s.future_index.insert(key_of(entry), e);
 }
 
 void Mempool::reclassify(State& s, uint32_t slot, std::vector<eth::Transaction>* promoted) {
-  AccountQueue& q = s.slot_queue[slot];
-  eth::Nonce expected = state_->next_nonce(s.slot_addr[slot]);
-  q.classified_at = expected;
-  for (Entry& e : q.txs) {
+  Account& a = s.slots[slot];
+  eth::Nonce expected = state_->next_nonce(a.addr);
+  a.classified_at = expected;
+  for (uint32_t i = a.head; i != kNil; i = s.entries[i].next) {
+    const Entry& e = s.entries[i];
     const bool now_pending = (e.tx.nonce == expected);
     if (now_pending) ++expected;
     if (now_pending && !e.pending) {
-      promote(s, q, e);
+      promote(s, i);
       if (promoted) promoted->push_back(e.tx);
     } else if (!now_pending && e.pending) {
-      demote(s, q, e);
+      demote(s, i);
     }
   }
 }
 
-void Mempool::reclassify_after_remove(State& s, uint32_t slot, eth::Nonce nonce,
+void Mempool::reclassify_after_remove(State& s, uint32_t slot, uint32_t follower,
                                       bool was_pending) {
-  if (s.slot_addr[slot] == eth::kNoAddress) return;  // the removal emptied the account
-  AccountQueue& q = s.slot_queue[slot];
-  if (q.classified_at != state_->next_nonce(s.slot_addr[slot])) {
+  const Account& a = s.slots[slot];
+  if (a.addr == eth::kNoAddress) return;  // the removal emptied the account
+  if (a.classified_at != state_->next_nonce(a.addr)) {
     reclassify(s, slot, nullptr);
     return;
   }
@@ -122,47 +130,53 @@ void Mempool::reclassify_after_remove(State& s, uint32_t slot, eth::Nonce nonce,
   // removed future leaves it intact; a removed pending entry cuts it, and
   // everything of the run behind the gap becomes future, in nonce order.
   if (!was_pending) return;
-  for (auto it = q.lower_bound(nonce); it != q.txs.end() && it->pending; ++it) demote(s, q, *it);
+  for (uint32_t i = follower; i != kNil && s.entries[i].pending; i = s.entries[i].next) {
+    demote(s, i);
+  }
 }
 
-Mempool::Entry Mempool::remove_entry(State& s, uint32_t slot, eth::Nonce nonce) {
-  AccountQueue& q = s.slot_queue[slot];
-  auto eit = q.find(nonce);
-  assert(eit != q.txs.end());
-  Entry entry = std::move(*eit);
+uint32_t Mempool::remove_entry(State& s, uint32_t e) {
+  Entry& entry = s.entries[e];
+  const uint32_t slot = entry.slot;
+  Account& a = s.slots[slot];
   if (entry.pending) {
     --s.pending_count;
   } else {
-    assert(q.futures > 0 && "account future count drifted");
-    --q.futures;
-    s.future_index.erase(key_of(entry), index_compactions(), index_tombstone_peak());
+    assert(a.futures > 0 && "account future count drifted");
+    --a.futures;
+    s.future_index.erase(e);
   }
-  s.price_index.erase(key_of(entry), index_compactions(), index_tombstone_peak());
+  s.price_index.erase(e);
   s.txs.erase(entry.hash);
-  q.txs.erase(eit);
-  if (q.txs.empty()) release_slot(s, slot);
+  const uint32_t follower = entry.next;
+  (entry.prev == kNil ? a.head : s.entries[entry.prev].next) = entry.next;
+  (entry.next == kNil ? a.tail : s.entries[entry.next].prev) = entry.prev;
+  entry.slot = kNil;
+  entry.prev = kNil;
+  entry.next = s.free_entry;
+  s.free_entry = e;
+  if (a.head == kNil) release_slot(s, slot);
   --s.size;
-  return entry;
+  return follower;
 }
 
-eth::Transaction Mempool::drop(State& s, TxLoc loc) {
-  Entry entry = remove_entry(s, loc.slot, loc.nonce);
-  reclassify_after_remove(s, loc.slot, loc.nonce, entry.pending);
-  return std::move(entry.tx);
+void Mempool::drop(State& s, uint32_t e) {
+  const uint32_t slot = s.entries[e].slot;
+  const bool was_pending = s.entries[e].pending;
+  const uint32_t follower = remove_entry(s, e);
+  reclassify_after_remove(s, slot, follower, was_pending);
 }
 
-std::optional<Mempool::TxLoc> Mempool::pick_victim(State& s, eth::Wei incoming_price,
-                                                   bool incoming_is_pending) {
+uint32_t Mempool::pick_victim(const State& s, eth::Wei incoming_price,
+                              bool incoming_is_pending) const {
   // Futures-only eviction: a future incomer may never displace a pending
   // transaction (the DETER countermeasure; defeats TopoShot's flood).
-  FlatPriceIndex& index =
+  const FlatPriceIndex& index =
       (policy_.victim == EvictionVictim::kFuturesFirst && !incoming_is_pending)
           ? s.future_index
           : s.price_index;
-  if (index.empty()) return std::nullopt;
-  const PriceKey key = index.min();
-  if (key.price >= incoming_price) return std::nullopt;
-  return *s.txs.find(key.hash);
+  if (index.empty() || index.min().price >= incoming_price) return kNil;
+  return index.min_entry();
 }
 
 AdmitResult Mempool::add(const eth::Transaction& tx, eth::TxHash hash, double now) {
@@ -182,12 +196,11 @@ void Mempool::record_admit(const eth::Transaction& tx, const AdmitResult& result
   if (result.replaced && obs_->trace != nullptr) {
     obs_->trace->push(now, obs::TraceKind::kTxReplaced, tx.id, result.replaced->id);
   }
-  if (!result.evicted.empty()) {
-    obs_->evictions->inc(result.evicted.size());
-    obs_->evictions_price->inc(result.evicted.size());
+  if (result.evicted) {
+    obs_->evictions->inc();
+    obs_->evictions_price->inc();
     if (obs_->trace != nullptr) {
-      for (const auto& e : result.evicted)
-        obs_->trace->push(now, obs::TraceKind::kTxEvicted, e.id);
+      obs_->trace->push(now, obs::TraceKind::kTxEvicted, result.evicted->id);
     }
   }
 }
@@ -196,7 +209,7 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, eth::TxHash hash, doub
   AdmitResult result;
 
   // Read-only early-outs run against the shared state: a forked pool that
-  // only ever rejects duplicates/stale nonces never clones its base.
+  // only ever rejects never clones its base.
   const State& cs = *st_;
   if (cs.txs.find(hash) != nullptr) {
     result.code = AdmitCode::kRejectedDuplicate;
@@ -212,30 +225,27 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, eth::TxHash hash, doub
     return result;
   }
 
-  const AccountQueue* cq = account(cs, tx.sender);
-  if (cq != nullptr) {
-    auto eit = cq->find(tx.nonce);
-    if (eit != cq->txs.end()) {
+  const Account* ca = account(cs, tx.sender);
+  if (ca != nullptr) {
+    const uint32_t at = lower_bound(cs, *ca, tx.nonce);
+    if (at != kNil && cs.entries[at].tx.nonce == tx.nonce) {
       // Replacement path: same sender and nonce (§2 event 1b).
-      if (!policy_.accepts_replacement(eit->tx.pool_price(), tx.pool_price())) {
+      if (!policy_.accepts_replacement(cs.entries[at].tx.pool_price(), tx.pool_price())) {
         result.code = AdmitCode::kRejectedUnderpricedReplacement;
         return result;
       }
       State& s = st_.mutate();
-      const uint32_t slot = *s.slot_of.find(tx.sender);
-      Entry& old = *s.slot_queue[slot].find(tx.nonce);
+      Entry& old = s.entries[at];
       result.replaced = old.tx;
-      s.price_index.erase(key_of(old), index_compactions(), index_tombstone_peak());
-      if (!old.pending) {
-        s.future_index.erase(key_of(old), index_compactions(), index_tombstone_peak());
-      }
+      s.price_index.erase(at);
+      if (!old.pending) s.future_index.erase(at);
       s.txs.erase(old.hash);
       old.tx = tx;
       old.hash = hash;
       old.added_at = now;
-      s.price_index.insert(key_of(old));
-      if (!old.pending) s.future_index.insert(key_of(old));
-      s.txs.insert(hash, TxLoc{slot, tx.nonce});
+      s.price_index.insert(key_of(old), at);
+      if (!old.pending) s.future_index.insert(key_of(old), at);
+      s.txs.insert(hash, at);
       track_added_at(s, now);
       result.code = AdmitCode::kReplaced;
       return result;
@@ -244,89 +254,112 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, eth::TxHash hash, doub
 
   // Fresh entry: decide pending vs future by the consecutive-nonce rule.
   bool is_pending = (tx.nonce == chain_next);
-  if (!is_pending && cq != nullptr) {
+  if (!is_pending && ca != nullptr) {
     // Pending if every nonce in [chain_next, tx.nonce) is already buffered.
     eth::Nonce expected = chain_next;
-    for (auto it = cq->lower_bound(chain_next);
-         it != cq->txs.end() && it->tx.nonce == expected && expected < tx.nonce; ++it) {
+    for (uint32_t i = lower_bound(cs, *ca, chain_next);
+         i != kNil && cs.entries[i].tx.nonce == expected && expected < tx.nonce;
+         i = cs.entries[i].next) {
       ++expected;
     }
     is_pending = (expected == tx.nonce);
   }
 
   if (!is_pending) {
-    const size_t have = cq != nullptr ? cq->futures : 0;
+    const size_t have = ca != nullptr ? ca->futures : 0;
     if (have >= policy_.max_futures_per_account) {
       result.code = AdmitCode::kRejectedFutureLimit;
       return result;
     }
   }
-  if (cs.size >= policy_.capacity && !is_pending &&
-      cs.pending_count < policy_.min_pending_for_eviction) {
-    // Eviction gate (§2 event 1a): a future incomer additionally requires
-    // at least P pending transactions in the pool.
-    result.code = AdmitCode::kRejectedEvictionForbidden;
-    return result;
-  }
-
-  // Every remaining outcome mutates (victim selection reads the price
-  // heaps, which settle lazy deletions — a physical write).
-  State& s = st_.mutate();
-  // is_pending was judged on the incomer's account as it stood; evicting
-  // one of that account's own entries invalidates it.
-  bool full_walk = false;
-  if (s.size >= policy_.capacity) {
-    auto victim = pick_victim(s, tx.pool_price(), is_pending);
-    if (!victim && is_pending && !s.future_index.empty()) {
+  uint32_t victim = kNil;
+  if (cs.size >= policy_.capacity) {
+    if (!is_pending && cs.pending_count < policy_.min_pending_for_eviction) {
+      // Eviction gate (§2 event 1a): a future incomer additionally requires
+      // at least P pending transactions in the pool.
+      result.code = AdmitCode::kRejectedEvictionForbidden;
+      return result;
+    }
+    victim = pick_victim(cs, tx.pool_price(), is_pending);
+    if (victim == kNil && is_pending && !cs.future_index.empty()) {
       // Executable transactions outrank queued ones: when the pool is full
       // and nothing is cheaper, a pending incomer still displaces the
       // cheapest *future* (Geth's pending/queue split — the queue is
       // second-class and would be truncated by the next reorg anyway).
-      victim = *s.txs.find(s.future_index.min().hash);
+      victim = cs.future_index.min_entry();
     }
-    if (!victim) {
+    if (victim == kNil) {
       result.code = AdmitCode::kRejectedPoolFull;
       return result;
     }
-    if (s.slot_addr[victim->slot] == tx.sender) {
-      result.evicted.push_back(remove_entry(s, victim->slot, victim->nonce).tx);
+  }
+
+  // Every remaining outcome mutates.
+  State& s = st_.mutate();
+  promoted_.clear();
+  // is_pending was judged on the incomer's account as it stood; evicting
+  // one of that account's own entries invalidates it.
+  bool full_walk = false;
+  if (victim != kNil) {
+    result.evicted = s.entries[victim].tx;
+    if (result.evicted->sender == tx.sender) {
+      remove_entry(s, victim);
       full_walk = true;
     } else {
       // Removing a mid-queue pending entry demotes its followers.
-      result.evicted.push_back(drop(s, *victim));
+      drop(s, victim);
     }
   }
 
   const uint32_t slot = ensure_slot(s, tx.sender, chain_next);
-  AccountQueue& q = s.slot_queue[slot];
-  auto pos = q.txs.insert(q.lower_bound(tx.nonce), Entry{tx, hash, now, false});
-  ++q.futures;  // admitted as future; promoted below if it extends the run
-  s.price_index.insert(key_of(*pos));
-  s.future_index.insert(key_of(*pos));
-  s.txs.insert(hash, TxLoc{slot, tx.nonce});
+  const uint32_t before = lower_bound(s, s.slots[slot], tx.nonce);
+  uint32_t e;
+  if (s.free_entry != kNil) {
+    e = s.free_entry;
+    s.free_entry = s.entries[e].next;
+  } else {
+    e = static_cast<uint32_t>(s.entries.size());
+    s.entries.emplace_back();
+  }
+  Account& a = s.slots[slot];
+  Entry& entry = s.entries[e];
+  entry.tx = tx;
+  entry.hash = hash;
+  entry.added_at = now;
+  entry.slot = slot;
+  entry.pending = false;  // admitted as future; promoted below if it extends the run
+  entry.next = before;
+  entry.prev = before == kNil ? a.tail : s.entries[before].prev;
+  (entry.prev == kNil ? a.head : s.entries[entry.prev].next) = e;
+  (before == kNil ? a.tail : s.entries[before].prev) = e;
+  ++a.futures;
+  s.price_index.insert(key_of(entry), e);
+  s.future_index.insert(key_of(entry), e);
+  s.txs.insert(hash, e);
   ++s.size;
   track_added_at(s, now);
 
   bool self_pending = false;
-  if (full_walk || q.classified_at != chain_next) {
+  if (full_walk || a.classified_at != chain_next) {
     // Stale flags (the chain moved since this account was classified) or
     // a same-account eviction: recompute the whole account. The incoming
     // tx itself is not a "promotion"; separate it out.
-    reclassify(s, slot, &result.promoted);
-    self_pending = q.find(tx.nonce)->pending;
-    std::erase_if(result.promoted,
-                  [&](const eth::Transaction& p) { return p.nonce == tx.nonce; });
+    reclassify(s, slot, &promoted_);
+    self_pending = s.entries[e].pending;
+    std::erase_if(promoted_, [&](const eth::Transaction& p) { return p.nonce == tx.nonce; });
   } else if (is_pending) {
     // The incomer extends the pending run; the futures queued right
     // behind it, up to the next gap, join the run too.
-    promote(s, q, *pos);
+    promote(s, e);
     self_pending = true;
     eth::Nonce expected = tx.nonce + 1;
-    for (auto it = pos + 1; it != q.txs.end() && it->tx.nonce == expected; ++it, ++expected) {
-      promote(s, q, *it);
-      result.promoted.push_back(it->tx);
+    for (uint32_t i = s.entries[e].next; i != kNil && s.entries[i].tx.nonce == expected;
+         i = s.entries[i].next, ++expected) {
+      promote(s, i);
+      promoted_.push_back(s.entries[i].tx);
     }
   }
+  result.promoted = promoted_;
   result.code = self_pending ? AdmitCode::kAddedPending : AdmitCode::kAddedFuture;
   return result;
 }
@@ -339,7 +372,8 @@ void Mempool::track_added_at(State& s, double now) {
 }
 
 PoolUpdate Mempool::maintain(double now) {
-  PoolUpdate update;
+  dropped_.clear();
+  promoted_.clear();
   const State& cs = *st_;
   if (obs_ != nullptr && obs_->occupancy != nullptr && policy_.capacity > 0) {
     obs_->occupancy->observe(static_cast<double>(cs.size) /
@@ -350,27 +384,35 @@ PoolUpdate Mempool::maintain(double now) {
   // maintenance tick of an untouched forked pool stays read-only (no
   // copy-on-write clone).
 
+  // Drops the entries collected in scratch_ (slot order, nonce order).
+  const auto drop_scratch = [this](State& s) {
+    for (uint32_t e : scratch_) {
+      dropped_.push_back(s.entries[e].tx);
+      drop(s, e);
+    }
+  };
+
   // 1. Expiry (Geth drops unconfirmed transactions after e hours). The
   // min_added_at guard makes the common no-expiry call O(1).
   if (policy_.expiry_seconds > 0.0 && cs.min_added_valid &&
       cs.min_added_at + policy_.expiry_seconds <= now) {
     State& s = st_.mutate();
-    std::vector<TxLoc> expired;
+    scratch_.clear();
     double oldest_remaining = now;
-    for (uint32_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-      if (s.slot_addr[slot] == eth::kNoAddress) continue;
-      for (const Entry& e : s.slot_queue[slot].txs) {
+    for (const Account& a : s.slots) {
+      for (uint32_t i = a.head; i != kNil; i = s.entries[i].next) {
+        const Entry& e = s.entries[i];
         if (e.added_at + policy_.expiry_seconds <= now) {
-          expired.push_back({slot, e.tx.nonce});
+          scratch_.push_back(i);
         } else {
           oldest_remaining = std::min(oldest_remaining, e.added_at);
         }
       }
     }
-    for (const TxLoc& loc : expired) update.dropped.push_back(drop(s, loc));
-    if (obs_ != nullptr && !expired.empty()) {
-      obs_->evictions->inc(expired.size());
-      obs_->evictions_expired->inc(expired.size());
+    drop_scratch(s);
+    if (obs_ != nullptr && !scratch_.empty()) {
+      obs_->evictions->inc(scratch_.size());
+      obs_->evictions_expired->inc(scratch_.size());
     }
     s.min_added_at = oldest_remaining;
     s.min_added_valid = s.size > 0;
@@ -380,17 +422,17 @@ PoolUpdate Mempool::maintain(double now) {
   // Only rescanned when the base fee actually moved.
   if (policy_.eip1559 && base_fee_ > 0 && base_fee_ != cs.last_pruned_base_fee) {
     State& s = st_.mutate();
-    std::vector<TxLoc> under;
-    for (uint32_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-      if (s.slot_addr[slot] == eth::kNoAddress) continue;
-      for (const Entry& e : s.slot_queue[slot].txs) {
-        if (e.tx.fee1559 && e.tx.fee1559->max_fee < base_fee_) under.push_back({slot, e.tx.nonce});
+    scratch_.clear();
+    for (const Account& a : s.slots) {
+      for (uint32_t i = a.head; i != kNil; i = s.entries[i].next) {
+        const eth::Transaction& tx = s.entries[i].tx;
+        if (tx.fee1559 && tx.fee1559->max_fee < base_fee_) scratch_.push_back(i);
       }
     }
-    for (const TxLoc& loc : under) update.dropped.push_back(drop(s, loc));
-    if (obs_ != nullptr && !under.empty()) {
-      obs_->evictions->inc(under.size());
-      obs_->evictions_basefee->inc(under.size());
+    drop_scratch(s);
+    if (obs_ != nullptr && !scratch_.empty()) {
+      obs_->evictions->inc(scratch_.size());
+      obs_->evictions_basefee->inc(scratch_.size());
     }
     s.last_pruned_base_fee = base_fee_;
   }
@@ -400,7 +442,9 @@ PoolUpdate Mempool::maintain(double now) {
   if (st_->size - st_->pending_count > policy_.future_cap && !st_->future_index.empty()) {
     State& s = st_.mutate();
     while (s.size - s.pending_count > policy_.future_cap && !s.future_index.empty()) {
-      update.dropped.push_back(drop(s, *s.txs.find(s.future_index.min().hash)));
+      const uint32_t e = s.future_index.min_entry();
+      dropped_.push_back(s.entries[e].tx);
+      drop(s, e);
       ++truncated;
     }
   }
@@ -408,35 +452,38 @@ PoolUpdate Mempool::maintain(double now) {
     obs_->evictions->inc(truncated);
     obs_->evictions_truncated->inc(truncated);
     if (obs_->trace != nullptr) {
-      for (auto it = update.dropped.end() - static_cast<ptrdiff_t>(truncated);
-           it != update.dropped.end(); ++it) {
+      for (auto it = dropped_.end() - static_cast<ptrdiff_t>(truncated); it != dropped_.end();
+           ++it) {
         obs_->trace->push(now, obs::TraceKind::kTxEvicted, it->id);
       }
     }
   }
 
-  return update;
+  return PoolUpdate{dropped_, promoted_};
 }
 
 PoolUpdate Mempool::on_block(const std::vector<eth::Address>& senders) {
-  PoolUpdate update;
+  dropped_.clear();
+  promoted_.clear();
 
   // Only the named senders' chain nonces moved, so only their accounts can
   // hold stale entries or stale classes. Visit them in slot order — the
   // order promotions propagate in and released slots join the free list.
   const State& cs = *st_;
-  std::vector<uint32_t> slots;
+  scratch_.clear();
   for (eth::Address sender : senders) {
-    if (const uint32_t* slot = cs.slot_of.find(sender)) slots.push_back(*slot);
+    if (const uint32_t* slot = cs.slot_of.find(sender)) scratch_.push_back(*slot);
   }
-  std::sort(slots.begin(), slots.end());
-  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  std::sort(scratch_.begin(), scratch_.end());
+  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()), scratch_.end());
 
   // Read-only pre-check: pools the blocks leave untouched skip the
   // copy-on-write clone entirely.
   const auto dirty = [&](uint32_t slot) {
-    eth::Nonce expected = state_->next_nonce(cs.slot_addr[slot]);
-    for (const Entry& e : cs.slot_queue[slot].txs) {
+    const Account& a = cs.slots[slot];
+    eth::Nonce expected = state_->next_nonce(a.addr);
+    for (uint32_t i = a.head; i != kNil; i = cs.entries[i].next) {
+      const Entry& e = cs.entries[i];
       if (e.tx.nonce < expected) return true;  // stale entry to drop
       const bool now_pending = (e.tx.nonce == expected);
       if (now_pending) ++expected;
@@ -444,73 +491,55 @@ PoolUpdate Mempool::on_block(const std::vector<eth::Address>& senders) {
     }
     return false;
   };
-  if (std::none_of(slots.begin(), slots.end(), dirty)) return update;
+  if (std::none_of(scratch_.begin(), scratch_.end(), dirty)) return PoolUpdate{};
 
   // Drop entries the chain has consumed (mined or made stale), then re-run
   // the account's classification to promote unblocked futures.
   State& s = st_.mutate();
-  for (uint32_t slot : slots) {
-    const eth::Nonce next = state_->next_nonce(s.slot_addr[slot]);
-    while (s.slot_addr[slot] != eth::kNoAddress && s.slot_queue[slot].txs.front().tx.nonce < next) {
-      update.dropped.push_back(
-          remove_entry(s, slot, s.slot_queue[slot].txs.front().tx.nonce).tx);
+  for (uint32_t slot : scratch_) {
+    const eth::Nonce next = state_->next_nonce(s.slots[slot].addr);
+    while (s.slots[slot].head != kNil && s.entries[s.slots[slot].head].tx.nonce < next) {
+      const uint32_t head = s.slots[slot].head;
+      dropped_.push_back(s.entries[head].tx);
+      remove_entry(s, head);
     }
-    if (s.slot_addr[slot] != eth::kNoAddress) reclassify(s, slot, &update.promoted);
+    if (s.slots[slot].head != kNil) reclassify(s, slot, &promoted_);
   }
-  if (obs_ != nullptr && !update.dropped.empty()) obs_->drops_mined->inc(update.dropped.size());
-  return update;
+  if (obs_ != nullptr && !dropped_.empty()) obs_->drops_mined->inc(dropped_.size());
+  return PoolUpdate{dropped_, promoted_};
 }
 
 const eth::Transaction* Mempool::find(eth::Address sender, eth::Nonce nonce) const {
-  const AccountQueue* q = account(*st_, sender);
-  if (q == nullptr) return nullptr;
-  auto eit = q->find(nonce);
-  return eit == q->txs.end() ? nullptr : &eit->tx;
+  const State& s = *st_;
+  const Account* a = account(s, sender);
+  if (a == nullptr) return nullptr;
+  const uint32_t i = lower_bound(s, *a, nonce);
+  return (i != kNil && s.entries[i].tx.nonce == nonce) ? &s.entries[i].tx : nullptr;
 }
 
 const eth::Transaction* Mempool::find_hash(eth::TxHash h) const {
   const State& s = *st_;
-  const TxLoc* loc = s.txs.find(h);
-  if (loc == nullptr) return nullptr;
-  return &s.slot_queue[loc->slot].find(loc->nonce)->tx;
+  const uint32_t* e = s.txs.find(h);
+  return e == nullptr ? nullptr : &s.entries[*e].tx;
 }
 
 size_t Mempool::futures_of(eth::Address sender) const {
-  const AccountQueue* q = account(*st_, sender);
-  return q == nullptr ? 0 : q->futures;
+  const Account* a = account(*st_, sender);
+  return a == nullptr ? 0 : a->futures;
 }
 
 eth::Wei Mempool::lowest_price() const {
-  // Slot-order scan instead of price_index.min(): reading the heap settles
-  // lazy deletions, which would physically write through the shared
-  // copy-on-write handle.
   const State& s = *st_;
-  if (s.size == 0) return 0;
-  eth::Wei best = 0;
-  bool found = false;
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const Entry& e : s.slot_queue[slot].txs) {
-      const eth::Wei p = e.tx.pool_price();
-      if (!found || p < best) {
-        best = p;
-        found = true;
-      }
-    }
-  }
-  return best;
+  return s.price_index.empty() ? 0 : s.price_index.min().price;
 }
 
 eth::Wei Mempool::median_pending_price() const {
   const State& s = *st_;
   std::vector<eth::Wei> prices;
   prices.reserve(s.pending_count);
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const Entry& e : s.slot_queue[slot].txs) {
-      if (e.pending) prices.push_back(e.tx.pool_price());
-    }
-  }
+  for_each_entry(s, [&](const Entry& e) {
+    if (e.pending) prices.push_back(e.tx.pool_price());
+  });
   if (prices.empty()) return 0;
   std::sort(prices.begin(), prices.end());
   return prices[prices.size() / 2];
@@ -520,12 +549,9 @@ std::vector<eth::Transaction> Mempool::pending_snapshot() const {
   const State& s = *st_;
   std::vector<eth::Transaction> out;
   out.reserve(s.pending_count);
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const Entry& e : s.slot_queue[slot].txs) {
-      if (e.pending) out.push_back(e.tx);
-    }
-  }
+  for_each_entry(s, [&](const Entry& e) {
+    if (e.pending) out.push_back(e.tx);
+  });
   return out;
 }
 
@@ -535,11 +561,10 @@ const eth::Transaction* Mempool::random_pending(util::Rng& rng) const {
   size_t k = rng.index(s.pending_count);
   // Same iteration order as pending_snapshot(), so the k-th pending entry
   // here is the entry snapshot[k] would hold.
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const Entry& e : s.slot_queue[slot].txs) {
-      if (!e.pending) continue;
-      if (k == 0) return &e.tx;
+  for (const Account& a : s.slots) {
+    for (uint32_t i = a.head; i != kNil; i = s.entries[i].next) {
+      if (!s.entries[i].pending) continue;
+      if (k == 0) return &s.entries[i].tx;
       --k;
     }
   }
@@ -556,12 +581,9 @@ std::vector<eth::Transaction> Mempool::future_snapshot() const {
   const State& s = *st_;
   std::vector<eth::Transaction> out;
   out.reserve(s.size - s.pending_count);
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const Entry& e : s.slot_queue[slot].txs) {
-      if (!e.pending) out.push_back(e.tx);
-    }
-  }
+  for_each_entry(s, [&](const Entry& e) {
+    if (!e.pending) out.push_back(e.tx);
+  });
   return out;
 }
 
@@ -569,10 +591,7 @@ std::vector<eth::Transaction> Mempool::all_snapshot() const {
   const State& s = *st_;
   std::vector<eth::Transaction> out;
   out.reserve(s.size);
-  for (size_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    if (s.slot_addr[slot] == eth::kNoAddress) continue;
-    for (const Entry& e : s.slot_queue[slot].txs) out.push_back(e.tx);
-  }
+  for_each_entry(s, [&](const Entry& e) { out.push_back(e.tx); });
   return out;
 }
 
@@ -586,43 +605,63 @@ void Mempool::check_invariants() const {
   size_t size = 0;
   size_t pending = 0;
   size_t live_slots = 0;
-  for (uint32_t slot = 0; slot < s.slot_addr.size(); ++slot) {
-    const eth::Address sender = s.slot_addr[slot];
-    const AccountQueue& q = s.slot_queue[slot];
-    if (sender == eth::kNoAddress) {
-      require(q.txs.empty(), "a free slot holds entries");
+  for (uint32_t slot = 0; slot < s.slots.size(); ++slot) {
+    const Account& a = s.slots[slot];
+    if (a.addr == eth::kNoAddress) {
+      require(a.head == kNil && a.tail == kNil, "a free slot holds entries");
       continue;
     }
     ++live_slots;
-    const uint32_t* mapped = s.slot_of.find(sender);
-    require(mapped != nullptr && *mapped == slot, "slot_of disagrees with slot_addr");
-    require(!q.txs.empty(), "a live slot has an empty queue");
-    eth::Nonce expected = q.classified_at;
+    const uint32_t* mapped = s.slot_of.find(a.addr);
+    require(mapped != nullptr && *mapped == slot, "slot_of disagrees with the slot table");
+    require(a.head != kNil, "a live slot has an empty run");
+    eth::Nonce expected = a.classified_at;
     size_t futures = 0;
-    for (size_t i = 0; i < q.txs.size(); ++i) {
-      const Entry& e = q.txs[i];
-      require(e.tx.sender == sender, "an entry is filed under another sender");
-      require(i == 0 || q.txs[i - 1].tx.nonce < e.tx.nonce, "a queue is not nonce-ascending");
+    uint32_t prev = kNil;
+    for (uint32_t i = a.head; i != kNil; prev = i, i = s.entries[i].next) {
+      require(i < s.entries.size(), "a run links outside the slab");
+      require(size < s.entries.size(), "a run has a cycle");
+      const Entry& e = s.entries[i];
+      require(e.slot == slot, "an entry's slot differs from the run holding it");
+      require(e.prev == prev, "a run's back link is broken");
+      require(e.tx.sender == a.addr, "an entry is filed under another sender");
+      require(prev == kNil || s.entries[prev].tx.nonce < e.tx.nonce,
+              "a run is not nonce-ascending");
       require(e.hash == e.tx.hash(), "a stored hash differs from the content hash");
-      const TxLoc* loc = s.txs.find(e.hash);
-      require(loc != nullptr && loc->slot == slot && loc->nonce == e.tx.nonce,
-              "the transaction index disagrees with the queues");
+      const uint32_t* indexed = s.txs.find(e.hash);
+      require(indexed != nullptr && *indexed == i, "the transaction index disagrees with the runs");
+      require(s.price_index.contains(i) && s.price_index.key_of(i) == key_of(e),
+              "the price index misfiles an entry");
+      require(s.future_index.contains(i) == !e.pending &&
+                  (e.pending || s.future_index.key_of(i) == key_of(e)),
+              "the future index misfiles an entry");
       const bool in_run = (e.tx.nonce == expected);
       if (in_run) ++expected;
       require(e.pending == in_run, "a pending flag differs from the classified nonce run");
       if (e.pending) ++pending;
       else ++futures;
+      ++size;
     }
-    require(q.futures == futures, "an account's future count drifted");
-    size += q.txs.size();
+    require(a.tail == prev, "a run's tail is not its last entry");
+    require(a.futures == futures, "an account's future count drifted");
   }
+  size_t free_entries = 0;
+  for (uint32_t i = s.free_entry; i != kNil; i = s.entries[i].next) {
+    require(i < s.entries.size(), "the free list links outside the slab");
+    require(free_entries < s.entries.size(), "the free list has a cycle");
+    require(s.entries[i].slot == kNil, "a free-listed entry belongs to an account");
+    ++free_entries;
+  }
+  require(free_entries + size == s.entries.size(), "the slab free list drifted");
   require(size == s.size, "the pool size drifted");
   require(pending == s.pending_count, "the pending count drifted");
   require(s.txs.size() == size, "the transaction index size drifted");
   require(s.price_index.size() == size, "the price index size drifted");
   require(s.future_index.size() == size - pending, "the future index size drifted");
+  require(s.price_index.consistent() && s.future_index.consistent(),
+          "a price index's heap order or positions drifted");
   require(s.slot_of.size() == live_slots, "the slot table size drifted");
-  require(s.free_slots.size() + live_slots == s.slot_addr.size(), "the free list drifted");
+  require(s.free_slots.size() + live_slots == s.slots.size(), "the free list drifted");
 }
 
 }  // namespace topo::mempool

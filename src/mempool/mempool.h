@@ -1,8 +1,8 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "eth/account.h"
@@ -32,8 +32,6 @@ struct PoolObs {
   obs::Counter* evictions_basefee = nullptr;    ///< EIP-1559 underpriced drop
   obs::Counter* drops_mined = nullptr;          ///< consumed by a block
   obs::Histogram* occupancy = nullptr;          ///< size/capacity at maintenance
-  obs::Counter* index_compactions = nullptr;    ///< flat-index tombstone rebuilds
-  obs::Gauge* index_tombstone_peak = nullptr;   ///< deepest tombstone heap (high-water only)
   obs::TraceRing* trace = nullptr;
 
   /// Interns the `mempool.*` handles in `reg` (idempotent).
@@ -57,13 +55,15 @@ enum class AdmitCode {
 const char* admit_code_name(AdmitCode code);
 
 /// Result of Mempool::add. `evicted`/`replaced` let the owning node account
-/// for what left the pool; `promoted` lists futures that this admission made
-/// executable (the node must propagate those too, as real clients do).
+/// for what left the pool (an admission displaces at most one victim);
+/// `promoted` lists futures that this admission made executable (the node
+/// must propagate those too, as real clients do). `promoted` views a buffer
+/// the pool reuses: it is valid until the pool's next mutating call.
 struct AdmitResult {
   AdmitCode code = AdmitCode::kRejectedDuplicate;
-  std::vector<eth::Transaction> evicted;
+  std::optional<eth::Transaction> evicted;
   std::optional<eth::Transaction> replaced;
-  std::vector<eth::Transaction> promoted;
+  std::span<const eth::Transaction> promoted;
 
   /// True if the transaction now sits in the pool as pending (and should be
   /// propagated).
@@ -73,10 +73,11 @@ struct AdmitResult {
   bool admitted() const { return admitted_pending() || code == AdmitCode::kAddedFuture; }
 };
 
-/// Changes made by maintenance or a block commit.
+/// Changes made by maintenance or a block commit. Both views point into
+/// buffers the pool reuses: they are valid until its next mutating call.
 struct PoolUpdate {
-  std::vector<eth::Transaction> dropped;   ///< truncated / expired / mined / stale
-  std::vector<eth::Transaction> promoted;  ///< future -> pending transitions
+  std::span<const eth::Transaction> dropped;   ///< truncated / expired / mined / stale
+  std::span<const eth::Transaction> promoted;  ///< future -> pending transitions
 };
 
 /// The parameterized unconfirmed-transaction buffer of paper §2/§5.1.
@@ -98,12 +99,16 @@ struct PoolUpdate {
 /// moved. See docs/ARCHITECTURE.md ("Mempool flat indexes") for the
 /// classification invariant this rests on.
 ///
-/// Storage layout: all bulk state (account queues, price indexes, the
-/// transaction index, occupancy counters) lives in one `State` blob behind a
+/// Storage layout: all bulk state lives in one `State` blob behind a
 /// copy-on-write handle (util::Cow). `snapshot()` captures the pool in O(1);
 /// a restored pool shares the blob with its base until the first mutation,
-/// which clones it once. Account queues are struct-of-arrays: parallel
-/// `slot_addr`/`slot_queue` vectors with a LIFO free list, so account
+/// which clones it once. Entries sit in one pool-owned slab with an
+/// intrusive free list; an account's queue is a nonce-ordered run of slab
+/// indices linked through the entries, the transaction index maps a
+/// content hash to a slab index, and the price indexes are indexed heaps
+/// of slab indices. A clone therefore copies a few flat arrays, and a
+/// steady admit/evict cycle reuses freed slab entries without allocating.
+/// Accounts live in a slot table with a LIFO free list, so account
 /// iteration (snapshots, maintenance sweeps, random picks) runs in slot
 /// order — deterministic across standard libraries and identical between a
 /// forked world and a rebuilt one, unlike hash-map order.
@@ -153,8 +158,9 @@ class Mempool {
   size_t futures_of(eth::Address sender) const;
   bool full() const { return st_->size >= policy_.capacity; }
 
-  /// Cheapest pool price currently buffered (0 when empty). Physically
-  /// const (slot-order scan), so it is safe on a state shared with forks.
+  /// Cheapest pool price currently buffered (0 when empty). Reads the
+  /// price index, which is physically const, so it is safe on a state
+  /// shared with forks.
   eth::Wei lowest_price() const;
 
   /// Median pool price of pending entries — the paper's Y estimator (§5.2.1).
@@ -187,54 +193,40 @@ class Mempool {
 
   /// Recomputes the bookkeeping from the account queues alone — pending
   /// count, per-account future counts, every entry's class against its
-  /// account's classification nonce, and the live sizes of the transaction
-  /// index and both price indexes — and aborts (in every build type) on
-  /// the first disagreement. O(pool); for tests and debugging.
+  /// account's classification nonce, the slab free list, each queue run's
+  /// links, the transaction index, and both price indexes' membership,
+  /// keys and positions — and aborts (in every build type) on the first
+  /// disagreement. O(pool); for tests and debugging.
   void check_invariants() const;
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// One slab entry. A free entry has `slot == kNil` and threads the free
+  /// list through `next`.
   struct Entry {
     eth::Transaction tx;
     eth::TxHash hash = 0;  ///< tx.hash(), computed once per offer
     double added_at = 0.0;
+    uint32_t slot = kNil;  ///< owning account slot
+    uint32_t prev = kNil;  ///< lower-nonce neighbour in the account's run
+    uint32_t next = kNil;  ///< higher-nonce neighbour (free list link when free)
     bool pending = false;
   };
 
-  struct AccountQueue {
-    /// Flat queue, ascending by tx.nonce. Accounts buffer a handful of
-    /// entries at a time, so a sorted vector beats a node-based map on
-    /// every nonce walk.
-    std::vector<Entry> txs;
-    size_t futures = 0;
+  /// One account slot: the ends of its nonce-ordered run of slab entries.
+  /// `addr == kNoAddress` marks a free slot (its run is empty).
+  struct Account {
+    eth::Address addr = eth::kNoAddress;
+    uint32_t head = kNil;  ///< lowest nonce
+    uint32_t tail = kNil;  ///< highest nonce
+    uint32_t futures = 0;
     /// Chain nonce the pending flags were last computed against: the flags
     /// mark exactly the consecutive nonce run starting here. Once the
     /// chain's nonce for this sender differs (a block committed whose
     /// notification has not reached this pool yet), the flags are stale
     /// and only a full walk may reclassify the account.
     eth::Nonce classified_at = 0;
-
-    std::vector<Entry>::iterator lower_bound(eth::Nonce n) {
-      return std::lower_bound(txs.begin(), txs.end(), n,
-                              [](const Entry& e, eth::Nonce v) { return e.tx.nonce < v; });
-    }
-    std::vector<Entry>::const_iterator lower_bound(eth::Nonce n) const {
-      return std::lower_bound(txs.begin(), txs.end(), n,
-                              [](const Entry& e, eth::Nonce v) { return e.tx.nonce < v; });
-    }
-    std::vector<Entry>::iterator find(eth::Nonce n) {
-      auto it = lower_bound(n);
-      return (it != txs.end() && it->tx.nonce == n) ? it : txs.end();
-    }
-    std::vector<Entry>::const_iterator find(eth::Nonce n) const {
-      auto it = lower_bound(n);
-      return (it != txs.end() && it->tx.nonce == n) ? it : txs.end();
-    }
-  };
-
-  /// Where a buffered transaction lives: its account slot and nonce.
-  struct TxLoc {
-    uint32_t slot = 0;
-    eth::Nonce nonce = 0;
   };
 
   /// Everything the pool buffers, in one copy-on-write blob. Mutating
@@ -242,21 +234,21 @@ class Mempool {
   /// read-only early-out has passed, so pools that a forked world never
   /// writes to keep sharing the base world's pages.
   struct State {
-    // Struct-of-arrays account storage. slot_addr[i] == kNoAddress marks a
-    // free slot (recycled LIFO via free_slots); slot_of maps an address to
-    // its slot for O(1) lookup. Iteration happens in slot order only.
-    std::vector<eth::Address> slot_addr;
-    std::vector<AccountQueue> slot_queue;
+    std::vector<Entry> entries;   ///< the slab
+    uint32_t free_entry = kNil;   ///< head of the slab's free list
+    // Account slots, recycled LIFO via free_slots; slot_of maps an address
+    // to its slot for O(1) lookup. Iteration happens in slot order only.
+    std::vector<Account> slots;
     std::vector<uint32_t> free_slots;
     util::FlatHashMap<uint32_t> slot_of;
 
-    // Cheapest-first for eviction (see flat_index.h); keys carry the hash.
+    // Cheapest-first for eviction (see flat_index.h).
     FlatPriceIndex price_index;
     // Subset of price_index holding only future entries (truncation order).
     FlatPriceIndex future_index;
-    // The one transaction index: content hash -> location. Serves the
-    // duplicate probe, find_hash, and victims read from the price indexes.
-    util::FlatHashMap<TxLoc> txs;
+    // The one transaction index: content hash -> slab index. Serves the
+    // duplicate probe and find_hash.
+    util::FlatHashMap<uint32_t> txs;
     size_t size = 0;
     size_t pending_count = 0;
     // Cheap guards so maintain() skips full scans (and, post-fork, the
@@ -286,49 +278,54 @@ class Mempool {
   AdmitResult add_impl(const eth::Transaction& tx, eth::TxHash hash, double now);
   void record_admit(const eth::Transaction& tx, const AdmitResult& result, double now);
 
-  static const AccountQueue* account(const State& s, eth::Address sender);
+  static const Account* account(const State& s, eth::Address sender);
   /// Finds or allocates the slot for `sender`; a new account starts
   /// classified at `chain_next` (an empty queue is valid against any nonce).
   static uint32_t ensure_slot(State& s, eth::Address sender, eth::Nonce chain_next);
-  /// Returns a slot to the free list (its queue must be empty).
+  /// Returns a slot to the free list (its run must be empty).
   static void release_slot(State& s, uint32_t slot);
 
+  /// First entry of `a`'s run with nonce >= `n`, or kNil.
+  static uint32_t lower_bound(const State& s, const Account& a, eth::Nonce n);
+
+  /// Calls `fn(entry)` for every buffered entry in slot order, each
+  /// account's run in nonce order.
+  template <typename Fn>
+  static void for_each_entry(const State& s, Fn&& fn) {
+    for (const Account& a : s.slots) {
+      for (uint32_t i = a.head; i != kNil; i = s.entries[i].next) fn(s.entries[i]);
+    }
+  }
+
   static PriceKey key_of(const Entry& e) { return {e.tx.pool_price(), e.tx.id, e.hash}; }
-  void promote(State& s, AccountQueue& q, Entry& e);
-  void demote(State& s, AccountQueue& q, Entry& e);
+  static void promote(State& s, uint32_t e);
+  static void demote(State& s, uint32_t e);
 
   /// Full walk: recomputes every pending flag of a live account against the
   /// sender's current chain nonce, appending promotions to `promoted` when
   /// non-null.
   void reclassify(State& s, uint32_t slot, std::vector<eth::Transaction>* promoted);
 
-  /// Classification after removing the entry at `nonce` from `slot`:
-  /// demotes the pending run's tail behind a removed pending entry, or
-  /// falls back to the full walk when the chain nonce has moved.
-  void reclassify_after_remove(State& s, uint32_t slot, eth::Nonce nonce, bool was_pending);
+  /// Classification after removing an entry from `slot`, whose run now
+  /// continues at `follower`: demotes the pending run's tail behind a
+  /// removed pending entry, or falls back to the full walk when the chain
+  /// nonce has moved.
+  void reclassify_after_remove(State& s, uint32_t slot, uint32_t follower, bool was_pending);
 
-  /// Removes one entry (must exist); does not reclassify. May release the
-  /// slot.
-  Entry remove_entry(State& s, uint32_t slot, eth::Nonce nonce);
+  /// Unlinks slab entry `e` from its account and every index and frees it;
+  /// does not reclassify. May release the slot. Returns the entry that
+  /// followed it in the run (kNil if none).
+  static uint32_t remove_entry(State& s, uint32_t e);
 
   /// remove_entry + reclassify_after_remove.
-  eth::Transaction drop(State& s, TxLoc loc);
+  void drop(State& s, uint32_t e);
 
-  /// Chooses the eviction victim per policy; nullopt if no entry is cheaper
+  /// Chooses the eviction victim per policy; kNil if no entry is cheaper
   /// than `incoming_price` (or, under futures-only eviction, no future is).
-  std::optional<TxLoc> pick_victim(State& s, eth::Wei incoming_price, bool incoming_is_pending);
+  uint32_t pick_victim(const State& s, eth::Wei incoming_price, bool incoming_is_pending) const;
 
   /// Records an insertion time for the O(1) expiry guard.
   static void track_added_at(State& s, double now);
-
-  // Flat-index tallies, passed per call (the indexes live inside the
-  // copy-on-write state and hold no obs pointers of their own).
-  obs::Counter* index_compactions() const {
-    return obs_ != nullptr ? obs_->index_compactions : nullptr;
-  }
-  obs::Gauge* index_tombstone_peak() const {
-    return obs_ != nullptr ? obs_->index_tombstone_peak : nullptr;
-  }
 
   MempoolPolicy policy_;
   const eth::StateView* state_;
@@ -336,6 +333,12 @@ class Mempool {
   eth::Wei base_fee_ = 0;
 
   util::Cow<State> st_;
+
+  // Reused per-call buffers (outside the shared state: each world's pool
+  // owns its own). AdmitResult/PoolUpdate views point into the first two.
+  std::vector<eth::Transaction> promoted_;
+  std::vector<eth::Transaction> dropped_;
+  std::vector<uint32_t> scratch_;
 };
 
 }  // namespace topo::mempool

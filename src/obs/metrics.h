@@ -169,10 +169,6 @@ class MetricsRegistry {
   /// Zeroes every value and clears the trace; handles stay valid.
   void reset_values();
 
-  size_t metric_count() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
   static constexpr size_t kDefaultTraceCapacity = 4096;
 
  private:

@@ -17,12 +17,6 @@ const char* trace_kind_name(TraceKind kind) {
 
 TraceRing::TraceRing(size_t capacity) : ring_(std::max<size_t>(1, capacity)) {}
 
-void TraceRing::push(const TraceEvent& e) {
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  ++total_;
-}
-
 std::vector<TraceEvent> TraceRing::events() const {
   const size_t n = size();
   std::vector<TraceEvent> out;

@@ -35,7 +35,11 @@ class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
 
-  void push(const TraceEvent& e);
+  void push(const TraceEvent& e) {
+    ring_[head_] = e;
+    if (++head_ == ring_.size()) head_ = 0;
+    ++total_;
+  }
   void push(double time, TraceKind kind, uint64_t subject, uint64_t actor = 0) {
     push(TraceEvent{time, kind, subject, actor});
   }

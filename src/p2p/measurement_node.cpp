@@ -18,7 +18,7 @@ void MeasurementNode::deliver_tx(const eth::Transaction& tx, eth::TxHash hash, P
   // Hot under batched delivery: a drained flood batch funnels hundreds of
   // these back-to-back, so read the clock once per delivery.
   const double now = net_->simulator().now();
-  log_[hash].emplace_back(from, now);
+  log_.append(hash, from, now);
   view_.add(tx, hash, now);
 }
 
@@ -37,7 +37,8 @@ void MeasurementNode::deliver_get_tx(eth::TxHash hash, PeerId from) {
 void MeasurementNode::on_block_commit() {
   const eth::Chain& chain = net_->chain();
   view_.set_base_fee(chain.base_fee());
-  view_.on_block(chain.senders_since(blocks_seen_));
+  chain.senders_since(blocks_seen_, block_senders_);
+  view_.on_block(block_senders_);
   blocks_seen_ = chain.height();
 }
 
@@ -69,32 +70,51 @@ bool MeasurementNode::received_from(eth::TxHash hash, PeerId peer) const {
   return received_from_since(hash, peer, 0.0);
 }
 
+void MeasurementNode::ReceiveLog::append(eth::TxHash hash, PeerId from, double at) {
+  const auto i = static_cast<uint32_t>(records.size());
+  records.push_back(Record{from, UINT32_MAX, at});
+  if (Run* run = runs.find(hash)) {
+    records[run->last].next = i;
+    run->last = i;
+  } else {
+    runs.insert(hash, Run{i, i});
+  }
+}
+
 bool MeasurementNode::received_from_since(eth::TxHash hash, PeerId peer, double since) const {
-  auto it = log_.find(hash);
-  if (it == log_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [&](const auto& rec) { return rec.first == peer && rec.second >= since; });
+  bool found = false;
+  log_.visit(hash, [&](const ReceiveLog::Record& rec) {
+    found = rec.from == peer && rec.at >= since;
+    return !found;
+  });
+  return found;
 }
 
 bool MeasurementNode::received_only_from(eth::TxHash hash, PeerId peer, double since) const {
-  auto it = log_.find(hash);
-  if (it == log_.end()) return false;
   bool from_peer = false;
-  for (const auto& rec : it->second) {
-    if (rec.second < since) continue;
-    if (rec.first != peer) return false;  // leak observed: isolation broken
+  bool leaked = false;
+  log_.visit(hash, [&](const ReceiveLog::Record& rec) {
+    if (rec.at < since) return true;
+    if (rec.from != peer) {
+      leaked = true;  // leak observed: isolation broken
+      return false;
+    }
     from_peer = true;
-  }
-  return from_peer;
+    return true;
+  });
+  return from_peer && !leaked;
 }
 
 std::vector<std::pair<PeerId, double>> MeasurementNode::receptions(eth::TxHash hash) const {
-  auto it = log_.find(hash);
-  if (it == log_.end()) return {};
-  return it->second;
+  std::vector<std::pair<PeerId, double>> out;
+  log_.visit(hash, [&](const ReceiveLog::Record& rec) {
+    out.emplace_back(rec.from, rec.at);
+    return true;
+  });
+  return out;
 }
 
-void MeasurementNode::clear_log() { log_.clear(); }
+void MeasurementNode::clear_log() { log_ = ReceiveLog{}; }
 
 void MeasurementNode::connect_to_all() {
   for (PeerId n : net_->regular_nodes()) net_->connect(id(), n);

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "eth/account.h"
 #include "mempool/mempool.h"
 #include "obs/metrics.h"
 #include "p2p/peer.h"
+#include "util/flat_hash_map.h"
 
 namespace topo::p2p {
 
@@ -81,6 +81,34 @@ class MeasurementNode final : public Peer {
 
   uint64_t txs_sent() const { return txs_sent_; }
 
+  /// The receive log: every reception in one record array, and per hash
+  /// the run of its records, linked in arrival order.
+  struct ReceiveLog {
+    struct Record {
+      PeerId from = 0;
+      uint32_t next = UINT32_MAX;  ///< the hash's next reception
+      double at = 0.0;
+    };
+    struct Run {
+      uint32_t first = 0;
+      uint32_t last = 0;
+    };
+    std::vector<Record> records;
+    util::FlatHashMap<Run> runs;  ///< hash -> its receptions
+
+    void append(eth::TxHash hash, PeerId from, double at);
+    /// Calls `fn(record)` for each reception of `hash`, oldest first, until
+    /// `fn` returns false.
+    template <typename Fn>
+    void visit(eth::TxHash hash, Fn&& fn) const {
+      const Run* run = runs.find(hash);
+      if (run == nullptr) return;
+      for (uint32_t i = run->first; i != UINT32_MAX; i = records[i].next) {
+        if (!fn(records[i])) return;
+      }
+    }
+  };
+
   // -- World forking ---------------------------------------------------------
   /// Frozen measurement-node state (core::Scenario::snapshot). The passive
   /// view rides behind copy-on-write handles; metrics wiring is NOT part of
@@ -91,7 +119,7 @@ class MeasurementNode final : public Peer {
     uint64_t blocks_seen = 0;
     double next_free_send = 0.0;
     uint64_t txs_sent = 0;
-    std::unordered_map<eth::TxHash, std::vector<std::pair<PeerId, double>>> log;
+    ReceiveLog log;
   };
   Snapshot snapshot() const {
     return Snapshot{view_.snapshot(), blocks_seen_, next_free_send_, txs_sent_, log_};
@@ -119,7 +147,8 @@ class MeasurementNode final : public Peer {
   uint64_t txs_sent_ = 0;
   obs::Counter* injected_counter_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
-  std::unordered_map<eth::TxHash, std::vector<std::pair<PeerId, double>>> log_;
+  ReceiveLog log_;
+  std::vector<eth::Address> block_senders_;  ///< reused by on_block_commit
 };
 
 }  // namespace topo::p2p

@@ -250,7 +250,6 @@ class Network : public sim::EventSink {
   /// exactly the txC re-propagation hazard of §5.2.1; link loss is what
   /// erodes long-running measurements.
   void start_link_churn(double events_per_sec);
-  void stop_link_churn() { churn_on_ = false; }
   uint64_t churn_events() const { return churn_events_; }
 
   /// Wires message-volume and (shared, aggregate) mempool instrumentation

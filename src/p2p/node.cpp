@@ -190,7 +190,8 @@ void Node::on_peer_connected(PeerId peer) {
 void Node::on_block_commit() {
   const eth::Chain& chain = net_->chain();
   pool_.set_base_fee(chain.base_fee());
-  const auto update = pool_.on_block(chain.senders_since(blocks_seen_));
+  chain.senders_since(blocks_seen_, block_senders_);
+  const auto update = pool_.on_block(block_senders_);
   blocks_seen_ = chain.height();
   if (unresponsive_ || !config_.forwards_transactions) return;
   for (const auto& p : update.promoted) propagate(p, p.hash(), id());

@@ -107,6 +107,7 @@ class Node final : public Peer, public sim::EventSink {
   /// one link latency after the commit, so by then later blocks may have
   /// committed too; the pool must visit the senders of all of them.
   uint64_t blocks_seen_ = 0;
+  std::vector<eth::Address> block_senders_;  ///< reused by on_block_commit
   util::Rng rng_;
   bool unresponsive_ = false;
 

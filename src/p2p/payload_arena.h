@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -18,8 +20,11 @@ namespace topo::p2p {
 /// are recycled LIFO within fixed-size chunks, and a chunk whose slots all
 /// drain is *released* (its memory freed, the chunk index retired for
 /// reuse) once the arena is mostly empty — so an eviction-flood spike no
-/// longer pins its high-water footprint for the rest of the campaign
-/// (mirroring the FlatPriceIndex compaction fix).
+/// longer pins its high-water footprint for the rest of the campaign.
+/// Chunk slots stay uninitialized until acquired, so materializing a chunk
+/// for the next flood writes nothing. Released chunks are not kept as
+/// spares: a spare pins heap memory between floods, and even four per
+/// arena raised `campaign`'s peak RSS.
 ///
 /// Slot handles are stable for the lifetime of the payload: a handle is
 /// `chunk * kChunkSlots + offset`, and only fully-free chunks are ever
@@ -45,7 +50,7 @@ class PayloadArena {
     const uint32_t off = c.free_local.back();
     c.free_local.pop_back();
     if (c.free_local.empty()) nonfull_.pop_back();
-    c.txs[off] = Payload{tx, hash};
+    ::new (&c.txs[off].payload) Payload{tx, hash};
     ++c.live;
     ++live_;
     if (live_ > peak_) peak_ = live_;
@@ -53,7 +58,7 @@ class PayloadArena {
   }
 
   const Payload& peek(uint32_t slot) const {
-    return chunks_[slot / kChunkSlots].txs[slot % kChunkSlots];
+    return chunks_[slot / kChunkSlots].txs[slot % kChunkSlots].payload;
   }
 
   /// Copies the payload out and releases the slot (the delivery path).
@@ -104,7 +109,9 @@ class PayloadArena {
       if (c.live == 0) continue;
       std::unordered_set<uint32_t> free_set(c.free_local.begin(), c.free_local.end());
       for (uint32_t off = 0; off < kChunkSlots; ++off) {
-        if (!free_set.count(off)) s.slots.emplace_back(ci * kChunkSlots + off, c.txs[off]);
+        if (!free_set.count(off)) {
+          s.slots.emplace_back(ci * kChunkSlots + off, c.txs[off].payload);
+        }
       }
     }
     return s;
@@ -123,19 +130,19 @@ class PayloadArena {
     std::vector<std::vector<bool>> used(chunks_.size());
     for (const auto& [slot, payload] : snap.slots) {
       Chunk& c = chunks_[slot / kChunkSlots];
-      if (c.txs.empty()) {
-        c.txs.resize(kChunkSlots);
+      if (c.txs == nullptr) {
+        c.txs = std::make_unique<Slot[]>(kChunkSlots);
         used[slot / kChunkSlots].assign(kChunkSlots, false);
         ++materialized_;
       }
-      c.txs[slot % kChunkSlots] = payload;
+      ::new (&c.txs[slot % kChunkSlots].payload) Payload{payload};
       used[slot / kChunkSlots][slot % kChunkSlots] = true;
       ++c.live;
       ++live_;
     }
     for (uint32_t ci = 0; ci < chunks_.size(); ++ci) {
       Chunk& c = chunks_[ci];
-      if (c.txs.empty()) {
+      if (c.txs == nullptr) {
         retired_.push_back(ci);
         continue;
       }
@@ -148,8 +155,15 @@ class PayloadArena {
   }
 
  private:
+  /// Storage for one payload, constructed by acquire/restore (the union
+  /// keeps a materialized chunk from initializing slots nobody reads).
+  union Slot {
+    Slot() {}
+    Payload payload;
+  };
+
   struct Chunk {
-    std::vector<Payload> txs;           ///< empty = released, else kChunkSlots
+    std::unique_ptr<Slot[]> txs;        ///< kChunkSlots slots; null = released
     std::vector<uint32_t> free_local;   ///< free offsets, LIFO
     uint32_t live = 0;
   };
@@ -164,7 +178,7 @@ class PayloadArena {
       chunks_.emplace_back();
     }
     Chunk& c = chunks_[ci];
-    c.txs.resize(kChunkSlots);
+    c.txs = std::make_unique<Slot[]>(kChunkSlots);
     c.free_local.reserve(kChunkSlots);
     for (uint32_t off = kChunkSlots; off-- > 0;) c.free_local.push_back(off);
     ++materialized_;
@@ -175,14 +189,12 @@ class PayloadArena {
   void compact() {
     for (uint32_t ci = 0; ci < chunks_.size() && materialized_ > 1; ++ci) {
       Chunk& c = chunks_[ci];
-      if (c.live == 0 && !c.txs.empty()) release_chunk(ci);
+      if (c.live == 0 && c.txs != nullptr) release_chunk(ci);
     }
   }
 
   void release_chunk(uint32_t ci) {
-    Chunk& c = chunks_[ci];
-    std::vector<Payload>().swap(c.txs);
-    std::vector<uint32_t>().swap(c.free_local);
+    chunks_[ci] = Chunk{};
     nonfull_.erase(std::find(nonfull_.begin(), nonfull_.end(), ci));
     retired_.push_back(ci);
     --materialized_;

@@ -10,9 +10,11 @@
 namespace topo::util {
 
 /// Open-addressing hash map from a 64-bit key to a small trivially copyable
-/// value: the mempool's transaction index (content hash -> entry location)
-/// and address -> account-slot table, and the network's per-stream FIFO
-/// clocks (directed stream key -> StreamState).
+/// value: the mempool's transaction index (content hash -> slab index) and
+/// address -> account-slot table, the chain's nonce and inclusion tables,
+/// the measurement node's receive log, block packing's sender groups, and
+/// the network's per-stream FIFO clocks (directed stream key ->
+/// StreamState).
 ///
 /// Linear probing over a power-of-two bucket array, Fibonacci-hashed so
 /// sequential keys (simulation addresses, packed peer-id pairs) spread as

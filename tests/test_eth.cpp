@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <queue>
 #include <set>
+#include <unordered_map>
 
 #include "eth/chain.h"
 #include "eth/miner.h"
 #include "eth/transaction.h"
+#include "util/rng.h"
 
 namespace topo::eth {
 namespace {
@@ -225,6 +229,92 @@ TEST(Miner, StartsFromConfirmedNonce) {
   const auto packed = pack_block(cands, state, 10 * kTransferGas, 0);
   ASSERT_EQ(packed.size(), 1u);
   EXPECT_EQ(packed[0].nonce, 5u);
+}
+
+/// The map-based packer pack_block replaced, kept as the differential
+/// reference: per-sender std::map queues and a priority queue of heads.
+std::vector<Transaction> reference_pack_block(const std::vector<Transaction>& candidates,
+                                              const StateView& state, uint64_t gas_limit,
+                                              Wei base_fee) {
+  struct Head {
+    Wei price;
+    uint64_t tie;
+    Address sender;
+    bool operator<(const Head& o) const {
+      if (price != o.price) return price < o.price;
+      return tie > o.tie;
+    }
+  };
+  std::unordered_map<Address, std::map<Nonce, const Transaction*>> by_sender;
+  for (const auto& tx : candidates) {
+    if (!tx.includable(base_fee)) continue;
+    auto& q = by_sender[tx.sender];
+    auto [it, inserted] = q.try_emplace(tx.nonce, &tx);
+    if (!inserted && tx.pool_price() > it->second->pool_price()) it->second = &tx;
+  }
+  std::priority_queue<Head> heap;
+  std::unordered_map<Address, Nonce> expect;
+  for (auto& [sender, q] : by_sender) {
+    const Nonce n = state.next_nonce(sender);
+    expect[sender] = n;
+    auto it = q.find(n);
+    if (it != q.end())
+      heap.push(Head{it->second->effective_price(base_fee), it->second->id, sender});
+  }
+  std::vector<Transaction> out;
+  uint64_t gas_used = 0;
+  while (!heap.empty()) {
+    const Head head = heap.top();
+    heap.pop();
+    auto& q = by_sender[head.sender];
+    auto it = q.find(expect[head.sender]);
+    if (it == q.end()) continue;
+    const Transaction& tx = *it->second;
+    if (gas_used + tx.gas > gas_limit) break;
+    out.push_back(tx);
+    gas_used += tx.gas;
+    const Nonce next = ++expect[head.sender];
+    auto nit = q.find(next);
+    if (nit != q.end())
+      heap.push(Head{nit->second->effective_price(base_fee), nit->second->id, head.sender});
+  }
+  return out;
+}
+
+// Random candidate sets with duplicate (sender, nonce) pairs at equal and
+// differing prices, nonce gaps, stale nonces, EIP-1559 transactions under
+// the base fee and mixed gas, packed into limits that cut blocks short.
+TEST(Miner, MatchesTheReferencePackerOnRandomCandidates) {
+  util::Rng rng(2024);
+  for (int round = 0; round < 400; ++round) {
+    MapState state;
+    TxFactory f;
+    for (Address a = 1; a <= 12; ++a) state.set_next_nonce(a, rng.index(3));
+    const Wei base_fee = rng.chance(0.5) ? 0 : 50 + rng.index(100);
+    std::vector<Transaction> cands;
+    const size_t n = rng.index(80);
+    for (size_t i = 0; i < n; ++i) {
+      const Address sender = 1 + rng.index(12);
+      const Nonce nonce = rng.index(7);
+      const Wei price = 10 * (1 + rng.index(30));
+      Transaction tx = rng.chance(0.3) ? f.make1559(sender, nonce, price, rng.index(40))
+                                       : f.make(sender, nonce, price);
+      tx.gas = kTransferGas * (1 + rng.index(3));
+      cands.push_back(tx);
+      if (rng.chance(0.2)) {
+        // A duplicate slot: sometimes the same price (the first one wins).
+        Transaction dup = f.make(sender, nonce, rng.chance(0.5) ? price : 10 * (1 + rng.index(30)));
+        cands.push_back(dup);
+      }
+    }
+    const uint64_t gas_limit = kTransferGas * (1 + rng.index(60));
+    const auto got = pack_block(cands, state, gas_limit, base_fee);
+    const auto want = reference_pack_block(cands, state, gas_limit, base_fee);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, want[i].id) << "round " << round << " position " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 
 #include "eth/account.h"
 #include "eth/transaction.h"
@@ -115,8 +116,8 @@ TEST_F(MempoolTest, EvictionRemovesCheapestWhenFull) {
   for (int i = 0; i < 8; ++i) pool.add(f.make(10 + i, 0, 100 + i), 0.0);
   const auto result = pool.add(f.make(99, 0, 500), 0.0);
   EXPECT_EQ(result.code, AdmitCode::kAddedPending);
-  ASSERT_EQ(result.evicted.size(), 1u);
-  EXPECT_EQ(result.evicted[0].gas_price, 100u);
+  ASSERT_TRUE(result.evicted.has_value());
+  EXPECT_EQ(result.evicted->gas_price, 100u);
   EXPECT_EQ(pool.size(), 8u);
 }
 
@@ -160,8 +161,8 @@ TEST_F(MempoolTest, EvictingMidNonceDemotesFollowers) {
   EXPECT_EQ(pool.pending_count(), 8u);
   const auto result = pool.add(f.make(99, 0, 600), 0.0);
   EXPECT_EQ(result.code, AdmitCode::kAddedPending);
-  ASSERT_EQ(result.evicted.size(), 1u);
-  EXPECT_EQ(result.evicted[0].gas_price, 50u);
+  ASSERT_TRUE(result.evicted.has_value());
+  EXPECT_EQ(result.evicted->gas_price, 50u);
   // Sender 1's nonces 1 and 2 now have a gap -> futures.
   EXPECT_EQ(pool.future_count(), 2u);
 }
@@ -248,8 +249,8 @@ TEST_F(MempoolTest, EvictionInsideCommitNotificationWindowReclassifiesVictim) {
 
   state.set_next_nonce(1, 4);  // nonce 3 mined; on_block not yet run
   const auto result = pool.add(f.make(9, 0, 600), 0.0);
-  ASSERT_EQ(result.evicted.size(), 1u);
-  EXPECT_EQ(result.evicted[0].nonce, 3u);
+  ASSERT_TRUE(result.evicted.has_value());
+  EXPECT_EQ(result.evicted->nonce, 3u);
   EXPECT_EQ(pool.pending_count(), 8u) << "nonce 4 is the chain's next nonce";
   pool.check_invariants();
 }
@@ -311,8 +312,8 @@ TEST_F(MempoolTest, FuturesOnlyEvictionVariant) {
 
   // Future incomer: evicts the cheapest future, not the cheaper pendings.
   auto result = pool.add(f.make(99, 1, 500), 0.0);
-  ASSERT_EQ(result.evicted.size(), 1u);
-  EXPECT_EQ(result.evicted[0].gas_price, 150u);
+  ASSERT_TRUE(result.evicted.has_value());
+  EXPECT_EQ(result.evicted->gas_price, 150u);
 
   // Another future incomer: the only future left costs 500 — too pricey to
   // evict at 400, and pendings are protected.
@@ -320,8 +321,8 @@ TEST_F(MempoolTest, FuturesOnlyEvictionVariant) {
 
   // A pending incomer still evicts the globally cheapest entry.
   result = pool.add(f.make(97, 0, 600), 0.0);
-  ASSERT_EQ(result.evicted.size(), 1u);
-  EXPECT_EQ(result.evicted[0].gas_price, 100u);
+  ASSERT_TRUE(result.evicted.has_value());
+  EXPECT_EQ(result.evicted->gas_price, 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -370,8 +371,8 @@ TEST_P(ClientPolicyTest, EvictionNeverRemovesPricierThanIncoming) {
   Mempool pool(policy, &state);
   for (int i = 0; i < 32; ++i) pool.add(f.make(100 + i, 0, 100 + 10 * i), 0.0);
   const auto result = pool.add(f.make(999, 0, 250), 0.0);
-  for (const auto& victim : result.evicted) {
-    EXPECT_LT(victim.gas_price, 250u);
+  if (result.evicted) {
+    EXPECT_LT(result.evicted->gas_price, 250u);
   }
 }
 
@@ -473,68 +474,51 @@ TEST_F(MempoolTest, ClearEmptiesEverything) {
   EXPECT_EQ(pool.pending_count(), 1u);
 }
 
-// An eviction-flood spike grows the index's backing heap far beyond its
-// steady-state occupancy; once the flood drains, the allocation must come
-// back down instead of riding along in every world forked afterwards.
-TEST(FlatPriceIndex, ReleasesCapacityAfterEvictionFloodDrains) {
+// The indexed heap against an ordered reference: random inserts and
+// arbitrary erases over a recycled range of slab indices, the heap order
+// and position table checked after every step.
+TEST(FlatPriceIndex, MatchesOrderedReferenceUnderRandomErase) {
+  util::Rng rng(7);
   FlatPriceIndex idx;
-  constexpr size_t kFlood = 4096;
-  for (size_t i = 0; i < kFlood; ++i) {
-    idx.insert({static_cast<eth::Wei>(100 + i), i});
-  }
-  const size_t spike = idx.heap_capacity();
-  ASSERT_GE(spike, kFlood);
-
-  // Drain down to a handful of survivors, always via the min() victim path
-  // (the eviction protocol's access pattern — direct pops, no tombstones).
-  while (idx.size() > 8) idx.erase(idx.min());
-  EXPECT_EQ(idx.size(), 8u);
-  EXPECT_LT(idx.heap_capacity(), spike / 4)
-      << "flood-sized allocation survived the drain";
-
-  // Still a working min-heap after the shrink: survivors come out cheapest
-  // first, and fresh inserts order correctly against them.
-  idx.insert({1, 999999});
-  EXPECT_EQ(idx.min().id, 999999u);
-  idx.erase(idx.min());
-  eth::Wei last = 0;
-  while (!idx.empty()) {
-    const auto [price, id, hash] = idx.min();
-    EXPECT_GE(price, last);
-    last = price;
-    idx.erase({price, id, hash});
+  std::set<std::pair<PriceKey, uint32_t>> ref;
+  std::vector<bool> filed(64, false);
+  uint64_t id = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto entry = static_cast<uint32_t>(rng.index(filed.size()));
+    if (!filed[entry]) {
+      const PriceKey key{10 * (1 + rng.index(20)), ++id, rng.next()};
+      idx.insert(key, entry);
+      ref.insert({key, entry});
+    } else {
+      const PriceKey key = idx.key_of(entry);
+      idx.erase(entry);
+      ASSERT_EQ(ref.erase({key, entry}), 1u) << "step " << step;
+    }
+    filed[entry] = !filed[entry];
+    ASSERT_TRUE(idx.consistent()) << "step " << step;
+    ASSERT_EQ(idx.size(), ref.size());
+    ASSERT_EQ(idx.contains(entry), filed[entry]);
+    if (!ref.empty()) {
+      EXPECT_EQ(idx.min(), ref.begin()->first) << "step " << step;
+      EXPECT_EQ(idx.min_entry(), ref.begin()->second) << "step " << step;
+    }
   }
 }
 
-// The tombstone path (erasing keys buried mid-heap) must also release the
-// tombstone heap's allocation once compaction sweeps it.
-TEST(FlatPriceIndex, CompactionReleasesTombstoneCapacity) {
+// An eviction flood through a full pool: the index never holds more nodes
+// than the pool holds entries, so there is no spike to release afterwards.
+TEST(FlatPriceIndex, FloodThroughAFullPoolKeepsTheHeapAtCapacity) {
+  constexpr uint32_t kCapacity = 256;
   FlatPriceIndex idx;
-  constexpr size_t kN = 2048;
-  for (size_t i = 0; i < kN; ++i) {
-    idx.insert({static_cast<eth::Wei>(100 + i), i});
+  for (uint32_t e = 0; e < kCapacity; ++e) idx.insert({100, e, e}, e);
+  for (uint64_t id = kCapacity; id < 16 * kCapacity; ++id) {
+    const uint32_t victim = idx.min_entry();  // the cheapest, oldest entry
+    idx.erase(victim);
+    idx.insert({100 + id, id, id}, victim);  // the incomer reuses its slab index
+    ASSERT_EQ(idx.size(), kCapacity);
   }
-  // Erase from the expensive end: every erase is a buried key (never the
-  // min), so tombstones pile up until compact() fires.
-  obs::MetricsRegistry reg;
-  obs::Counter& compactions = reg.counter("compactions");
-  obs::Gauge& peak = reg.gauge("tombstone_peak");
-  for (size_t i = kN; i-- > 16;) {
-    idx.erase({static_cast<eth::Wei>(100 + i), i}, &compactions, &peak);
-  }
-  EXPECT_GT(compactions.value(), 0u);
-  EXPECT_GT(peak.max(), 0.0);
-  EXPECT_EQ(idx.size(), 16u);
-  EXPECT_LT(idx.heap_capacity(), kN / 4);
-  EXPECT_LT(idx.tombstone_capacity(), kN / 4);
-  // Survivors are exactly the cheapest 16, in order.
-  for (size_t i = 0; i < 16; ++i) {
-    const auto [price, id, hash] = idx.min();
-    EXPECT_EQ(id, i);
-    EXPECT_EQ(price, static_cast<eth::Wei>(100 + i));
-    idx.erase({price, id, hash});
-  }
-  EXPECT_TRUE(idx.empty());
+  EXPECT_TRUE(idx.consistent());
+  EXPECT_EQ(idx.min().id, 15 * uint64_t{kCapacity});
 }
 
 }  // namespace

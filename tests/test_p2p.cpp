@@ -152,6 +152,40 @@ TEST(P2p, FifoOrderingPerLink) {
   }
 }
 
+// M's receive log keeps, per hash, every (peer, time) reception in arrival
+// order, interleaved with other hashes' receptions, and a snapshot carries
+// it to a restored node.
+TEST(MeasurementLog, ReceptionsKeepArrivalOrderPerHash) {
+  World w;
+  MeasurementNode m(&w.net, &w.chain);
+  w.net.register_peer(&m);
+  const auto tx1 = w.future_tx();
+  const auto tx2 = w.future_tx();
+  m.deliver_tx(tx1, tx1.hash(), 3);
+  w.sim.run_until(1.0);
+  m.deliver_tx(tx2, tx2.hash(), 4);
+  m.deliver_tx(tx1, tx1.hash(), 5);
+  w.sim.run_until(2.0);
+  m.deliver_tx(tx1, tx1.hash(), 3);
+
+  using Recs = std::vector<std::pair<PeerId, double>>;
+  EXPECT_EQ(m.receptions(tx1.hash()), (Recs{{3, 0.0}, {5, 1.0}, {3, 2.0}}));
+  EXPECT_EQ(m.receptions(tx2.hash()), (Recs{{4, 1.0}}));
+  EXPECT_TRUE(m.receptions(w.future_tx().hash()).empty());
+  EXPECT_TRUE(m.received_from_since(tx1.hash(), 5, 1.0));
+  EXPECT_FALSE(m.received_from_since(tx1.hash(), 5, 1.5));
+  EXPECT_FALSE(m.received_only_from(tx1.hash(), 3, 0.5)) << "5 leaked it at t=1";
+  EXPECT_TRUE(m.received_only_from(tx1.hash(), 3, 1.5));
+  EXPECT_TRUE(m.received_only_from(tx2.hash(), 4, 0.0));
+
+  MeasurementNode copy(&w.net, &w.chain);
+  copy.restore(m.snapshot());
+  EXPECT_EQ(copy.receptions(tx1.hash()), m.receptions(tx1.hash()));
+  m.clear_log();
+  EXPECT_TRUE(m.receptions(tx1.hash()).empty());
+  EXPECT_EQ(copy.receptions(tx2.hash()), (Recs{{4, 1.0}})) << "the snapshot owns its copy";
+}
+
 TEST(P2p, AnnouncementsDeliverBodiesOnRequest) {
   World w;
   NodeConfig cfg = w.default_config();

@@ -199,25 +199,27 @@ TEST(ForkWorld, DoubleForkContinuesExactlyWhereTheFirstForkWas) {
   EXPECT_EQ(run(*child), run(*grandchild));
 }
 
-TEST(ForkWorld, TombstonePeakGaugeStartsFromZeroPerFork) {
+TEST(ForkWorld, ArenaPeakGaugeStartsFromTheRestoredLevelPerFork) {
   const graph::Graph truth = small_truth();
   core::Scenario base(truth, small_options());
   base.seed_background();
-  // Dirty the base's tombstone telemetry with a real measurement (floods
-  // evict from the middle of pools, burying index keys).
+  // Dirty the base's arena telemetry with a real measurement (its floods
+  // put thousands of payloads in flight at once).
   core::MeasurementSession session(base);
   (void)session.one_link(base.targets()[0], base.targets()[5]);
   const auto base_metrics = base.snapshot_metrics();
-  const auto base_peak = base_metrics.gauge_maxes.find("mempool.index.tombstone_peak");
-  ASSERT_NE(base_peak, base_metrics.gauge_maxes.end());
+  const double base_peak = base_metrics.gauge_maxes.at("net.arena_peak");
+  ASSERT_GT(base_peak, 0.0);
 
   const core::WorldSnapshot snap = base.snapshot();
   auto fork = core::Scenario::fork(snap);
-  // Telemetry is per-world: the replica's high-water starts from zero,
-  // exactly like a freshly rebuilt world — it must not inherit the base
-  // run's spike.
+  // Telemetry is per-world: the replica's high-water starts from the
+  // payloads it restored, exactly like a freshly rebuilt world — it must
+  // not inherit the base run's spike.
   const auto fork_metrics = fork->snapshot_metrics();
-  EXPECT_EQ(fork_metrics.gauge_maxes.at("mempool.index.tombstone_peak"), 0.0);
+  EXPECT_EQ(fork_metrics.gauge_maxes.at("net.arena_peak"),
+            static_cast<double>(fork->net().arena().live()));
+  EXPECT_LT(fork_metrics.gauge_maxes.at("net.arena_peak"), base_peak);
 }
 
 TEST(ForkWorld, ReseedGivesForksIndependentIdentities) {
