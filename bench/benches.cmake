@@ -38,7 +38,6 @@ set(MICRO_BENCHES
   micro_graph
   micro_network
   micro_wire
-  delivery_batch
 )
 
 foreach(bench ${MICRO_BENCHES})

@@ -164,9 +164,6 @@ int mode_measure(const util::Cli& cli) {
   opt.seed = seed;
   opt.block_gas_limit = 30 * eth::kTransferGas;
   opt.trace_capacity = cli.get_uint("trace-capacity", opt.trace_capacity);
-  // Purely mechanical (reports are byte-identical at any value); exposed
-  // for perf experiments and for forcing the unbatched reference path (0).
-  opt.batch_window = cli.get_double("batch-window", opt.batch_window);
 
   util::Table table({"Metric", "Value"});
   table.add_row({"strategy", core::strategy_name(strategy)});
@@ -311,7 +308,6 @@ int mode_pair(const util::Cli& cli) {
   core::ScenarioOptions opt;
   opt.seed = seed;
   opt.trace_capacity = cli.get_uint("trace-capacity", opt.trace_capacity);
-  opt.batch_window = cli.get_double("batch-window", opt.batch_window);
   const core::StrategyKind strategy = strategy_from(cli);
   core::Scenario sc(truth, opt);
   sc.seed_background();
@@ -373,8 +369,6 @@ int main(int argc, char** argv) {
   std::cout << "toposhot_cli --mode=profile|measure|analyze|pair|export\n"
                "  common: --seed=N --nodes=N --recipe=ropsten|rinkeby|goerli\n"
                "          --strategy=toposhot|dethna|txprobe (measurement strategy seam)\n"
-               "          --batch-window=SECONDS (per-link delivery batching; 0 disables,\n"
-               "          results are byte-identical either way)\n"
                "  measure: --group=K --repetitions=R --threads=N --shards=S "
                "--metrics-out=PATH\n"
                "           --fork-worlds=BOOL (default true: shard replicas fork one "

@@ -63,10 +63,11 @@ if [[ "${1:-}" != "--fast" ]]; then
   # (SnapshotWorld*, ForkWorld*, PeerLifetime*: restore rebuilds raw sink
   # pointers, Peer auto-detach is a use-after-free contract); the message
   # path (EventQueue*, Simulator*: the wheel's node pool, and events that
-  # schedule their successors while they fire; BatchDelivery*,
-  # FifoClock*, PayloadArena*: the drain loop holds a slab reference
-  # across deliveries that open batches, the arena recycles chunks under
-  # live handles; FlatHashMap*: shifts buckets on erase); the monitor and
+  # schedule their successors while they fire; TxDelivery*,
+  # FifoClock*, PayloadArena*: a delivery copies its payload out of the
+  # arena slot before the receiver sends again and reuses it, the arena
+  # recycles chunks under live handles, a fork restores slots verbatim;
+  # FlatHashMap*: shifts buckets on erase); the monitor and
   # telemetry plane (concurrent RPC readers racing the epoch loop, ring and
   # histogram index arithmetic); the mempool (MempoolTest*, the
   # parameterized Seeds/MempoolFuzz* with check_invariants() after every
@@ -82,7 +83,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     'Fault*' 'TraceRing*' 'SpanIds*' 'SpanTracer*' 'ChromeTrace*' 'DiagnosticsAnnex*'
     'ProbeCausePlumbing*' 'GoldenDeterminism*' 'Strategy*' 'Dethna*' 'TxProbe*'
     'SnapshotWorld*' 'ForkWorld*' 'PeerLifetime*' 'EventQueue*' 'Simulator*'
-    'BatchDelivery*' 'FifoClock*' 'PayloadArena*' 'FlatHashMap*' 'LinkTable*'
+    'TxDelivery*' 'FifoClock*' 'PayloadArena*' 'FlatHashMap*' 'LinkTable*'
     'TopologyMonitor*' 'TopologyDiffTest*' 'MonitorStatusTest*' 'MonitorJson*'
     'MonitorSchedule*' 'MonitorRpc*' 'MonitorGolden*' 'EvaluateTracking*' 'EventLog*'
     'Health*' 'Prometheus*' 'Mempool*' '*MempoolFuzz*' 'FlatPriceIndex*' 'DiscV4*' 'Json*'

@@ -98,8 +98,7 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
   OneLinkResult result;
   result.started_at = sim.now();
   const uint64_t sent_before = m_.txs_sent();
-  const obs::PhaseTimer timer([&sim] { return sim.now(); });
-  obs::ScopedPhase whole_link = timer.phase(obs_.link_seconds);
+  ScopedPhase whole_link(obs_.link_seconds, sim);
   if (obs_.enabled()) obs_.runs->inc();
 
   MeasureConfig cfg = config_;
@@ -115,7 +114,7 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
       tracer_ != nullptr ? tracer_->open_auto(obs::SpanKind::kPlantTxC, sim.now(), a, b) : 0;
   m_.send_to(a, tx_c);
   {
-    obs::ScopedPhase phase = timer.phase(obs_.wait_seconds);
+    ScopedPhase phase(obs_.wait_seconds, sim);
     sim.run_until(sim.now() + cfg.wait_X);
   }
   if (tracer_ != nullptr) tracer_->close(span_txc, sim.now());
@@ -124,7 +123,7 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
   // queue truncation, then plant txB (same sender+nonce as txC).
   const auto flood = make_flood(cfg);
   {
-    obs::ScopedPhase phase = timer.phase(obs_.flood_seconds);
+    ScopedPhase phase(obs_.flood_seconds, sim);
     const uint64_t span =
         tracer_ != nullptr ? tracer_->open_auto(obs::SpanKind::kEvictFlood, sim.now(), b, 0) : 0;
     m_.send_batch_to(b, flood);
@@ -134,7 +133,7 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
   const eth::Transaction tx_b = craft_tx(factory_, cfg, acct_c, nonce_c, cfg.price_txB());
   result.txb_hash = tx_b.hash();
   {
-    obs::ScopedPhase phase = timer.phase(obs_.plant_seconds);
+    ScopedPhase phase(obs_.plant_seconds, sim);
     const uint64_t span =
         tracer_ != nullptr ? tracer_->open_auto(obs::SpanKind::kPlantProbes, sim.now(), b, 0) : 0;
     m_.send_to(b, tx_b);
@@ -144,7 +143,7 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
 
   // Step 3: the same on A, then plant txA.
   {
-    obs::ScopedPhase phase = timer.phase(obs_.flood_seconds);
+    ScopedPhase phase(obs_.flood_seconds, sim);
     const uint64_t span =
         tracer_ != nullptr ? tracer_->open_auto(obs::SpanKind::kEvictFlood, sim.now(), a, 0) : 0;
     m_.send_batch_to(a, flood);
@@ -160,7 +159,7 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
 
   // Step 4: wait for propagation, then check arrival of txA from B.
   {
-    obs::ScopedPhase phase = timer.phase(obs_.detect_seconds);
+    ScopedPhase phase(obs_.detect_seconds, sim);
     const uint64_t span =
         tracer_ != nullptr ? tracer_->open_auto(obs::SpanKind::kObserve, sim.now(), a, b) : 0;
     sim.run_until(sim.now() + cfg.detect_wait);

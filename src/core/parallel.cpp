@@ -68,7 +68,6 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
   result.attempts.assign(r, 1);
   result.causes.assign(r, obs::ProbeCause::kNone);
   if (r == 0) return result;
-  const obs::PhaseTimer timer([&sim] { return sim.now(); });
   if (obs_.enabled()) obs_.parallel_runs->inc();
 
   MeasureConfig cfg = config_;
@@ -90,7 +89,7 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
     m_.send_to(sources[edges[i].source], tx_c[i]);
   }
   {
-    obs::ScopedPhase phase = timer.phase(obs_.wait_seconds);
+    ScopedPhase phase(obs_.wait_seconds, sim);
     const uint64_t span = tracer_ != nullptr
                               ? tracer_->open_auto(obs::SpanKind::kPlantTxC, sim.now(), r, 0)
                               : 0;
@@ -108,7 +107,7 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
   // cannot leak into a concurrently evicted sink.
   for (size_t l = 0; l < sinks.size(); ++l) {
     {
-      obs::ScopedPhase phase = timer.phase(obs_.flood_seconds);
+      ScopedPhase phase(obs_.flood_seconds, sim);
       const uint64_t span =
           tracer_ != nullptr
               ? tracer_->open_auto(obs::SpanKind::kEvictFlood, sim.now(), sinks[l], 0)
@@ -123,7 +122,7 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
       sim.run_until(m_.send_backlog_until() + cfg.post_flood_gap);
       if (tracer_ != nullptr) tracer_->close(span, sim.now());
     }
-    obs::ScopedPhase phase = timer.phase(obs_.plant_seconds);
+    ScopedPhase phase(obs_.plant_seconds, sim);
     const uint64_t span =
         tracer_ != nullptr
             ? tracer_->open_auto(obs::SpanKind::kPlantProbes, sim.now(), sinks[l], 0)
@@ -139,7 +138,7 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
   std::vector<double> txa_sent_at(r, 0.0);
   for (size_t k = 0; k < sources.size(); ++k) {
     {
-      obs::ScopedPhase phase = timer.phase(obs_.flood_seconds);
+      ScopedPhase phase(obs_.flood_seconds, sim);
       const uint64_t span =
           tracer_ != nullptr
               ? tracer_->open_auto(obs::SpanKind::kEvictFlood, sim.now(), sources[k], 0)
@@ -154,7 +153,7 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
       sim.run_until(m_.send_backlog_until() + cfg.post_flood_gap);
       if (tracer_ != nullptr) tracer_->close(span, sim.now());
     }
-    obs::ScopedPhase phase = timer.phase(obs_.plant_seconds);
+    ScopedPhase phase(obs_.plant_seconds, sim);
     const uint64_t span =
         tracer_ != nullptr
             ? tracer_->open_auto(obs::SpanKind::kPlantProbes, sim.now(), sources[k], 0)
@@ -173,7 +172,7 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
 
   // p4: detect.
   {
-    obs::ScopedPhase phase = timer.phase(obs_.detect_seconds);
+    ScopedPhase phase(obs_.detect_seconds, sim);
     const uint64_t span = tracer_ != nullptr
                               ? tracer_->open_auto(obs::SpanKind::kObserve, sim.now(), r, 0)
                               : 0;

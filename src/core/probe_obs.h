@@ -6,7 +6,7 @@
 // histograms and the per-link cost analyses see one namespace.
 
 #include "obs/metrics.h"
-#include "obs/phase.h"
+#include "sim/simulator.h"
 
 namespace topo::core {
 
@@ -29,6 +29,31 @@ struct ProbeObs {
   static ProbeObs wire(obs::MetricsRegistry& reg);
 
   bool enabled() const { return runs != nullptr; }
+};
+
+/// Records the simulated seconds from construction to finish() (or
+/// destruction) into one of the `probe.phase.*` histograms. A null
+/// histogram (metrics off) makes it a no-op, so instrumented code needs no
+/// branches of its own.
+class ScopedPhase {
+ public:
+  ScopedPhase(obs::Histogram* hist, const sim::Simulator& sim)
+      : hist_(hist), sim_(sim), start_(sim.now()) {}
+  ~ScopedPhase() { finish(); }
+
+  ScopedPhase(const ScopedPhase&) = delete;
+  ScopedPhase& operator=(const ScopedPhase&) = delete;
+
+  void finish() {
+    if (hist_ == nullptr) return;
+    hist_->observe(sim_.now() - start_);
+    hist_ = nullptr;
+  }
+
+ private:
+  obs::Histogram* hist_;
+  const sim::Simulator& sim_;
+  double start_;
 };
 
 }  // namespace topo::core

@@ -59,9 +59,6 @@ Scenario::Scenario(const graph::Graph& topology, ScenarioOptions options)
   net_ = std::make_unique<p2p::Network>(
       sim_.get(), chain_.get(), rng_.split(),
       sim::LatencyModel::lognormal(options_.latency_median, options_.latency_sigma));
-  // Before populate(): connect gossip can send, and every send must see
-  // the configured window.
-  net_->set_batch_window(options_.batch_window);
   net_->enable_metrics(metrics_);
 
   util::Rng het = rng_.split();
@@ -128,9 +125,7 @@ obs::MetricsSnapshot Scenario::snapshot_metrics() {
   metrics_.gauge("sim.queue.impl.due_peak").set(static_cast<double>(qs.due_peak));
   metrics_.gauge("sim.queue.impl.overflow_peak").set(static_cast<double>(qs.overflow_peak));
   // Payload-arena high water: most full-tx payloads simultaneously in
-  // flight (staged batch members + solo kDeliverTx slots). Identical for
-  // batched and unbatched runs — batching changes event count, not the
-  // in-flight payload set — and reset per fork like the tombstone peak.
+  // flight (one slot per pending kDeliverTx), reset per fork.
   metrics_.gauge("net.arena_peak").set(static_cast<double>(net_->arena().peak()));
   metrics_.gauge("obs.trace.total_pushed")
       .set(static_cast<double>(metrics_.trace().total_pushed()));
@@ -179,7 +174,7 @@ WorldSnapshot Scenario::snapshot() const {
           "Scenario::snapshot: pending event targets a sink outside this "
           "world (external driver or fault injector still running?)");
     }
-    WorldSnapshot::PendingEvent pe{sch.t, sch.seq, it->second.first, it->second.second, sch.ev};
+    WorldSnapshot::PendingEvent pe{sch.t, it->second.first, it->second.second, sch.ev};
     pe.ev.sink = nullptr;
     w.pending.push_back(pe);
   }
@@ -188,29 +183,6 @@ WorldSnapshot Scenario::snapshot() const {
   w.net = net_->snapshot();
   w.m_id = m_->id();
   w.m = m_->snapshot();
-
-  // Compact every captured queue sequence number — the pending events'
-  // plus the staged batch members' reserved ones — to ranks over their
-  // union. Absolute seqs mean nothing outside the source queue; ranks
-  // preserve the relative (t, seq) total order, which is all the batched
-  // drain loop ever compares. A batch's queued event shares the seq of
-  // its first undelivered member, so ranking the union keeps them equal.
-  std::vector<uint64_t> seqs;
-  seqs.reserve(w.pending.size());
-  for (const auto& pe : w.pending) seqs.push_back(pe.seq);
-  for (const auto& b : w.net.batches) {
-    for (const auto& mem : b.members) seqs.push_back(mem.seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
-  seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
-  const auto rank_of = [&seqs](uint64_t s) {
-    return static_cast<uint64_t>(
-        std::lower_bound(seqs.begin(), seqs.end(), s) - seqs.begin());
-  };
-  for (auto& pe : w.pending) pe.seq = rank_of(pe.seq);
-  for (auto& b : w.net.batches) {
-    for (auto& mem : b.members) mem.seq = rank_of(mem.seq);
-  }
 
   w.accounts = accounts_;
   w.factory = factory_;
@@ -246,7 +218,6 @@ Scenario::Scenario(const WorldSnapshot& snap)
   net_ = std::make_unique<p2p::Network>(
       sim_.get(), chain_.get(), util::Rng(0),
       sim::LatencyModel::lognormal(options_.latency_median, options_.latency_sigma));
-  net_->set_batch_window(options_.batch_window);
   net_->enable_metrics(metrics_);
   net_->restore(snap.net);
 
@@ -256,28 +227,19 @@ Scenario::Scenario(const WorldSnapshot& snap)
   m_->restore(snap.m);
   m_->set_metrics(metrics_);
 
-  // Re-push the captured events under their rank-compacted sequence
-  // numbers (schedule_at_seq clamps t against now_ = 0; every captured
-  // t >= 0, so timestamps survive intact). The explicit seqs — rather
-  // than fresh ones in push order — keep the queue's (t, seq) keys
-  // order-consistent with the reserved seqs living inside staged batch
-  // members, which were restored by net_->restore above but never appear
-  // in the queue. Then advance the seq counter past the whole rank space
-  // so future sends sort after everything captured.
-  uint64_t seq_floor = 0;
+  // Re-push the captured events in the source's pop order (schedule_at
+  // clamps t against now_ = 0; every captured t >= 0, so timestamps
+  // survive intact). Fresh sequence numbers in that order reproduce the
+  // source's (t, seq) order, and every later schedule sorts after them,
+  // as it would have in the source.
   using Sink = WorldSnapshot::PendingEvent::Sink;
   for (const auto& pe : snap.pending) {
     sim::Event ev = pe.ev;
     ev.sink = pe.sink == Sink::kNetwork ? net_.get()
               : pe.sink == Sink::kNode  ? static_cast<sim::EventSink*>(&net_->node(pe.node))
                                         : this;
-    sim_->schedule_at_seq(pe.t, ev, pe.seq);
-    seq_floor = std::max(seq_floor, pe.seq + 1);
+    sim_->schedule_at(pe.t, ev);
   }
-  for (const auto& b : snap.net.batches) {
-    for (const auto& mem : b.members) seq_floor = std::max(seq_floor, mem.seq + 1);
-  }
-  sim_->advance_seq(seq_floor);
   sim_->restore_state(snap.now, snap.events_processed, snap.queue_high_water, snap.dispatched);
 
   // Peak telemetry is per-world: a replica starts its high-water gauge

@@ -59,13 +59,6 @@ struct ScenarioOptions {
   double latency_median = 0.05;
   double latency_sigma = 0.4;
 
-  /// Per-stream delivery batch window in seconds (Network::set_batch_window):
-  /// full-tx sends on one directed link whose delivery times fall within
-  /// this span of each other coalesce into a single kDeliverTxBatch event.
-  /// Purely mechanical — reports are byte-identical at any setting; <= 0
-  /// disables batching (the reference one-event-per-message trajectory).
-  double batch_window = p2p::Network::kDefaultBatchWindow;
-
   uint64_t block_gas_limit = 8'000'000;
   eth::Wei initial_base_fee = 0;  ///< nonzero enables EIP-1559
 
@@ -92,16 +85,12 @@ struct ScenarioOptions {
 /// the snapshot afterwards (how exec::run_sharded_campaign stamps out
 /// per-shard worlds).
 struct WorldSnapshot {
-  /// One captured simulator event, sink in symbolic form. `seq` is the
-  /// event's queue sequence number *rank-compacted* at capture time over
-  /// the union of pending events and staged batch members (see
-  /// p2p::Network::Snapshot): absolute seqs are queue-relative, but their
-  /// relative order against the reserved member seqs must survive the
-  /// fork, so restore re-pushes with these compacted seqs verbatim.
+  /// One captured simulator event, sink in symbolic form. `pending` holds
+  /// them in the source queue's pop order, and restore re-pushes them in
+  /// that order, so equal-time events keep their relative order.
   struct PendingEvent {
     enum class Sink : uint8_t { kNetwork, kNode, kScenario };
     sim::Time t = 0.0;
-    uint64_t seq = 0;
     Sink sink = Sink::kNetwork;
     p2p::PeerId node = 0;  ///< kNode only
     sim::Event ev;         ///< sink pointer cleared; `sink` names it

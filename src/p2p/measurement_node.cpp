@@ -15,8 +15,6 @@ MeasurementNode::MeasurementNode(Network* net, const eth::StateView* state, doub
       send_spacing_(send_spacing) {}
 
 void MeasurementNode::deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from) {
-  // Hot under batched delivery: a drained flood batch funnels hundreds of
-  // these back-to-back, so read the clock once per delivery.
   const double now = net_->simulator().now();
   log_.append(hash, from, now);
   view_.add(tx, hash, now);

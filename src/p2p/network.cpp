@@ -123,66 +123,10 @@ bool Network::disconnect(PeerId a, PeerId b) {
   // The link's FIFO clocks die with it (churned campaigns must not grow
   // the stream map without bound, and a re-dialed link must not inherit a
   // stale clock); anything already in flight still delivers.
-  prune_stream(a, b);
-  prune_stream(b, a);
+  for (const uint64_t key : {stream_key(a, b), stream_key(b, a)}) {
+    if (streams_.find(key) != nullptr) streams_.erase(key);
+  }
   return true;
-}
-
-void Network::prune_stream(PeerId from, PeerId to) {
-  const uint64_t key = stream_key(from, to);
-  const StreamState* ss = streams_.find(key);
-  if (ss == nullptr) return;
-  if (ss->open_batch != 0) {
-    TxBatch& b = batch(ss->open_batch);
-    assert(b.in_use);
-    // Seal rather than drop: staged members are already "on the wire".
-    // Sealing matters for correctness, not just hygiene — a reconnect
-    // restarts the FIFO clock, so later sends may deliver *earlier* than
-    // the staged members and must go into a fresh batch to keep each
-    // batch's member times monotone.
-    b.sealed = true;
-    if (!b.live_event) {
-      // Fully drained already; nothing in flight references it.
-      assert(b.head == kNoMember);
-      free_batch(ss->open_batch);
-    }
-  }
-  streams_.erase(key);
-}
-
-uint64_t Network::new_batch(PeerId from, PeerId to, double window_start) {
-  uint64_t id;
-  if (free_batches_.empty()) {
-    batches_.emplace_back();
-    id = batches_.size();
-  } else {
-    id = free_batches_.back();
-    free_batches_.pop_back();
-  }
-  TxBatch& b = batch(id);
-  b = TxBatch{};
-  b.from = from;
-  b.to = to;
-  b.in_use = true;
-  b.window_start = window_start;
-  return id;
-}
-
-void Network::free_batch(uint64_t id) {
-  TxBatch& b = batch(id);
-  assert(b.in_use && b.head == kNoMember);
-  b.in_use = false;
-  free_batches_.push_back(static_cast<uint32_t>(id));
-}
-
-void Network::append_member(TxBatch& b, const BatchMember& m) {
-  const uint32_t n = members_.alloc(m);
-  if (b.head == kNoMember) {
-    b.head = n;
-  } else {
-    members_.next(b.tail) = n;
-  }
-  b.tail = n;
 }
 
 bool Network::linked(PeerId a, PeerId b) const {
@@ -202,9 +146,9 @@ const Node& Network::node(PeerId n) const {
   return *p;
 }
 
-double Network::fifo_delivery_time(PeerId from, PeerId to, double delay) {
-  double& last = streams_[stream_key(from, to)].last_delivery;
-  const double at = std::max(sim_->now() + delay, last + 1e-6);
+double Network::fifo_delivery_time(PeerId from, PeerId to, double delay, double extra_delay) {
+  double& last = streams_[stream_key(from, to)];
+  const double at = std::max(sim_->now() + delay + extra_delay, last + 1e-6);
   last = at;
   return at;
 }
@@ -225,63 +169,12 @@ void Network::send_tx(PeerId from, PeerId to, const eth::Transaction& tx, eth::T
   double lat = latency_.sample(rng_);
   if (fault_ != nullptr) {
     // Dropped messages stay in the sent tallies (the wire bytes were
-    // spent); they just never schedule a delivery or hold an arena slot —
-    // a drop mid-window simply leaves a smaller batch behind.
+    // spent); they just never schedule a delivery or hold an arena slot.
     if (fault_->should_drop(MsgKind::kTx, from, to)) return;
     lat *= fault_->latency_multiplier(MsgKind::kTx, from, to);
   }
-  StreamState& ss = streams_[stream_key(from, to)];
-  const double at = std::max(sim_->now() + lat + extra_delay, ss.last_delivery + 1e-6);
-  ss.last_delivery = at;
+  const double at = fifo_delivery_time(from, to, lat, extra_delay);
   const uint32_t slot = arena_.acquire(tx, hash);
-  if (batch_window_ <= 0.0) {
-    sim_->schedule_at(at, sim::Event::typed(sim::EventKind::kDeliverTx, this, to, from, slot));
-    return;
-  }
-  stage_tx(ss, from, to, at, slot);
-}
-
-void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint32_t slot) {
-  if (ss.open_batch != 0) {
-    TxBatch& b = batch(ss.open_batch);
-    if (at - b.window_start <= batch_window_) {
-      // Reserved at the instant the unbatched path would have pushed, so
-      // the member's (t, seq) key — and therefore its position in the
-      // global total order — is exactly what the one-event-per-message
-      // trajectory would use.
-      const uint64_t seq = sim_->reserve_seq();
-      append_member(b, BatchMember{at, seq, slot});
-      if (!b.live_event) {
-        sim_->schedule_at_seq(
-            at, sim::Event::typed(sim::EventKind::kDeliverTxBatch, this, to, from, ss.open_batch),
-            seq);
-        b.live_event = true;
-      }
-      return;
-    }
-    // Window rolled over: seal (in-flight members keep delivering through
-    // the old batch) and fall through to the plain first-send regime.
-    b.sealed = true;
-    ss.open_batch = 0;
-  } else if (at - ss.window_start <= batch_window_) {
-    // Second send inside the window: batching starts to pay, so open a
-    // batch for this and subsequent members. The window's opener already
-    // shipped as a plain kDeliverTx and is not a member; the window stays
-    // anchored at its delivery time.
-    const uint64_t seq = sim_->reserve_seq();
-    ss.open_batch = new_batch(from, to, ss.window_start);
-    TxBatch& b = batch(ss.open_batch);
-    append_member(b, BatchMember{at, seq, slot});
-    sim_->schedule_at_seq(
-        at, sim::Event::typed(sim::EventKind::kDeliverTxBatch, this, to, from, ss.open_batch),
-        seq);
-    b.live_event = true;
-    return;
-  }
-  // First send of a fresh window: one plain event, zero staging overhead —
-  // a single-send stream (every stream, in a one-tx flood) never touches
-  // the batch slab at all.
-  ss.window_start = at;
   sim_->schedule_at(at, sim::Event::typed(sim::EventKind::kDeliverTx, this, to, from, slot));
 }
 
@@ -418,29 +311,11 @@ Network::Snapshot Network::snapshot() const {
   s.churn_events = churn_events_;
   s.arena = arena_.snapshot();
   s.streams.reserve(streams_.size());
-  streams_.for_each([&s](uint64_t key, const StreamState& ss) {
-    s.streams.push_back(
-        Snapshot::StreamClock{key, ss.last_delivery, ss.open_batch, ss.window_start});
+  streams_.for_each([&s](uint64_t key, double last_delivery) {
+    s.streams.push_back(Snapshot::StreamClock{key, last_delivery});
   });
   std::sort(s.streams.begin(), s.streams.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
-  s.batches.reserve(staged_batches());
-  for (uint64_t id = 1; id <= batches_.size(); ++id) {
-    const TxBatch& b = batches_[id - 1];
-    if (!b.in_use) continue;
-    Snapshot::StagedBatch sb;
-    sb.id = id;
-    sb.from = b.from;
-    sb.to = b.to;
-    sb.sealed = b.sealed;
-    sb.live_event = b.live_event;
-    sb.window_start = b.window_start;
-    for (uint32_t n = b.head; n != kNoMember; n = members_.next(n)) {
-      sb.members.push_back(members_[n]);
-    }
-    s.batches.push_back(std::move(sb));
-  }
-  s.free_batches = free_batches_;
   return s;
 }
 
@@ -479,21 +354,7 @@ void Network::restore(const Snapshot& snap) {
   churn_rate_ = snap.churn_rate;
   churn_events_ = snap.churn_events;
   arena_.restore(snap.arena);
-  for (const auto& sc : snap.streams) {
-    streams_.insert(sc.key, StreamState{sc.last_delivery, sc.open_batch, sc.window_start});
-  }
-  batches_.resize(snap.batches.size() + snap.free_batches.size());
-  free_batches_ = snap.free_batches;
-  for (const auto& sb : snap.batches) {
-    TxBatch& b = batch(sb.id);
-    b.from = sb.from;
-    b.to = sb.to;
-    b.in_use = true;
-    b.sealed = sb.sealed;
-    b.live_event = sb.live_event;
-    b.window_start = sb.window_start;
-    for (const BatchMember& m : sb.members) append_member(b, m);
-  }
+  for (const auto& sc : snap.streams) streams_.insert(sc.key, sc.last_delivery);
 }
 
 void Network::rebind_external(PeerId id, Peer* peer) {
@@ -524,52 +385,6 @@ void Network::on_event(const sim::Event& ev) {
     case sim::EventKind::kDeliverTx:
       deliver_from_arena(ev.a, ev.b, static_cast<uint32_t>(ev.payload));
       break;
-    case sim::EventKind::kDeliverTxBatch: {
-      // Deliveries below can propagate (admit -> send_tx -> stage_tx) and
-      // open new batches, appending slab entries and member-pool nodes.
-      // The slab is a deque, so `b` stays valid across that; members are
-      // copied out before each delivery because the pool's arrays may
-      // grow. `live_event` also stays true for the whole dispatch: a
-      // delivery that detaches ev.a runs prune_stream on this stream, and
-      // a false flag there would free the batch out from under this loop
-      // (prune seals live batches instead).
-      TxBatch& b = batch(ev.payload);
-      assert(b.in_use && "batch event for a freed batch");
-      const sim::Time bound = sim_->drain_bound();
-      while (b.head != kNoMember) {
-        const BatchMember m = members_[b.head];
-        if (m.t > bound) break;  // honour the enclosing run_until horizon
-        // Yield whenever any queued event's (t, seq) key precedes this
-        // member's: delivering it now would reorder the global trajectory.
-        // The first member never yields — this event *was* the queue
-        // minimum at exactly (m.t, m.seq).
-        const auto [qt, qseq] = sim_->next_event_key();
-        if (m.t > qt || (m.t == qt && m.seq > qseq)) break;
-        const uint32_t n = b.head;
-        b.head = members_.next(n);
-        members_.release(n);
-        sim_->advance_to(m.t);
-        sim_->note_drained_delivery();
-        // deliver_from_arena re-reads the peer slot: a delivery can detach ev.a.
-        deliver_from_arena(ev.a, ev.b, m.slot);
-      }
-      if (b.head != kNoMember) {
-        // Park the batch back in the queue at its next member's reserved
-        // key; it pops again exactly when that member would have.
-        const BatchMember& m = members_[b.head];
-        sim_->schedule_at_seq(m.t, ev, m.seq);
-      } else {
-        // Fully drained: free the batch and return the stream to its
-        // plain single-event regime — the next send inside the window
-        // opens a fresh batch only if another one joins it.
-        if (!b.sealed) {
-          StreamState* ss = streams_.find(stream_key(ev.b, ev.a));
-          if (ss != nullptr && ss->open_batch == ev.payload) ss->open_batch = 0;
-        }
-        free_batch(ev.payload);
-      }
-      break;
-    }
     case sim::EventKind::kDeliverAnnounce:
       peers_[ev.a]->deliver_announce(ev.payload, ev.b);
       break;

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <deque>
-#include <limits>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -18,7 +16,6 @@
 #include "sim/latency.h"
 #include "sim/simulator.h"
 #include "util/flat_hash_map.h"
-#include "util/list_pool.h"
 #include "util/rng.h"
 
 namespace topo::p2p {
@@ -39,21 +36,11 @@ struct NetObs {
 /// (the adjacency) is what TopoShot's validator compares measurements
 /// against.
 ///
-/// Delivery is scheduled as plain-data sim::Events (no per-message
-/// allocation); full-transaction payloads ride in a chunked PayloadArena
-/// together with their content hash, so a send costs one arena copy and
-/// zero heap traffic in steady state. Per-stream state lives in flat
-/// tables: the FIFO clocks in a util::FlatHashMap, staged batches in a
-/// slab indexed by batch id, their members in one shared util::ListPool.
-///
-/// Full-transaction sends on the same directed (from, to) stream within
-/// one batch window coalesce into a single kDeliverTxBatch event (see
-/// "Batched delivery" in ARCHITECTURE.md). Batching is pure mechanics:
-/// each member keeps its exact per-message delivery time and a reserved
-/// queue sequence number, the drain loop advances the clock member by
-/// member and yields to the queue whenever any other event's (time, seq)
-/// key comes first, so the observable trajectory is identical to the
-/// one-event-per-message path at any window setting.
+/// Every message is one plain-data sim::Event at its own delivery time
+/// (no per-message allocation); full-transaction payloads ride in a
+/// chunked PayloadArena together with their content hash, so a send costs
+/// one arena copy and zero heap traffic in steady state. The per-stream
+/// FIFO clocks live in a flat util::FlatHashMap.
 class Network : public sim::EventSink {
  public:
   Network(sim::Simulator* sim, eth::Chain* chain, util::Rng rng,
@@ -115,23 +102,9 @@ class Network : public sim::EventSink {
   void send_announce(PeerId from, PeerId to, eth::TxHash hash);
   void send_get_tx(PeerId from, PeerId to, eth::TxHash hash);
 
-  /// Default per-stream batch window (seconds of delivery time one
-  /// kDeliverTxBatch may span).
-  static constexpr double kDefaultBatchWindow = 0.25;
-
-  /// Sets the batch window; <= 0 disables batching entirely (every tx
-  /// rides its own kDeliverTx event — the reference trajectory the golden
-  /// suite compares batched runs against). Batching never changes what is
-  /// delivered when; the window only bounds how long one batch's payload
-  /// span stays parked in the arena.
-  void set_batch_window(double seconds) { batch_window_ = seconds; }
-  double batch_window() const { return batch_window_; }
-
   /// Introspection for tests: directed streams with live FIFO-clock state
-  /// (the leak regression), batches currently staged, and the payload
-  /// arena itself.
+  /// (the leak regression) and the payload arena itself.
   size_t stream_count() const { return streams_.size(); }
-  size_t staged_batches() const { return batches_.size() - free_batches_.size(); }
   const PayloadArena& arena() const { return arena_; }
   PayloadArena& arena() { return arena_; }
 
@@ -159,47 +132,22 @@ class Network : public sim::EventSink {
   /// gets a fresh deterministic identity while keeping its warmed state).
   void set_rng(util::Rng rng) { rng_ = rng; }
 
-  /// One staged full-tx delivery: exact delivery time, the queue sequence
-  /// number reserved for it at send, and its payload slot in the arena.
-  struct BatchMember {
-    double t = 0.0;
-    uint64_t seq = 0;
-    uint32_t slot = 0;
-  };
-
   /// Frozen overlay state for world forking (core::Scenario::snapshot).
   /// Owned-node state rides along (one Node::Snapshot per regular node, in
   /// regular-node order — bulk pool pages behind copy-on-write handles);
   /// externally registered peers are captured as inert slots their owners
   /// re-bind after restore (rebind_external). In-flight transaction
-  /// payloads (the arena), the per-stream FIFO clocks, and staged delivery
-  /// batches are captured symbolically — batch ids and arena slot handles
-  /// are preserved verbatim so the pending kDeliverTxBatch/kDeliverTx
-  /// events the scenario re-pushes resolve identically (the free batch ids
-  /// ride along in their recycling order, so the fork hands out the same
-  /// ids the source world would); member *sequence numbers* are
-  /// queue-relative, so the scenario layer renumbers them (rank-compacted
-  /// together with the pending events' seqs) before the snapshot leaves
-  /// the source world. Link churn rides along too (its flag, rate and
-  /// tally), so a world forks mid-churn: the pending kLinkChurn tick the
-  /// scenario re-pushes re-binds to the replica's network.
+  /// payloads (the arena) and the per-stream FIFO clocks are captured
+  /// verbatim: arena slot handles keep their values, so the pending
+  /// kDeliverTx events the scenario re-pushes resolve identically. Link
+  /// churn rides along too (its flag, rate and tally), so a world forks
+  /// mid-churn: the pending kLinkChurn tick the scenario re-pushes
+  /// re-binds to the replica's network.
   struct Snapshot {
-    /// A staged batch, undelivered members only, in delivery order.
-    struct StagedBatch {
-      uint64_t id = 0;
-      PeerId from = 0;
-      PeerId to = 0;
-      bool sealed = false;
-      bool live_event = false;
-      double window_start = 0.0;
-      std::vector<BatchMember> members;
-    };
     /// One directed stream's FIFO clock (key = from << 32 | to).
     struct StreamClock {
       uint64_t key = 0;
       double last_delivery = 0.0;
-      uint64_t open_batch = 0;  ///< 0 = none
-      double window_start = 0.0;
     };
 
     util::Rng rng;
@@ -217,9 +165,7 @@ class Network : public sim::EventSink {
     double churn_rate = 0.0;
     uint64_t churn_events = 0;
     PayloadArena::Snapshot arena;
-    std::vector<StreamClock> streams;   ///< sorted by key
-    std::vector<StagedBatch> batches;   ///< sorted by id
-    std::vector<uint32_t> free_batches;  ///< free ids, LIFO (back is reused first)
+    std::vector<StreamClock> streams;  ///< sorted by key
   };
   Snapshot snapshot() const;
 
@@ -311,79 +257,20 @@ class Network : public sim::EventSink {
     return (static_cast<uint64_t>(from) << 32) | to;
   }
 
-  /// Per directed (from, to) stream: the FIFO delivery clock — messages
-  /// share a TCP connection in the real protocol, so a later send can
-  /// never overtake an earlier one — plus the id of the batch currently
-  /// accepting members (0 = none) and the delivery time of the send that
-  /// opened the current window. Batches open lazily: the window's first
-  /// send ships as a plain kDeliverTx (a single-send stream, the common
-  /// case in a one-tx flood, pays zero batching overhead) and a batch is
-  /// created only when a second send lands inside the window. Entries are
-  /// pruned on disconnect; a re-established link starts with a fresh clock
-  /// instead of being pushed out by a long-dead link's stale one.
-  struct StreamState {
-    double last_delivery = 0.0;
-    uint64_t open_batch = 0;
-    double window_start = -std::numeric_limits<double>::infinity();
-  };
-
-  static constexpr uint32_t kNoMember = util::ListPool<BatchMember>::kNil;
-
-  /// A staged per-stream delivery batch (a slab entry; see batches_). Its
-  /// undelivered staged sends form a FIFO list in the shared member pool,
-  /// `head` to `tail`, strictly increasing in both t and seq; `head ==
-  /// kNoMember` means drained. `live_event` says a kDeliverTxBatch event
-  /// (scheduled at exactly the head member's (t, seq)) is in the queue or
-  /// currently mid-dispatch in the drain loop — the flag stays set for the
-  /// whole drain so prune_stream (reachable from a delivery that detaches
-  /// a peer) never frees a batch the loop still references. Sealed batches
-  /// no longer accept members (their stream disconnected, rolled its
-  /// window, or opened a newer batch) and are freed once drained.
-  struct TxBatch {
-    PeerId from = 0;
-    PeerId to = 0;
-    bool in_use = false;  ///< false while the id sits on the free list
-    bool sealed = false;
-    bool live_event = false;
-    double window_start = 0.0;
-    uint32_t head = kNoMember;
-    uint32_t tail = kNoMember;
-  };
-
-  /// Enforces the per-stream FIFO clock and returns the delivery time
-  /// (announce/get-tx path; send_tx inlines it to keep the stream handle).
-  double fifo_delivery_time(PeerId from, PeerId to, double delay);
-
-  /// Routes one send through the stream's window: the window's first send
-  /// goes out as a plain kDeliverTx; a second send inside the window opens
-  /// a batch (keeping its queue event pinned to the first undelivered
-  /// member), and later sends join it until the window rolls.
-  void stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint32_t slot);
-
-  /// Drops a departing stream: seals its open batch (in-flight members
-  /// still deliver) and erases the FIFO clock.
-  void prune_stream(PeerId from, PeerId to);
-
-  /// Batch slab access by id (ids start at 1; 0 means "no batch").
-  TxBatch& batch(uint64_t id) { return batches_[id - 1]; }
-  /// Takes a free batch id (recycled LIFO, else a new slab entry).
-  uint64_t new_batch(PeerId from, PeerId to, double window_start);
-  /// Returns a drained batch's id to the free list.
-  void free_batch(uint64_t id);
-  /// Appends a staged member to batch `b`'s list.
-  void append_member(TxBatch& b, const BatchMember& m);
+  /// Enforces the FIFO clock of the directed (from, to) stream and
+  /// returns the delivery time, now + delay + extra_delay or just after
+  /// the stream's previous delivery: messages share a TCP connection in
+  /// the real protocol, so a later send can never overtake an earlier one.
+  /// Clocks are pruned on disconnect; a re-established link starts with a
+  /// fresh clock instead of being pushed out by a long-dead link's stale
+  /// one.
+  double fifo_delivery_time(PeerId from, PeerId to, double delay, double extra_delay = 0.0);
 
   /// Copies the payload out of `slot`, releases the slot, and delivers it.
   void deliver_from_arena(PeerId to, PeerId from, uint32_t slot);
 
-  PayloadArena arena_;  ///< in-flight full-tx payloads (kDeliverTx + staged batches)
-  util::FlatHashMap<StreamState> streams_;  ///< by stream_key
-  /// Batch slab: id i lives at batches_[i - 1]. A deque, so the drain
-  /// loop's TxBatch& survives deliveries that open new batches.
-  std::deque<TxBatch> batches_;
-  std::vector<uint32_t> free_batches_;   ///< recycled batch ids (LIFO)
-  util::ListPool<BatchMember> members_;  ///< every batch's staged members
-  double batch_window_ = kDefaultBatchWindow;
+  PayloadArena arena_;  ///< in-flight full-tx payloads, one slot per kDeliverTx
+  util::FlatHashMap<double> streams_;  ///< last delivery time, by stream_key
 };
 
 }  // namespace topo::p2p

@@ -103,9 +103,8 @@ void Node::deliver_tx(const eth::Transaction& tx, eth::TxHash hash, PeerId from)
   // Body arrival settles any outstanding fetch, however it got here (a
   // direct push races the announce protocol and must still release the
   // fetcher entry). Flood-admission fast path: with no fetches outstanding
-  // — the overwhelmingly common state in push-mode floods, where batched
-  // delivery funnels hundreds of admissions through here back-to-back —
-  // skip both map probes entirely.
+  // — the overwhelmingly common state in push-mode floods — skip both map
+  // probes entirely.
   if (!announce_block_until_.empty() || !announce_sources_.empty()) prune_fetcher(hash);
   admit_and_propagate(tx, hash, from);
 }

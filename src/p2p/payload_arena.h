@@ -13,8 +13,8 @@
 
 namespace topo::p2p {
 
-/// Chunked pool of in-flight full-transaction payloads (kDeliverTx slots
-/// and staged batch members). Each slot holds the transaction together
+/// Chunked pool of in-flight full-transaction payloads, one slot per
+/// pending kDeliverTx. Each slot holds the transaction together
 /// with its content hash, computed once by the sending fan-out and handed
 /// to the receiver with the delivery. Successor of the grow-only tx slab: slots
 /// are recycled LIFO within fixed-size chunks, and a chunk whose slots all

@@ -24,7 +24,6 @@ enum class EventKind : uint8_t {
   kMaintenance,      ///< Node: periodic pool maintenance tick (self-rescheduling)
   kRegossip,         ///< Node: periodic re-gossip tick (self-rescheduling)
   kCampaignStep,     ///< Scenario: one organic-traffic step (self-rescheduling)
-  kDeliverTxBatch,   ///< Network: drain a staged per-link tx batch (a=to, b=from, payload=batch id)
   kLinkChurn,        ///< Network: drop one link, dial a replacement (self-rescheduling)
   kFaultStart,       ///< FaultInjector: a planned node fault (payload=index in the plan)
   kFaultEnd,         ///< FaultInjector: a fault window closes (a=peer, b=1 if it crashed)
@@ -35,7 +34,7 @@ enum class EventKind : uint8_t {
   kDiscDatagram,     ///< DiscV4Net: deliver a datagram (a=to, b=from, payload=type + body slot)
 };
 
-inline constexpr size_t kNumEventKinds = 18;
+inline constexpr size_t kNumEventKinds = 17;
 
 /// Stable metric-suffix name of an event kind (`sim.dispatch.<name>`).
 constexpr const char* event_kind_name(EventKind kind) {
@@ -49,7 +48,6 @@ constexpr const char* event_kind_name(EventKind kind) {
     case EventKind::kMaintenance: return "maintenance";
     case EventKind::kRegossip: return "regossip";
     case EventKind::kCampaignStep: return "campaign_step";
-    case EventKind::kDeliverTxBatch: return "deliver_tx_batch";
     case EventKind::kLinkChurn: return "link_churn";
     case EventKind::kFaultStart: return "fault_start";
     case EventKind::kFaultEnd: return "fault_end";
@@ -82,14 +80,14 @@ class EventSink {
 /// One scheduled event: a small tagged record, trivially copyable, so a
 /// queue slot is plain data the heap sifts and the wheel relinks without
 /// touching an allocator. Every kind carries its whole payload inline (two
-/// ids + one 64-bit word — a hash, an arena slot, a batch id, a table
-/// index); a sink whose event needs more parks it in a slab of its own and
-/// passes the slot.
+/// ids + one 64-bit word — a hash, an arena slot, a table index); a sink
+/// whose event needs more parks it in a slab of its own and passes the
+/// slot.
 struct Event {
   EventKind kind = EventKind::kDeliverTx;
   uint32_t a = 0;        ///< primary id (destination peer / node)
   uint32_t b = 0;        ///< secondary id (source peer)
-  uint64_t payload = 0;  ///< hash, arena slot, batch id, or a sink's slab slot
+  uint64_t payload = 0;  ///< hash, arena slot, or a sink's slab slot
   EventSink* sink = nullptr;
 
   static Event typed(EventKind k, EventSink* sink, uint32_t a = 0, uint32_t b = 0,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 
 namespace topo::sim {
 
@@ -73,13 +72,8 @@ void EventQueue::wheel_push(const Scheduled& slot) {
 }
 
 void EventQueue::push(Time t, Event ev) {
-  push_at_seq(t, ev, next_seq_);
-}
-
-void EventQueue::push_at_seq(Time t, Event ev, uint64_t seq) {
-  if (seq >= next_seq_) next_seq_ = seq + 1;
   ++size_;
-  wheel_push(Scheduled{t, seq, ev});
+  wheel_push(Scheduled{t, next_seq_++, ev});
   // Invariant: due_ is non-empty whenever size_ > 0 (next_time() and pop()
   // read due_.front() unconditionally). A push into a drained queue lands
   // in the rings, so pull the earliest bucket forward here.
@@ -255,14 +249,6 @@ std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
 
 Time EventQueue::next_time() const {
   return size_ == 0 ? 0.0 : due_.front().t;
-}
-
-std::pair<Time, uint64_t> EventQueue::next_key() const {
-  if (size_ == 0) {
-    return {std::numeric_limits<Time>::infinity(),
-            std::numeric_limits<uint64_t>::max()};
-  }
-  return {due_.front().t, due_.front().seq};
 }
 
 EventQueue::Scheduled EventQueue::pop() {

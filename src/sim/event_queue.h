@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sim/event.h"
@@ -45,10 +44,7 @@ namespace topo::sim {
 class EventQueue {
  public:
   /// One queue slot, and what pop() returns: the scheduled time, the
-  /// queue sequence number that tie-breaks equal times, and the event. The
-  /// seq is what batched delivery (p2p::Network) uses to prove a staged
-  /// member would have been the very next pop: comparing (t, seq) against
-  /// next_key() is exact.
+  /// queue sequence number that tie-breaks equal times, and the event.
   struct Scheduled {
     Time t = 0.0;
     uint64_t seq = 0;
@@ -76,50 +72,21 @@ class EventQueue {
   /// Schedules an event under the next sequence number.
   void push(Time t, Event ev);
 
-  /// Claims the next sequence number without pushing anything. A caller
-  /// staging work outside the queue (per-link delivery batches) reserves
-  /// one seq per logical event at the moment it *would* have pushed, so
-  /// the total order is pinned even though the push happens later (or
-  /// never, when the batch drains the member directly).
-  uint64_t reserve_seq() { return next_seq_++; }
-
-  /// Pushes an event under a previously reserved (or snapshot-captured)
-  /// sequence number instead of assigning a fresh one. Advances the
-  /// internal counter past `seq` so later plain pushes still sort after
-  /// it; the caller owns not reusing a seq that is already queued.
-  void push_at_seq(Time t, Event ev, uint64_t seq);
-
-  /// Ensures future plain pushes receive sequence numbers >= `min_next`
-  /// (world-fork restore: staged batch members hold reserved seqs that
-  /// were never queued, so the counter must clear them too).
-  void advance_seq(uint64_t min_next) {
-    if (next_seq_ < min_next) next_seq_ = min_next;
-  }
-
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   const Stats& stats() const { return stats_; }
 
-  /// Exact timestamp of the next event (0 when empty).
+  /// Exact timestamp of the next event (0 when empty). O(1): the wheel
+  /// keeps due_.front() the global minimum whenever the queue is non-empty.
   Time next_time() const;
-
-  /// Exact (time, seq) key of the next event — the global minimum of the
-  /// total order, O(1) (the wheel keeps the invariant that due_.front()
-  /// is the global minimum whenever the queue is non-empty). Returns
-  /// (+inf, max) when empty so any real key compares below it.
-  std::pair<Time, uint64_t> next_key() const;
 
   /// Pops the earliest event by (time, seq); undefined if empty.
   Scheduled pop();
 
   /// Non-destructive copy of every pending event in pop order — the
-  /// world-snapshot capture path. Entries carry
-  /// their sequence numbers: absolute seq values are meaningless across
-  /// queues, but their *ranks* pin the relative order against out-of-queue
-  /// reserved seqs (staged batch members), so the capture path compacts
-  /// the union of both to ranks and replays them via push_at_seq.
-  /// Re-pushing in order with fresh seqs (plain push) also reconstructs
-  /// the same pop order when no reserved seqs are in play.
+  /// world-snapshot capture path. Absolute seqs mean nothing outside this
+  /// queue; re-pushing the copy in order into a fresh queue (plain push)
+  /// reconstructs the same pop order.
   std::vector<Scheduled> pending_snapshot() const;
 
  private:

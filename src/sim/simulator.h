@@ -1,8 +1,7 @@
 #pragma once
 
 #include <array>
-#include <limits>
-#include <utility>
+#include <vector>
 
 #include "sim/event_queue.h"
 
@@ -25,18 +24,6 @@ class Simulator {
   /// past). Allocation-free.
   void schedule_at(Time t, Event ev);
 
-  /// Schedules an event under a previously reserved queue sequence
-  /// number (see reserve_seq). Same clamping as schedule_at.
-  void schedule_at_seq(Time t, Event ev, uint64_t seq);
-
-  /// Claims the next queue sequence number without scheduling anything —
-  /// the staging half of batched delivery (EventQueue::reserve_seq).
-  uint64_t reserve_seq() { return queue_.reserve_seq(); }
-
-  /// Ensures future plain schedules sort after seq `min_next - 1` (world
-  /// restore over reserved-but-unqueued seqs; EventQueue::advance_seq).
-  void advance_seq(uint64_t min_next) { queue_.advance_seq(min_next); }
-
   /// Schedules an event `delay` seconds from now (delay < 0 treated as 0).
   /// Allocation-free.
   void schedule_after(Time delay, Event ev);
@@ -47,39 +34,12 @@ class Simulator {
   /// Runs events with timestamp <= t, then advances the clock to t.
   void run_until(Time t);
 
-  /// Runs until the queue drains or the event budget is exhausted; returns
-  /// true if drained. The budget counts *deliveries*, not queue pops: a
-  /// batch dispatch that drains k staged members debits k (reported via
-  /// note_drained_delivery), so a watchdog cap bounds the same amount of
-  /// work as it did under one-event-per-message delivery.
+  /// Runs until the queue drains or `max_events` events have run; returns
+  /// true if drained.
   bool run_capped(size_t max_events);
 
   size_t processed() const { return processed_; }
   size_t queued() const { return queue_.size(); }
-
-  /// Exact (time, seq) key of the next queued event, (+inf, max) when the
-  /// queue is empty (EventQueue::next_key). An in-flight event handler
-  /// draining staged work compares its members against this to decide how
-  /// far it may run without violating the global total order.
-  std::pair<Time, uint64_t> next_event_key() const { return queue_.next_key(); }
-
-  /// Moves the clock forward to `t` (never backward). Event handlers that
-  /// deliver several staged messages in one dispatch (batched delivery)
-  /// advance the clock to each member's scheduled time so downstream
-  /// timestamps are identical to the one-event-per-message trajectory.
-  void advance_to(Time t) { now_ = std::max(now_, t); }
-
-  /// Called by a handler once per staged message it delivers inside a
-  /// single dispatch (batched delivery drain loop). run_capped charges
-  /// these against its event budget so batching cannot inflate how much
-  /// work one counted event is allowed to do.
-  void note_drained_delivery() { ++drained_; }
-
-  /// Upper bound on how far an in-dispatch drain may advance the clock:
-  /// the horizon of the innermost run_until(t), +inf under run()/
-  /// run_capped(). Without this, a batch popped at t0 <= t could deliver
-  /// members beyond t and break run_until's contract.
-  Time drain_bound() const { return drain_bound_; }
 
   /// Deepest the event queue has ever been — the memory high-water mark a
   /// production deployment must provision for (observability snapshot
@@ -125,9 +85,7 @@ class Simulator {
 
   EventQueue queue_;
   Time now_ = 0.0;
-  Time drain_bound_ = std::numeric_limits<Time>::infinity();
   size_t processed_ = 0;
-  size_t drained_ = 0;  ///< batch-drained deliveries; run_capped uses deltas only
   size_t queue_high_water_ = 0;
   std::array<uint64_t, kNumEventKinds> dispatched_{};
 };

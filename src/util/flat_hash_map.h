@@ -13,8 +13,8 @@ namespace topo::util {
 /// value: the mempool's transaction index (content hash -> slab index) and
 /// address -> account-slot table, the chain's nonce and inclusion tables,
 /// the measurement node's receive log, block packing's sender groups, and
-/// the network's per-stream FIFO clocks (directed stream key ->
-/// StreamState).
+/// the network's per-stream FIFO clocks (directed stream key -> last
+/// delivery time).
 ///
 /// Linear probing over a power-of-two bucket array, Fibonacci-hashed so
 /// sequential keys (simulation addresses, packed peer-id pairs) spread as

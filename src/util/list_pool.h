@@ -6,9 +6,8 @@
 namespace topo::util {
 
 /// Nodes of many singly linked lists, kept in one pair of flat arrays: the
-/// timing wheel's bucket lists and the network's batch member lists (and,
-/// with no lists at all, discv4's slab of datagram bodies). A node
-/// is a 32-bit handle; released nodes form an intrusive free list and are
+/// timing wheel's bucket lists (and, with no lists at all, discv4's slab
+/// of datagram bodies). A node is a 32-bit handle; released nodes form an intrusive free list and are
 /// reused LIFO, so the pool's footprint is the peak number of live nodes
 /// and a steady-state alloc/release pair never reaches the allocator.
 /// Handles stay valid until released; references into the pool do not

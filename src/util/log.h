@@ -1,26 +1,9 @@
 #pragma once
 
-#include <string>
-
 namespace topo::util {
 
+/// Severity of a structured log entry (obs::EventLog), lowest first;
+/// kOff as a threshold suppresses everything.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Global log threshold; messages below it are dropped. Defaults to kWarn so
-/// that benches stay quiet unless asked.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// printf-style logging to stderr with a level prefix.
-void log(LogLevel level, const char* fmt, ...)
-#if defined(__GNUC__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
-#define TOPO_DEBUG(...) ::topo::util::log(::topo::util::LogLevel::kDebug, __VA_ARGS__)
-#define TOPO_INFO(...) ::topo::util::log(::topo::util::LogLevel::kInfo, __VA_ARGS__)
-#define TOPO_WARN(...) ::topo::util::log(::topo::util::LogLevel::kWarn, __VA_ARGS__)
-#define TOPO_ERROR(...) ::topo::util::log(::topo::util::LogLevel::kError, __VA_ARGS__)
 
 }  // namespace topo::util

@@ -2,8 +2,8 @@
 //
 // Execution strategy must never be observable. A whole campaign must
 // produce byte-identical artifacts at any worker width, with forked or
-// rebuilt shard worlds, with or without delivery batching (at any window),
-// with or without fault injection, for every measurement strategy. These
+// rebuilt shard worlds, with or without fault injection, for every
+// measurement strategy. These
 // tests serialize the merged report and the merged causal-span export to
 // JSON and compare the bytes.
 //
@@ -24,7 +24,6 @@
 #include "graph/generators.h"
 #include "monitor/monitor.h"
 #include "obs/span.h"
-#include "p2p/network.h"
 #include "rpc/monitor_rpc.h"
 #include "util/rng.h"
 
@@ -51,31 +50,9 @@ obs::MetricsSnapshot strip_queue_internals(obs::MetricsSnapshot s) {
   return s;
 }
 
-/// The wider carve-out for batched-vs-unbatched comparisons (and for the
-/// cross-backend ones, which change batching too): a batch
-/// replaces N kDeliverTx pops with one kDeliverTxBatch pop, so the event
-/// *accounting* (dispatch mix, processed count, queue depths) legitimately
-/// differs while everything observable — reports, traces, every other
-/// metric, including net.arena_peak — must not.
-obs::MetricsSnapshot strip_event_accounting(obs::MetricsSnapshot s) {
-  auto strip = [](std::map<std::string, double>& m) {
-    for (auto it = m.begin(); it != m.end();) {
-      const std::string& k = it->first;
-      const bool drop = k.rfind("sim.queue.impl.", 0) == 0 ||
-                        k.rfind("sim.dispatch.", 0) == 0 || k == "sim.events_processed" ||
-                        k == "sim.queue_depth" || k == "sim.queue_high_water";
-      it = drop ? m.erase(it) : std::next(it);
-    }
-  };
-  strip(s.gauges);
-  strip(s.gauge_maxes);
-  return s;
-}
-
 CampaignArtifacts run_campaign(size_t threads, size_t shards, bool faults,
                                core::StrategyKind strategy = core::StrategyKind::kToposhot,
-                               bool fork_worlds = true,
-                               double batch_window = p2p::Network::kDefaultBatchWindow) {
+                               bool fork_worlds = true, double churn_rate = 0.0) {
   util::Rng rng(21);
   const graph::Graph truth = graph::erdos_renyi_gnm(24, 44, rng);
   core::ScenarioOptions opt;
@@ -83,7 +60,6 @@ CampaignArtifacts run_campaign(size_t threads, size_t shards, bool faults,
   opt.mempool_capacity = 192;
   opt.future_cap = 48;
   opt.background_txs = 128;
-  opt.batch_window = batch_window;
   core::MeasureConfig cfg;
   {
     core::Scenario probe(truth, opt);
@@ -100,6 +76,7 @@ CampaignArtifacts run_campaign(size_t threads, size_t shards, bool faults,
   copt.threads = threads;
   copt.collect_spans = true;
   copt.fork_worlds = fork_worlds;
+  copt.churn_rate = churn_rate;
   if (faults) {
     copt.fault_plan.drop_tx = 0.02;
     copt.fault_plan.drop_announce = 0.02;
@@ -110,17 +87,16 @@ CampaignArtifacts run_campaign(size_t threads, size_t shards, bool faults,
           obs::spans_to_chrome_json(result.spans).dump(), result.metrics};
 }
 
-// The two execution backends end to end: the default one (shard worlds
-// forked from a warmed snapshot, batched delivery) against the reference
-// one (every world rebuilt and re-warmed, one event per delivery). Only
-// the metrics strip_event_accounting drops may differ; that carve-out
-// already holds the fork-vs-rebuild one.
+// The two execution backends end to end, on a single shard: the default
+// one (the shard world forked from a warmed snapshot) against the
+// reference one (the world rebuilt and re-warmed). Only the timing-wheel
+// internals strip_queue_internals drops may differ.
 TEST(GoldenDeterminism, SmokeCampaignIsByteIdenticalAcrossBackends) {
-  const auto fast = run_campaign(1, 2, false);
-  const auto reference = run_campaign(1, 2, false, core::StrategyKind::kToposhot, false, 0.0);
+  const auto fast = run_campaign(1, 1, false);
+  const auto reference = run_campaign(1, 1, false, core::StrategyKind::kToposhot, false);
   EXPECT_EQ(fast.report_json, reference.report_json);
   EXPECT_EQ(fast.trace_json, reference.trace_json);
-  EXPECT_EQ(strip_event_accounting(fast.metrics), strip_event_accounting(reference.metrics));
+  EXPECT_EQ(strip_queue_internals(fast.metrics), strip_queue_internals(reference.metrics));
   EXPECT_FALSE(fast.report_json.empty());
   EXPECT_FALSE(fast.trace_json.empty());
   // Annexes stay absent when not configured: the serialized report is the
@@ -238,14 +214,29 @@ TEST(GoldenDeterminism, ForkedRivalStrategiesMatchRebuilt) {
   }
 }
 
+// Organic traffic and a mining drain in every replica (churn_rate > 0):
+// fresh transactions flood each world while its batches are measured, so
+// kDeliverTx events and their arena payload slots are live throughout, and
+// blocks prune the pools underneath. Forked replicas must still match
+// rebuilt ones byte for byte.
+TEST(GoldenDeterminism, ForkedTrafficCampaignMatchesRebuilt) {
+  const auto forked = run_campaign(2, 2, false, core::StrategyKind::kToposhot, true, 2.0);
+  const auto rebuilt = run_campaign(2, 2, false, core::StrategyKind::kToposhot, false, 2.0);
+  EXPECT_EQ(forked.report_json, rebuilt.report_json);
+  EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
+  EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
+  EXPECT_GT(forked.metrics.gauges.at("sim.dispatch.campaign_step"), 0.0) << "no organic traffic";
+  EXPECT_GT(forked.metrics.gauges.at("sim.dispatch.block_commit"), 0.0) << "no block mined";
+}
+
 // The faulted variant of the smoke test: default execution backend against
 // the reference one, at two threads over two shards.
 TEST(GoldenDeterminism, FaultCampaignIsByteIdenticalAcrossBackends) {
   const auto fast = run_campaign(2, 2, true);
-  const auto reference = run_campaign(2, 2, true, core::StrategyKind::kToposhot, false, 0.0);
+  const auto reference = run_campaign(2, 2, true, core::StrategyKind::kToposhot, false);
   EXPECT_EQ(fast.report_json, reference.report_json);
   EXPECT_EQ(fast.trace_json, reference.trace_json);
-  EXPECT_EQ(strip_event_accounting(fast.metrics), strip_event_accounting(reference.metrics));
+  EXPECT_EQ(strip_queue_internals(fast.metrics), strip_queue_internals(reference.metrics));
 
   // The faulted campaign carries the diagnostics annex, and every pair it
   // left inconclusive names the protocol step that broke — never a bare
@@ -262,55 +253,6 @@ TEST(GoldenDeterminism, FaultCampaignIsByteIdenticalAcrossBackends) {
     EXPECT_NE(p.cause, obs::ProbeCause::kNone)
         << "pair (" << p.u << ", " << p.v << ") is inconclusive without a cause";
   }
-}
-
-// Batched delivery is pure mechanics: a campaign run with per-link
-// delivery batching (the default window) must produce byte-identical
-// reports and traces to the same campaign with batching disabled
-// (window 0, one kDeliverTx event per message) — the only things allowed
-// to differ are the event-accounting metrics strip_event_accounting
-// removes. This is the contract that makes the batching optimization
-// invisible to every consumer of campaign artifacts.
-TEST(GoldenDeterminism, BatchedMatchesUnbatchedByteForByte) {
-  const auto batched = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true);
-  const auto unbatched = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true, 0.0);
-  EXPECT_EQ(batched.report_json, unbatched.report_json);
-  EXPECT_EQ(batched.trace_json, unbatched.trace_json);
-  EXPECT_EQ(strip_event_accounting(batched.metrics), strip_event_accounting(unbatched.metrics));
-  EXPECT_FALSE(batched.report_json.empty());
-}
-
-TEST(GoldenDeterminism, BatchedMatchesUnbatchedWithFaultsAtWidth) {
-  // Faulted + multi-thread/shard: drops and latency spikes interleave with
-  // batch staging (dropped sends never join a batch), and the merge across
-  // shard workers must still line up byte for byte.
-  const auto batched = run_campaign(2, 3, true, core::StrategyKind::kToposhot, true);
-  const auto unbatched = run_campaign(2, 3, true, core::StrategyKind::kToposhot, true, 0.0);
-  EXPECT_EQ(batched.report_json, unbatched.report_json);
-  EXPECT_EQ(batched.trace_json, unbatched.trace_json);
-  EXPECT_EQ(strip_event_accounting(batched.metrics),
-            strip_event_accounting(unbatched.metrics));
-}
-
-// The snapshot path for the no-batching configuration: plain kDeliverTx
-// events with arena payload slots must also survive fork/restore exactly
-// (the batched default is covered by every Forked* test above).
-TEST(GoldenDeterminism, UnbatchedForkedMatchesRebuilt) {
-  const auto forked = run_campaign(1, 2, false, core::StrategyKind::kToposhot, true, 0.0);
-  const auto rebuilt = run_campaign(1, 2, false, core::StrategyKind::kToposhot, false, 0.0);
-  EXPECT_EQ(forked.report_json, rebuilt.report_json);
-  EXPECT_EQ(forked.trace_json, rebuilt.trace_json);
-  EXPECT_EQ(strip_queue_internals(forked.metrics), strip_queue_internals(rebuilt.metrics));
-}
-
-// Non-default windows at a wider width: the window size itself must never
-// be observable, only the accounting.
-TEST(GoldenDeterminism, BatchWindowSizeIsUnobservable) {
-  const auto narrow = run_campaign(4, 2, false, core::StrategyKind::kToposhot, true, 0.05);
-  const auto wide = run_campaign(4, 2, false, core::StrategyKind::kToposhot, true, 1.0);
-  EXPECT_EQ(narrow.report_json, wide.report_json);
-  EXPECT_EQ(narrow.trace_json, wide.trace_json);
-  EXPECT_EQ(strip_event_accounting(narrow.metrics), strip_event_accounting(wide.metrics));
 }
 
 // -- the monitoring daemon ---------------------------------------------------

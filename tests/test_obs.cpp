@@ -8,12 +8,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/probe_obs.h"
 #include "core/session.h"
 #include "core/toposhot.h"
 #include "obs/event_log.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/phase.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 
@@ -405,21 +405,30 @@ TEST(Trace, RingWrapsAroundOldestFirst) {
 }
 
 TEST(Phase, ScopedPhaseRecordsClockDelta) {
-  double clock = 0.0;
+  sim::Simulator sim;
+  sim.run_until(1.0);
   obs::Histogram h({1.0, 10.0});
-  const obs::PhaseTimer timer([&clock] { return clock; });
   {
-    obs::ScopedPhase p = timer.phase(&h);
-    clock = 2.5;
+    core::ScopedPhase p(&h, sim);
+    sim.run_until(3.5);
   }
   EXPECT_EQ(h.count(), 1u);
   EXPECT_DOUBLE_EQ(h.sum(), 2.5);
+  // finish() records once; the destructor then adds nothing.
+  {
+    core::ScopedPhase p(&h, sim);
+    sim.run_until(4.0);
+    p.finish();
+    sim.run_until(9.0);
+  }
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.sum(), 3.0);
   // Null histogram: no-op, no crash.
   {
-    obs::ScopedPhase p = timer.phase(nullptr);
-    clock = 9.0;
+    core::ScopedPhase p(nullptr, sim);
+    sim.run_until(12.0);
   }
-  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.count(), 2u);
 }
 
 TEST(Export, JsonRoundTrip) {

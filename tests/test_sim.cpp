@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -47,25 +46,15 @@ struct RecordingSink final : EventSink {
 };
 
 /// The oracle the timing wheel is checked against: one binary min-heap by
-/// (time, seq), the simplest structure with the queue's total order,
-/// behind the same sequence-number API.
+/// (time, seq), the simplest structure with the queue's total order.
 class ReferenceHeap {
  public:
-  void push(Time t, Event ev) { push_at_seq(t, ev, next_seq_); }
-  void push_at_seq(Time t, Event ev, uint64_t seq) {
-    next_seq_ = std::max(next_seq_, seq + 1);
-    heap_.push_back(EventQueue::Scheduled{t, seq, ev});
+  void push(Time t, Event ev) {
+    heap_.push_back(EventQueue::Scheduled{t, next_seq_++, ev});
     std::push_heap(heap_.begin(), heap_.end(), later);
   }
-  uint64_t reserve_seq() { return next_seq_++; }
-  void advance_seq(uint64_t min_next) { next_seq_ = std::max(next_seq_, min_next); }
   size_t size() const { return heap_.size(); }
-  std::pair<Time, uint64_t> next_key() const {
-    if (heap_.empty()) {
-      return {std::numeric_limits<Time>::infinity(), std::numeric_limits<uint64_t>::max()};
-    }
-    return {heap_.front().t, heap_.front().seq};
-  }
+  Time next_time() const { return heap_.empty() ? 0.0 : heap_.front().t; }
   EventQueue::Scheduled pop() {
     std::pop_heap(heap_.begin(), heap_.end(), later);
     const EventQueue::Scheduled out = heap_.back();
@@ -125,8 +114,8 @@ struct Spawner final : EventSink {
 };
 
 /// Applies every operation to the wheel and the reference heap alike and
-/// asserts they agree: claimed seqs, next_key() before each pop, each
-/// popped (time, seq, event), and pending_snapshot() on demand. Every
+/// asserts they agree: next_time() before each pop, each popped
+/// (time, seq, event), and pending_snapshot() on demand. Every
 /// event is tagged with a unique payload and compared; chain events are
 /// also fired on both sides and must log the same tag.
 struct Lockstep {
@@ -135,9 +124,9 @@ struct Lockstep {
   ReferenceHeap ref;
   Spawner<EventQueue> wheel_chains{&wheel};
   Spawner<ReferenceHeap> ref_chains{&ref};
-  std::vector<uint64_t> reserved;  ///< claimed, not yet pushed
   uint64_t next_tag = 0;
   double now = 0.0;  ///< time of the latest pop
+  std::vector<uint64_t> popped;  ///< seqs, in pop order
 
   Event tagged() { return Event::typed(EventKind::kMaintenance, &sink, 0, 0, next_tag++); }
 
@@ -164,50 +153,15 @@ struct Lockstep {
     push_chain(t, dt, static_cast<int>(rng.index(4)));
   }
 
-  void push_at_seq(double t, uint64_t seq) {
-    const Event ev = tagged();
-    wheel.push_at_seq(t, ev, seq);
-    ref.push_at_seq(t, ev, seq);
-  }
-  void reserve() {
-    const uint64_t seq = wheel.reserve_seq();
-    ASSERT_EQ(ref.reserve_seq(), seq);
-    reserved.push_back(seq);
-  }
-
-  /// The sequence-number API as batched delivery and world restore use
-  /// it: claim a seq now and push under it later (after newer pushes,
-  /// possibly tying the queue's next event), or move the counter ahead.
-  void seq_op(util::Rng& rng) {
-    const double r = rng.uniform();
-    if (r < 0.4 || reserved.empty()) {
-      ASSERT_NO_FATAL_FAILURE(reserve());
-    } else if (r < 0.85) {
-      const size_t i = rng.index(reserved.size());
-      const double t = rng.uniform() < 0.3 && !wheel.empty() ? wheel.next_time()
-                                                             : now + rng.uniform() * 0.5;
-      push_at_seq(t, reserved[i]);
-      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ASSERT_NO_FATAL_FAILURE(reserve());
-      const uint64_t ahead = reserved.back() + 1 + rng.index(5);
-      if (rng.uniform() < 0.5) {
-        wheel.advance_seq(ahead);
-        ref.advance_seq(ahead);
-      } else {
-        push_at_seq(now + rng.uniform(), ahead);
-      }
-    }
-  }
-
   void pop() {
-    ASSERT_EQ(wheel.next_key(), ref.next_key());
+    ASSERT_EQ(wheel.next_time(), ref.next_time());
     const EventQueue::Scheduled w = wheel.pop();
     const EventQueue::Scheduled r = ref.pop();
     ASSERT_EQ(w.t, r.t);
     ASSERT_EQ(w.seq, r.seq);
     ASSERT_EQ(w.ev.kind, r.ev.kind);
     ASSERT_EQ(w.ev.payload, r.ev.payload);
+    popped.push_back(w.seq);
     now = std::max(now, w.t);
     if (w.ev.kind != kChainKind) return;
     w.fire();
@@ -228,15 +182,12 @@ struct Lockstep {
     }
   }
 
-  /// Pushes every still-reserved seq, then pops both queues dry.
+  /// Pops both queues dry.
   void drain() {
-    for (uint64_t seq : reserved) push_at_seq(now + 0.25, seq);
-    reserved.clear();
     ASSERT_NO_FATAL_FAILURE(check_snapshot());
     ASSERT_EQ(wheel.size(), ref.size());
     while (!wheel.empty()) ASSERT_NO_FATAL_FAILURE(pop());
     ASSERT_EQ(ref.size(), 0u);
-    ASSERT_EQ(wheel.next_key(), ref.next_key());
     ASSERT_EQ(wheel_chains.fired, ref_chains.fired);
   }
 };
@@ -249,12 +200,8 @@ TEST(EventQueue, BothBackendsOrderIdentically) {
   q.push(1.0);       // same time: insertion order
   q.push(100000.0);  // beyond both wheel levels: the overflow heap
   q.push(30.0);      // L1 horizon
-  std::vector<uint64_t> order;
-  while (!q.wheel.empty()) {
-    order.push_back(q.wheel.next_key().second);
-    ASSERT_NO_FATAL_FAILURE(q.pop());
-  }
-  EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 0, 4, 3}));
+  ASSERT_NO_FATAL_FAILURE(q.drain());
+  EXPECT_EQ(q.popped, (std::vector<uint64_t>{1, 2, 0, 4, 3}));
 }
 
 // Directed regression: an event beyond the L1 horizon (overflow heap) must
@@ -279,9 +226,9 @@ TEST(EventQueue, OverflowPopsBeforeLaterL1PushAfterWheelAdvance) {
 
 // Property test of the determinism contract: under randomized schedules —
 // equal-time bursts, far-future outliers, interleaved pops, same-bucket
-// re-pushes, seqs reserved now and pushed later, event chains that
-// schedule their successors while they fire — the wheel pops
-// the exact (time, seq) order the reference binary heap does.
+// re-pushes, event chains that schedule their successors while they
+// fire — the wheel pops the exact (time, seq) order the reference binary
+// heap does.
 TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
   util::Rng rng(99);
   Lockstep q;
@@ -303,9 +250,7 @@ TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
       // Same-time follow-up: push at exactly the next pop's timestamp,
       // which lands in the bucket currently draining.
       q.push(q.wheel.next_time());
-    } else if (r < 0.78) {
-      ASSERT_NO_FATAL_FAILURE(q.seq_op(rng));
-    } else if (r < 0.80) {
+    } else if (r < 0.70) {
       ASSERT_NO_FATAL_FAILURE(q.check_snapshot());
     } else if (!q.wheel.empty()) {
       const size_t k = 1 + rng.index(4);
@@ -319,8 +264,7 @@ TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
 // cluster around the horizon, so events keep migrating from the overflow
 // heap into L1 reach as pops advance the wheel while fresh pushes land in
 // L1 directly — the interleaving class the directed regression above pins
-// down, explored at random, with late reserved-seq pushes and event
-// chains mixed in.
+// down, explored at random, with event chains mixed in.
 TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
   util::Rng rng(7);
   Lockstep q;
@@ -332,9 +276,7 @@ TEST(EventQueue, WheelMatchesReferenceHeapAroundOverflowHorizon) {
       q.push(q.now + 800.0 + rng.uniform() * 600.0);  // straddles the horizon
     } else if (r < 0.52) {
       q.push(q.now + rng.uniform() * 2.0);  // near-term L0 filler
-    } else if (r < 0.60) {
-      ASSERT_NO_FATAL_FAILURE(q.seq_op(rng));
-    } else if (r < 0.62) {
+    } else if (r < 0.54) {
       ASSERT_NO_FATAL_FAILURE(q.check_snapshot());
     } else if (!q.wheel.empty()) {
       const size_t k = 1 + rng.index(6);

@@ -1,5 +1,5 @@
-// Coverage for the small util pieces: table rendering, CLI parsing, log
-// level gating, and the open-addressing FlatHashMap.
+// Coverage for the small util pieces: table rendering, CLI parsing, and
+// the open-addressing FlatHashMap.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "util/cli.h"
 #include "util/flat_hash_map.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -121,18 +120,6 @@ TEST(CliDeathTest, RejectsEmptyNumericValue) {
   Cli cli(2, const_cast<char**>(argv));
   EXPECT_EXIT(cli.get_uint("nodes", 1), ::testing::ExitedWithCode(2),
               "invalid value for --nodes");
-}
-
-TEST(Log, LevelGatesMessages) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold calls must be no-ops (nothing to assert on stderr
-  // portably; this exercises the early-return path).
-  TOPO_DEBUG("dropped %d", 1);
-  TOPO_INFO("dropped");
-  TOPO_WARN("dropped");
-  set_log_level(original);
 }
 
 // The flat table against std::unordered_map: a small key space (key 0

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/session.h"
 #include "core/toposhot.h"
@@ -110,6 +111,44 @@ TEST(SnapshotWorld, ForkMidLinkChurnMatchesSource) {
   EXPECT_EQ(fork->net().snapshot_topology().edges(), base.net().snapshot_topology().edges());
   EXPECT_EQ(metrics_fingerprint(*fork, /*strip_queue_internals=*/true),
             metrics_fingerprint(base, /*strip_queue_internals=*/true));
+}
+
+// Equal-time events pop in the order they were scheduled. A fork re-pushes
+// the captured events in the source's pop order, so its queue must pop a
+// same-time group in exactly the source's order — not in any order the
+// events themselves would sort into.
+TEST(SnapshotWorld, RestoresEqualTimeEventsInSourcePopOrder) {
+  const graph::Graph truth = small_truth();
+  core::ScenarioOptions opt = small_options();
+  opt.latency_sigma = 0.0;  // every link delay is the median
+  core::Scenario base(truth, opt);
+  base.seed_background();
+  // Sends made in one instant, from the highest peer id down, all land at
+  // now + median.
+  const auto& t = base.targets();
+  for (size_t i = t.size() - 1; i > 0; --i) {
+    const eth::Address a = base.accounts().create_one();
+    base.net().send_tx(t[i], t[i - 1],
+                       base.factory().make(a, base.accounts().allocate_nonce(a), 300));
+  }
+  const double lands = base.sim().now() + opt.latency_median;
+  const auto source = base.sim().pending_snapshot();
+  ASSERT_GE(std::count_if(source.begin(), source.end(),
+                          [&](const auto& s) {
+                            return s.t == lands && s.ev.kind == sim::EventKind::kDeliverTx;
+                          }),
+            2)
+      << "the test needs a same-time group";
+
+  auto fork = core::Scenario::fork(base.snapshot());
+  const auto forked = fork->sim().pending_snapshot();
+  ASSERT_EQ(forked.size(), source.size());
+  const auto key = [](const sim::EventQueue::Scheduled& s) {
+    return std::tuple{s.t, s.ev.kind, s.ev.a, s.ev.b, s.ev.payload};
+  };
+  for (size_t i = 0; i < source.size(); ++i) {
+    EXPECT_EQ(key(forked[i]), key(source[i])) << "pending event " << i;
+  }
 }
 
 TEST(SnapshotWorld, RejectsPendingEventsOfAnOutsideSink) {
