@@ -18,7 +18,6 @@
 //        per-cause tallies and the "event_mix" object gated by
 //        scripts/bench_compare.py)
 //        --trace-out=PATH (Chrome trace of the last sweep cell)
-//        --trace-capacity=N (per-scenario tx-event ring size)
 
 #include <map>
 #include <vector>
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
   opt.mempool_capacity = 192;
   opt.future_cap = 48;
   opt.background_txs = 128;
-  opt.trace_capacity = cli.get_uint("trace-capacity", opt.trace_capacity);
 
   core::MeasureConfig base_cfg;
   {

@@ -10,8 +10,8 @@
 // magnitude by K = 30.
 //
 // Observability: --trace-out=PATH writes the causal spans of every K run
-// (tid = sweep row) as Chrome trace-event JSON; --trace-capacity=N sizes
-// each scenario's tx-event ring. The --out artifact carries an "event_mix"
+// (tid = sweep row) as Chrome trace-event JSON.
+// The --out artifact carries an "event_mix"
 // object (per-kind simulator dispatch counts summed over the sweep) that
 // scripts/bench_compare.py gates against the committed baseline.
 
@@ -32,8 +32,6 @@ int main(int argc, char** argv) {
   const bool run_serial = cli.get_bool("serial", true);
   const std::string out = cli.get_string("out", "");
   const std::string trace_out = cli.get_string("trace-out", "");
-  const size_t trace_capacity =
-      cli.get_uint("trace-capacity", obs::MetricsRegistry::kDefaultTraceCapacity);
   bench::banner("Parallel measurement speedup", "Figure 5 (§6.1)");
 
   util::Rng rng(seed);
@@ -50,7 +48,6 @@ int main(int argc, char** argv) {
     // Live-network churn keeps pools fresh across the many iterations
     // (residue from prior probes drains by mining, as on the real testnets).
     opt.block_gas_limit = 30 * eth::kTransferGas;
-    opt.trace_capacity = trace_capacity;
     core::Scenario sc(g, opt);
     sc.seed_background();
     sc.start_churn(3.0);

@@ -181,7 +181,6 @@ inline int run_testnet_study(const TestnetStudyConfig& cfg, int argc, char** arg
 
   core::ScenarioOptions opt = scaled_options(seed);
   opt.block_gas_limit = 30 * eth::kTransferGas;
-  opt.trace_capacity = cli.get_uint("trace-capacity", opt.trace_capacity);
 
   // A scout replica reports the pre-processing picture (future-forwarders,
   // unresponsive nodes) before the sharded campaign fans out.
@@ -248,11 +247,6 @@ inline int run_testnet_study(const TestnetStudyConfig& cfg, int argc, char** arg
   table.print(std::cout);
 
   if (!trace_out.empty()) {
-    const auto dropped = campaign.metrics.gauges.find("obs.trace.dropped");
-    if (dropped != campaign.metrics.gauges.end() && dropped->second > 0.0) {
-      std::cerr << "warning: trace ring dropped " << static_cast<uint64_t>(dropped->second)
-                << " events; raise --trace-capacity to keep them\n";
-    }
     if (obs::write_json_file(trace_out, obs::spans_to_chrome_json(campaign.spans))) {
       std::cout << "trace written to " << trace_out << "\n";
     } else {

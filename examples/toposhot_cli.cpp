@@ -20,10 +20,8 @@
 //
 // Observability (measure and pair): --trace-out=PATH writes the causal span
 // export as Chrome trace-event JSON (load in Perfetto / chrome://tracing),
-// --trace-capacity=N sizes the bounded tx-event ring (overflow drops the
-// oldest events and is warned about once), and --diagnostics prints the
-// per-cause verdict breakdown and embeds the diagnostics annex in the
-// report (docs/TRACING.md).
+// and --diagnostics prints the per-cause verdict breakdown and embeds the
+// diagnostics annex in the report (docs/TRACING.md).
 
 #include <fstream>
 #include <iostream>
@@ -79,18 +77,6 @@ bool maybe_write_metrics(const util::Cli& cli, const obs::MetricsSnapshot& snaps
   }
   std::cout << "metrics written to " << path << "\n";
   return true;
-}
-
-/// Warns (once per run) when the bounded trace ring overflowed: the
-/// exported tx-event trace is then missing its oldest events, and
-/// --trace-capacity should be raised.
-void warn_if_trace_dropped(double dropped) {
-  static bool warned = false;
-  if (dropped > 0.0 && !warned) {
-    warned = true;
-    std::cerr << "warning: trace ring dropped " << static_cast<uint64_t>(dropped)
-              << " events (oldest first); raise --trace-capacity to keep them\n";
-  }
 }
 
 /// Writes the causal-span export as Chrome trace-event JSON when
@@ -163,7 +149,6 @@ int mode_measure(const util::Cli& cli) {
   core::ScenarioOptions opt;
   opt.seed = seed;
   opt.block_gas_limit = 30 * eth::kTransferGas;
-  opt.trace_capacity = cli.get_uint("trace-capacity", opt.trace_capacity);
 
   util::Table table({"Metric", "Value"});
   table.add_row({"strategy", core::strategy_name(strategy)});
@@ -216,8 +201,6 @@ int mode_measure(const util::Cli& cli) {
     }
     if (report.diagnostics.has_value()) add_diagnostics_rows(table, *report.diagnostics);
     table.print(std::cout);
-    const auto dropped = campaign.metrics.gauges.find("obs.trace.dropped");
-    if (dropped != campaign.metrics.gauges.end()) warn_if_trace_dropped(dropped->second);
     const bool ok = maybe_write_metrics(cli, campaign.metrics) &&
                     maybe_write_trace(cli, campaign.spans);
     return ok ? 0 : 1;
@@ -257,7 +240,6 @@ int mode_measure(const util::Cli& cli) {
   }
   if (report.diagnostics.has_value()) add_diagnostics_rows(table, *report.diagnostics);
   table.print(std::cout);
-  warn_if_trace_dropped(static_cast<double>(sc.metrics().trace().dropped()));
   obs::MetricsSnapshot snapshot = session.snapshot();
   stamp_strategy(snapshot, strategy);
   const bool ok = maybe_write_metrics(cli, snapshot) && maybe_write_trace(cli, tracer.spans());
@@ -307,7 +289,6 @@ int mode_pair(const util::Cli& cli) {
 
   core::ScenarioOptions opt;
   opt.seed = seed;
-  opt.trace_capacity = cli.get_uint("trace-capacity", opt.trace_capacity);
   const core::StrategyKind strategy = strategy_from(cli);
   core::Scenario sc(truth, opt);
   sc.seed_background();
@@ -328,7 +309,6 @@ int mode_pair(const util::Cli& cli) {
             << ", txA planted: " << r.txa_planted_on_a << ", txs sent: " << r.txs_sent
             << ", verdict: " << obs::span_verdict_name(core::span_verdict_code(r.verdict))
             << ", cause: " << obs::probe_cause_name(r.cause) << "\n";
-  warn_if_trace_dropped(static_cast<double>(sc.metrics().trace().dropped()));
   obs::MetricsSnapshot snapshot = session.snapshot();
   stamp_strategy(snapshot, strategy);
   const bool ok = maybe_write_metrics(cli, snapshot) && maybe_write_trace(cli, tracer.spans());
@@ -375,10 +355,9 @@ int main(int argc, char** argv) {
                "warmed base world)\n"
                "           --fault-loss=P --fault-churn=RATE --retries=R "
                "(deterministic fault injection + re-measurement)\n"
-               "           --trace-out=PATH --trace-capacity=N --diagnostics "
+               "           --trace-out=PATH --diagnostics "
                "(causal spans + per-cause verdict breakdown)\n"
-               "  pair:    --a=I --b=J --metrics-out=PATH --trace-out=PATH "
-               "--trace-capacity=N\n"
+               "  pair:    --a=I --b=J --metrics-out=PATH --trace-out=PATH\n"
                "  export:  --out=PATH\n";
   return mode == "help" ? 0 : 2;
 }

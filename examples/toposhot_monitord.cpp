@@ -155,7 +155,6 @@ int run(const util::Cli& cli) {
   mon.event_log().set_threshold(log_level);
 
   uint64_t injected_total = 0;
-  bool trace_drop_warned = false;
   for (uint64_t e = 0; e < epochs; ++e) {
     const auto res = mon.run_epoch();
     injected_total += res.changes_injected;
@@ -166,13 +165,6 @@ int run(const util::Cli& cli) {
               << " verdict flips -> version " << res.snapshot->version << "\n";
     std::cout << "  health: " << monitor::health_state_name(health->state) << " ("
               << health->reason << ")\n";
-    if (res.trace_dropped > 0 && !trace_drop_warned) {
-      trace_drop_warned = true;
-      std::cerr << "warning: campaign trace ring dropped " << res.trace_dropped
-                << " events in epoch " << res.epoch
-                << " (older events overwritten; raise the ring capacity to keep "
-                   "full traces)\n";
-    }
   }
 
   const monitor::MonitorStatus status = mon.status();

@@ -27,7 +27,7 @@ echo "== pass 1b: trace-export sanity (Perfetto-loadable JSON) =="
 # valid Chrome trace-event JSON with the expected envelope — the cheapest
 # end-to-end check that the span layer stays wired through the drivers.
 ./build-strict/examples/example_toposhot_cli --mode=pair --nodes=12 --a=0 --b=1 \
-  --trace-out=build-strict/pair_trace.json --trace-capacity=8192 > /dev/null
+  --trace-out=build-strict/pair_trace.json > /dev/null
 python3 - build-strict/pair_trace.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -57,7 +57,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   # Suites whose sanitized run is the point of this pass: the
   # fault-injection layer (the injector as the sink of its own outage and
   # churn events, node restarts mid-flight); tracing/diagnostics (span
-  # bookkeeping, ring-walk index arithmetic); the strategy seam
+  # bookkeeping); the strategy seam
   # (Strategy*, Dethna*, TxProbe*: announce/echo bookkeeping across
   # restarts); world forking
   # (SnapshotWorld*, ForkWorld*, PeerLifetime*: restore rebuilds raw sink
@@ -80,7 +80,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   # binary, and every test it matches must be registered with ctest.
   echo "== pass 3: pinned suites are part of the sanitized run =="
   pinned=(
-    'Fault*' 'TraceRing*' 'SpanIds*' 'SpanTracer*' 'ChromeTrace*' 'DiagnosticsAnnex*'
+    'Fault*' 'SpanIds*' 'SpanTracer*' 'ChromeTrace*' 'DiagnosticsAnnex*'
     'ProbeCausePlumbing*' 'GoldenDeterminism*' 'Strategy*' 'Dethna*' 'TxProbe*'
     'SnapshotWorld*' 'ForkWorld*' 'PeerLifetime*' 'EventQueue*' 'Simulator*'
     'TxDelivery*' 'FifoClock*' 'PayloadArena*' 'FlatHashMap*' 'LinkTable*'

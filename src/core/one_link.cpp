@@ -22,7 +22,6 @@ ProbeObs ProbeObs::wire(obs::MetricsRegistry& reg) {
   o.plant_seconds = &reg.histogram("probe.phase.plant_seconds", obs::duration_bounds());
   o.detect_seconds = &reg.histogram("probe.phase.detect_seconds", obs::duration_bounds());
   o.link_seconds = &reg.histogram("probe.link_seconds", obs::duration_bounds());
-  o.trace = &reg.trace();
   return o;
 }
 
@@ -206,8 +205,6 @@ OneLinkResult OneLinkMeasurement::measure_once(p2p::PeerId a, p2p::PeerId b) {
          : result.verdict == Verdict::kNegative ? obs_.verdict_negative
                                                 : obs_.verdict_inconclusive)
         ->inc();
-    obs_.trace->push(sim.now(), obs::TraceKind::kTxMeasured, tx_a.id,
-                     result.connected ? 1 : 0);
   }
 
   result.finished_at = sim.now();

@@ -219,8 +219,6 @@ ParallelResult ParallelMeasurement::measure_once(const std::vector<p2p::PeerId>&
            : result.verdicts[i] == Verdict::kNegative ? obs_.verdict_negative
                                                       : obs_.verdict_inconclusive)
           ->inc();
-      obs_.trace->push(sim.now(), obs::TraceKind::kTxMeasured, tx_a[i].id,
-                       result.connected[i] ? 1 : 0);
     }
   }
 

@@ -23,7 +23,6 @@ struct ProbeObs {
   obs::Histogram* plant_seconds = nullptr;    ///< probe.phase.plant_seconds
   obs::Histogram* detect_seconds = nullptr;   ///< probe.phase.detect_seconds
   obs::Histogram* link_seconds = nullptr;     ///< probe.link_seconds (whole call)
-  obs::TraceRing* trace = nullptr;
 
   /// Interns the `probe.*` handles in `reg` (idempotent).
   static ProbeObs wire(obs::MetricsRegistry& reg);

@@ -35,8 +35,7 @@ mempool::MempoolPolicy scaled_policy(const ScenarioOptions& opt, mempool::Client
 }  // namespace
 
 Scenario::Scenario(const graph::Graph& topology, ScenarioOptions options)
-    : options_(options), truth_(topology), rng_(options.seed),
-      metrics_(options.trace_capacity) {
+    : options_(options), truth_(topology), rng_(options.seed) {
   // Validate against the *effective* policy: mempool_capacity = 0 means the
   // client stock capacity, so the raw option values cannot be compared
   // directly.
@@ -127,9 +126,6 @@ obs::MetricsSnapshot Scenario::snapshot_metrics() {
   // Payload-arena high water: most full-tx payloads simultaneously in
   // flight (one slot per pending kDeliverTx), reset per fork.
   metrics_.gauge("net.arena_peak").set(static_cast<double>(net_->arena().peak()));
-  metrics_.gauge("obs.trace.total_pushed")
-      .set(static_cast<double>(metrics_.trace().total_pushed()));
-  metrics_.gauge("obs.trace.dropped").set(static_cast<double>(metrics_.trace().dropped()));
   // Cumulative "everything so far" reads: the window convention is
   // half-open [t1, t2), so a block stamped exactly at now() would be
   // excluded by an upper bound of now() — pass +infinity instead.
@@ -189,8 +185,6 @@ WorldSnapshot Scenario::snapshot() const {
   w.costs = costs_;
 
   w.metrics = metrics_.snapshot();
-  w.trace_events = metrics_.trace().events();
-  w.trace_total = metrics_.trace().total_pushed();
   return w;
 }
 
@@ -198,7 +192,6 @@ Scenario::Scenario(const WorldSnapshot& snap)
     : options_(snap.options),
       truth_(snap.truth),
       rng_(snap.rng),
-      metrics_(snap.options.trace_capacity),
       accounts_(snap.accounts),
       factory_(snap.factory),
       costs_(snap.costs),
@@ -206,7 +199,6 @@ Scenario::Scenario(const WorldSnapshot& snap)
       organic_on_(snap.organic_on),
       organic_rate_(snap.organic_rate) {
   metrics_.restore(snap.metrics);
-  metrics_.trace().restore(snap.trace_events, snap.trace_total);
 
   sim_ = std::make_unique<sim::Simulator>();
   chain_ = std::make_unique<eth::Chain>(options_.block_gas_limit, options_.initial_base_fee);

@@ -61,10 +61,6 @@ struct ScenarioOptions {
 
   uint64_t block_gas_limit = 8'000'000;
   eth::Wei initial_base_fee = 0;  ///< nonzero enables EIP-1559
-
-  /// Capacity of the scenario's bounded trace ring (events kept; older
-  /// events are overwritten and counted under `obs.trace.dropped`).
-  size_t trace_capacity = obs::MetricsRegistry::kDefaultTraceCapacity;
 };
 
 /// A frozen, self-contained image of a warmed measurement world
@@ -119,8 +115,6 @@ struct WorldSnapshot {
   CostTracker costs;
 
   obs::MetricsSnapshot metrics;
-  std::vector<obs::TraceEvent> trace_events;
-  uint64_t trace_total = 0;
 };
 
 /// A fully wired measurement world: simulator + chain + network instantiated
@@ -155,8 +149,8 @@ class Scenario : public sim::EventSink {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Publishes the point-in-time gauges (`sim.*`, `cost.*`, `obs.trace.*`,
-  /// the per-kind `sim.dispatch.*` counters, and the timing-wheel
+  /// Publishes the point-in-time gauges (`sim.*`, `cost.*`, `net.*`, the
+  /// per-kind `sim.dispatch.*` counters, and the timing-wheel
   /// `sim.queue.impl.*` internals) into the registry and returns a
   /// name-sorted snapshot of everything.
   obs::MetricsSnapshot snapshot_metrics();

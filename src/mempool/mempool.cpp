@@ -37,7 +37,6 @@ PoolObs PoolObs::wire(obs::MetricsRegistry& reg) {
   o.evictions_basefee = &reg.counter("mempool.evictions.basefee");
   o.drops_mined = &reg.counter("mempool.drops.mined");
   o.occupancy = &reg.histogram("mempool.occupancy", obs::fraction_bounds());
-  o.trace = &reg.trace();
   return o;
 }
 
@@ -182,26 +181,20 @@ uint32_t Mempool::pick_victim(const State& s, eth::Wei incoming_price,
 AdmitResult Mempool::add(const eth::Transaction& tx, eth::TxHash hash, double now) {
   assert(hash == tx.hash());
   AdmitResult result = add_impl(tx, hash, now);
-  if (obs_ != nullptr) record_admit(tx, result, now);
+  if (obs_ != nullptr) record_admit(result);
   return result;
 }
 
-void Mempool::record_admit(const eth::Transaction& tx, const AdmitResult& result, double now) {
+void Mempool::record_admit(const AdmitResult& result) {
   switch (result.code) {
     case AdmitCode::kAddedPending: obs_->admits_pending->inc(); break;
     case AdmitCode::kAddedFuture: obs_->admits_future->inc(); break;
     case AdmitCode::kReplaced: obs_->replacements->inc(); break;
     default: obs_->rejects->inc(); break;
   }
-  if (result.replaced && obs_->trace != nullptr) {
-    obs_->trace->push(now, obs::TraceKind::kTxReplaced, tx.id, result.replaced->id);
-  }
   if (result.evicted) {
     obs_->evictions->inc();
     obs_->evictions_price->inc();
-    if (obs_->trace != nullptr) {
-      obs_->trace->push(now, obs::TraceKind::kTxEvicted, result.evicted->id);
-    }
   }
 }
 
@@ -451,12 +444,6 @@ PoolUpdate Mempool::maintain(double now) {
   if (obs_ != nullptr && truncated > 0) {
     obs_->evictions->inc(truncated);
     obs_->evictions_truncated->inc(truncated);
-    if (obs_->trace != nullptr) {
-      for (auto it = dropped_.end() - static_cast<ptrdiff_t>(truncated); it != dropped_.end();
-           ++it) {
-        obs_->trace->push(now, obs::TraceKind::kTxEvicted, it->id);
-      }
-    }
   }
 
   return PoolUpdate{dropped_, promoted_};

@@ -32,7 +32,6 @@ struct PoolObs {
   obs::Counter* evictions_basefee = nullptr;    ///< EIP-1559 underpriced drop
   obs::Counter* drops_mined = nullptr;          ///< consumed by a block
   obs::Histogram* occupancy = nullptr;          ///< size/capacity at maintenance
-  obs::TraceRing* trace = nullptr;
 
   /// Interns the `mempool.*` handles in `reg` (idempotent).
   static PoolObs wire(obs::MetricsRegistry& reg);
@@ -276,7 +275,7 @@ class Mempool {
   /// add() minus the accounting: the instrumented wrapper stays off the
   /// profile when obs_ is null.
   AdmitResult add_impl(const eth::Transaction& tx, eth::TxHash hash, double now);
-  void record_admit(const eth::Transaction& tx, const AdmitResult& result, double now);
+  void record_admit(const AdmitResult& result);
 
   static const Account* account(const State& s, eth::Address sender);
   /// Finds or allocates the slot for `sender`; a new account starts

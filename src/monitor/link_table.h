@@ -119,12 +119,14 @@ struct MonitorStatus {
   /// Histogram of per-link confidence at the latest epoch: 10 uniform bins
   /// over [0, 1], last bin closed (confidence 1.0 lands in bin 9).
   std::array<uint64_t, 10> confidence_histogram{};
-  // Ring-pressure telemetry (status-v2): the daemon's own obs rings, so an
-  // RPC client can see undersized buffers without reading stderr. Filled by
-  // TopologyMonitor::status(), zero from make_status alone.
-  uint64_t trace_total_pushed = 0;  ///< obs.trace.total_pushed
-  uint64_t trace_dropped = 0;       ///< obs.trace.dropped (ring overwrites)
-  uint64_t log_dropped = 0;         ///< obs.log.dropped (event-log overwrites)
+  // Ring-pressure telemetry (status-v2): the daemon's own event log, so an
+  // RPC client can see an undersized ring. Filled by
+  // TopologyMonitor::status(), zero from make_status alone. The two trace
+  // fields have no source and always read 0; they stay so status-v2
+  // documents keep their schema.
+  uint64_t trace_total_pushed = 0;
+  uint64_t trace_dropped = 0;
+  uint64_t log_dropped = 0;  ///< obs.log.dropped (event-log overwrites)
 
   friend bool operator==(const MonitorStatus&, const MonitorStatus&) = default;
 };

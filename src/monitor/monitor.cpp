@@ -197,8 +197,6 @@ TopologyMonitor::EpochResult TopologyMonitor::run_epoch() {
       budget == 0 ? 0.0 : static_cast<double>(demand) / static_cast<double>(budget);
   const uint64_t events_drained =
       static_cast<uint64_t>(campaign_gauge(result.metrics, "sim.events_processed"));
-  res.trace_dropped =
-      static_cast<uint64_t>(campaign_gauge(result.metrics, "obs.trace.dropped"));
   double conf_sum = 0.0;
   for (const LinkEntry& le : snap->links) conf_sum += le.confidence;
   const double mean_conf =
@@ -225,10 +223,6 @@ TopologyMonitor::EpochResult TopologyMonitor::run_epoch() {
   metrics_.gauge("monitor.confidence.mean").set(mean_conf);
   metrics_.histogram("monitor.epoch.utilization", obs::fraction_bounds())
       .observe(utilization);
-  metrics_.gauge("obs.trace.total_pushed")
-      .set(static_cast<double>(metrics_.trace().total_pushed()));
-  metrics_.gauge("obs.trace.dropped")
-      .set(static_cast<double>(metrics_.trace().dropped()));
   metrics_.gauge("obs.log.dropped").set(static_cast<double>(log_.dropped()));
 
   EpochStats st;
@@ -249,13 +243,6 @@ TopologyMonitor::EpochResult TopologyMonitor::run_epoch() {
 
   // End-of-epoch events stamp with the epoch's end time.
   log_.set_clock(sim_seconds_total_ + result.makespan_sim_seconds);
-  if (res.trace_dropped > 0) {
-    log_.log(util::LogLevel::kWarn, "obs", "trace-ring-dropped",
-             {{"epoch", rpc::Json(epoch)},
-              {"dropped", rpc::Json(res.trace_dropped)},
-              {"pushed", rpc::Json(static_cast<uint64_t>(campaign_gauge(
-                             result.metrics, "obs.trace.total_pushed")))}});
-  }
   if (opt_.arena_warn_peak > 0.0) {
     const auto peak_it = result.metrics.gauge_maxes.find("net.arena_peak");
     const double peak = peak_it == result.metrics.gauge_maxes.end() ? 0.0 : peak_it->second;
@@ -359,10 +346,8 @@ MonitorStatus TopologyMonitor::status() const {
   } else {
     s = make_status(*snap, versions());
   }
-  // Ring-pressure telemetry (status-v2): the daemon's own rings, which —
-  // unlike the per-campaign rings — accumulate over the whole run.
-  s.trace_total_pushed = metrics_.trace().total_pushed();
-  s.trace_dropped = metrics_.trace().dropped();
+  // Ring-pressure telemetry (status-v2): the daemon's own event log, which
+  // accumulates over the whole run.
   s.log_dropped = log_.dropped();
   return s;
 }

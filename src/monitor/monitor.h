@@ -151,7 +151,6 @@ class TopologyMonitor {
     size_t hints = 0;             ///< table entries marked stale by node hints
     size_t flips = 0;             ///< verdict changes observed
     double sim_seconds = 0.0;     ///< campaign makespan (critical path)
-    uint64_t trace_dropped = 0;   ///< campaign trace-ring overwrites this epoch
     std::shared_ptr<const TopologySnapshot> snapshot;
   };
 
@@ -184,8 +183,7 @@ class TopologyMonitor {
 
   /// Aggregate state. Before the first epoch, a zeroed status carrying
   /// only the topology dimensions. Always carries the daemon's own
-  /// ring-pressure telemetry (trace_total_pushed / trace_dropped /
-  /// log_dropped — status-v2).
+  /// event-log pressure (log_dropped — status-v2).
   MonitorStatus status() const;
 
   /// Latest watchdog verdict over the EpochStats ring, published at the end

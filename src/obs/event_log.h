@@ -6,7 +6,7 @@
 // subsystem tag, a machine-readable event name, and structured fields; the
 // log renders as JSON lines (`to_jsonl`), one object per entry.
 //
-// Storage is a bounded ring in the TraceRing mold: when full, the oldest
+// Storage is a bounded ring: when full, the oldest
 // entry is overwritten and counted as dropped, so instrumentation can stay
 // on for unbounded runs. Entries below the effective severity threshold
 // (global, overridable per subsystem) are filtered before they reach the

@@ -46,10 +46,6 @@ std::optional<HistogramSnapshot> histogram_from_json(const rpc::Json& j) {
   return h;
 }
 
-/// One serializer for every CSV cell keeps the formatting identical to the
-/// JSON export (integral fast path, %.17g otherwise).
-std::string num(double v) { return rpc::Json(v).dump(); }
-
 }  // namespace
 
 rpc::Json snapshot_to_json(const MetricsSnapshot& s) {
@@ -99,47 +95,6 @@ std::optional<MetricsSnapshot> snapshot_from_json(const rpc::Json& j) {
     s.histograms[name] = std::move(*h);
   }
   return s;
-}
-
-std::string snapshot_to_csv(const MetricsSnapshot& s) {
-  std::string out = "name,type,value\n";
-  for (const auto& [name, v] : s.counters) {
-    out += name + ",counter," + rpc::Json(v).dump() + "\n";
-  }
-  for (const auto& [name, v] : s.gauges) {
-    out += name + ",gauge," + num(v) + "\n";
-    auto it = s.gauge_maxes.find(name);
-    if (it != s.gauge_maxes.end()) out += name + ".max,gauge," + num(it->second) + "\n";
-  }
-  for (const auto& [name, h] : s.histograms) {
-    out += name + ".count,histogram," + rpc::Json(h.count).dump() + "\n";
-    out += name + ".sum,histogram," + num(h.sum) + "\n";
-    out += name + ".min,histogram," + num(h.min) + "\n";
-    out += name + ".max,histogram," + num(h.max) + "\n";
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      const std::string edge = i < h.bounds.size() ? num(h.bounds[i]) : "inf";
-      out += name + ".le_" + edge + ",histogram," + rpc::Json(h.counts[i]).dump() + "\n";
-    }
-  }
-  return out;
-}
-
-rpc::Json trace_to_json(const TraceRing& ring) {
-  rpc::JsonArray events;
-  events.reserve(ring.size());
-  ring.visit([&events](const TraceEvent& e) {
-    rpc::JsonObject o;
-    o["t"] = rpc::Json(e.time);
-    o["kind"] = rpc::Json(trace_kind_name(e.kind));
-    o["subject"] = rpc::Json(e.subject);
-    o["actor"] = rpc::Json(e.actor);
-    events.emplace_back(std::move(o));
-  });
-  rpc::JsonObject root;
-  root["events"] = rpc::Json(std::move(events));
-  root["dropped"] = rpc::Json(ring.dropped());
-  root["total_pushed"] = rpc::Json(ring.total_pushed());
-  return rpc::Json(std::move(root));
 }
 
 bool write_json_file(const std::string& path, const rpc::Json& doc) {

@@ -1,6 +1,6 @@
 #pragma once
 
-// Snapshot/trace exporters reusing the repo's JSON value (src/rpc/json.*).
+// Metrics-snapshot exporters reusing the repo's JSON value (src/rpc/json.*).
 // Export order is name-sorted and numeric formatting goes through one
 // serializer, so identical registries dump byte-identical documents.
 
@@ -8,7 +8,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rpc/json.h"
 
 namespace topo::obs {
@@ -19,15 +18,6 @@ rpc::Json snapshot_to_json(const MetricsSnapshot& s);
 
 /// Inverse of snapshot_to_json; nullopt on shape mismatch.
 std::optional<MetricsSnapshot> snapshot_from_json(const rpc::Json& j);
-
-/// One scalar per row: `name,type,value`. Histograms flatten into
-/// `<name>.count`, `<name>.sum`, `<name>.min`, `<name>.max`, and one
-/// `<name>.le_<bound>` row per bucket (plus `<name>.le_inf`).
-std::string snapshot_to_csv(const MetricsSnapshot& s);
-
-/// {"events": [{"t": sim_seconds, "kind": "tx-evicted", "subject": id,
-///  "actor": id}, ...], "dropped": n, "total_pushed": n}
-rpc::Json trace_to_json(const TraceRing& ring);
 
 /// Writes `doc.dump()` to `path`; false on I/O failure.
 bool write_json_file(const std::string& path, const rpc::Json& doc);

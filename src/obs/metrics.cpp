@@ -98,8 +98,6 @@ MetricsSnapshot& MetricsSnapshot::merge(const MetricsSnapshot& other) {
   return *this;
 }
 
-MetricsRegistry::MetricsRegistry(size_t trace_capacity) : trace_(trace_capacity) {}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -149,13 +147,6 @@ void MetricsRegistry::restore(const MetricsSnapshot& snap) {
     gauge(name).restore(v, mit != snap.gauge_maxes.end() ? mit->second : v);
   }
   for (const auto& [name, hs] : snap.histograms) histogram(name, hs.bounds).restore(hs);
-}
-
-void MetricsRegistry::reset_values() {
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-  trace_.clear();
 }
 
 const std::vector<double>& duration_bounds() {

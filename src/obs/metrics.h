@@ -19,8 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/trace.h"
-
 namespace topo::obs {
 
 /// Monotonic event count.
@@ -135,12 +133,11 @@ struct MetricsSnapshot {
   bool operator==(const MetricsSnapshot& o) const = default;
 };
 
-/// Owner of every metric plus the bounded trace ring. Handles returned by
-/// counter()/gauge()/histogram() stay valid (and keep accumulating across
-/// reset_values()) for the registry's lifetime.
+/// Owner of every metric. Handles returned by counter()/gauge()/histogram()
+/// stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(size_t trace_capacity = kDefaultTraceCapacity);
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -152,30 +149,19 @@ class MetricsRegistry {
   /// existing histogram unchanged.
   Histogram& histogram(const std::string& name, const std::vector<double>& bounds);
 
-  TraceRing& trace() { return trace_; }
-  const TraceRing& trace() const { return trace_; }
-
   MetricsSnapshot snapshot() const;
 
   /// Overwrites the registry from a snapshot: every named metric is
   /// interned (histograms with the snapshot's bounds) and set to the
   /// captured value, so counters/gauges keep accumulating from exactly
   /// where the snapshotted world stood. Existing handles stay valid;
-  /// metrics absent from the snapshot are reset to zero. The trace ring is
-  /// restored separately (TraceRing::restore) because snapshots don't
-  /// carry events.
+  /// metrics absent from the snapshot are reset to zero.
   void restore(const MetricsSnapshot& snap);
-
-  /// Zeroes every value and clears the trace; handles stay valid.
-  void reset_values();
-
-  static constexpr size_t kDefaultTraceCapacity = 4096;
 
  private:
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
-  TraceRing trace_;
 };
 
 /// Standard duration buckets (sim seconds) for the probe-phase histograms.

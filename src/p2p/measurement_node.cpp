@@ -42,7 +42,6 @@ void MeasurementNode::on_block_commit() {
 
 void MeasurementNode::set_metrics(obs::MetricsRegistry& reg) {
   injected_counter_ = &reg.counter("probe.txs_injected");
-  trace_ = &reg.trace();
 }
 
 double MeasurementNode::send_to(PeerId peer, const eth::Transaction& tx) {
@@ -51,10 +50,7 @@ double MeasurementNode::send_to(PeerId peer, const eth::Transaction& tx) {
   const double extra = next_free_send_ - sim.now();
   net_->send_tx(id(), peer, tx, extra);
   ++txs_sent_;
-  if (injected_counter_ != nullptr) {
-    injected_counter_->inc();
-    trace_->push(sim.now(), obs::TraceKind::kTxInjected, tx.id, peer);
-  }
+  if (injected_counter_ != nullptr) injected_counter_->inc();
   return next_free_send_;
 }
 

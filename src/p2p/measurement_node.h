@@ -132,8 +132,8 @@ class MeasurementNode final : public Peer {
     log_ = snap.log;
   }
 
-  /// Wires injection accounting (`probe.txs_injected`, tx-injected trace
-  /// events) into `reg`, which must outlive the node. M's passive view is
+  /// Wires injection accounting (`probe.txs_injected`) into `reg`, which
+  /// must outlive the node. M's passive view is
   /// deliberately *not* wired: its pool mirrors traffic other nodes already
   /// account for and would double-count every mempool metric.
   void set_metrics(obs::MetricsRegistry& reg);
@@ -146,7 +146,6 @@ class MeasurementNode final : public Peer {
   double next_free_send_ = 0.0;
   uint64_t txs_sent_ = 0;
   obs::Counter* injected_counter_ = nullptr;
-  obs::TraceRing* trace_ = nullptr;
   ReceiveLog log_;
   std::vector<eth::Address> block_senders_;  ///< reused by on_block_commit
 };

@@ -53,7 +53,6 @@ void Network::enable_metrics(obs::MetricsRegistry& reg) {
   obs_.messages_announce = &reg.counter("net.messages.announce");
   obs_.messages_get_tx = &reg.counter("net.messages.get_tx");
   obs_.bytes = &reg.counter("net.bytes");
-  obs_.trace = &reg.trace();
   pool_obs_ = mempool::PoolObs::wire(reg);
   metrics_enabled_ = true;
   for (auto& node : owned_) node->pool().set_obs(&pool_obs_);

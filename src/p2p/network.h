@@ -28,7 +28,6 @@ struct NetObs {
   obs::Counter* messages_announce = nullptr;  ///< hash announcements
   obs::Counter* messages_get_tx = nullptr;    ///< body requests
   obs::Counter* bytes = nullptr;              ///< RLP wire bytes
-  obs::TraceRing* trace = nullptr;
 };
 
 /// The simulated Ethereum blockchain overlay: owns the participants, the
@@ -203,9 +202,6 @@ class Network : public sim::EventSink {
   /// added later inherit the handles. The registry must outlive the
   /// network.
   void enable_metrics(obs::MetricsRegistry& reg);
-
-  /// Null when metrics are disabled.
-  obs::TraceRing* obs_trace() const { return obs_.trace; }
 
   /// Installs (or removes, with nullptr) a message-path fault hook. The
   /// hook is consulted on every send; dropped messages are counted as sent

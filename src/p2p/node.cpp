@@ -199,9 +199,6 @@ void Node::on_block_commit() {
 void Node::propagate(const eth::Transaction& tx, eth::TxHash hash, PeerId exclude) {
   const auto& peers = net_->peers_of(id());
   if (peers.empty()) return;
-  if (obs::TraceRing* trace = net_->obs_trace()) {
-    trace->push(net_->simulator().now(), obs::TraceKind::kTxForwarded, tx.id, id());
-  }
   if (config_.announce_only) {
     // Bitcoin-style: hashes only; bodies travel by request.
     for (PeerId p : peers) {

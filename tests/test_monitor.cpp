@@ -718,6 +718,12 @@ TEST(TopologyMonitorTest, HealthyRunExposesMetricsAndLogsEpochs) {
   }
   EXPECT_TRUE(saw_health_field);
   EXPECT_EQ(mon.status().log_dropped, mon.event_log().dropped());
+
+  // A healthy run has nothing to warn about.
+  for (const obs::LogEvent& e : events) {
+    EXPECT_LT(e.level, util::LogLevel::kWarn)
+        << e.subsystem << "/" << e.event << " at " << obs::log_level_name(e.level);
+  }
 }
 
 // A seeded run pushed over a tiny absolute sim-time cap must classify as

@@ -1,5 +1,5 @@
 // Unit tests of the observability substrate (src/obs): metric semantics,
-// trace-ring wraparound, export round-trips, and the determinism guarantee
+// event-log wraparound, export round-trips, and the determinism guarantee
 // (two identically seeded runs produce identical metric values).
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
-#include "obs/trace.h"
 
 namespace topo {
 namespace {
@@ -81,18 +80,6 @@ TEST(Metrics, RegistryInternsHandles) {
   obs::Histogram& h2 = reg.histogram("h", {9.0});
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h2.bounds().size(), 2u);
-}
-
-TEST(Metrics, ResetValuesKeepsHandlesValid) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("c");
-  c.inc(5);
-  reg.trace().push(1.0, obs::TraceKind::kTxInjected, 1, 2);
-  reg.reset_values();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(reg.trace().size(), 0u);
-  c.inc();
-  EXPECT_EQ(reg.counter("c").value(), 1u);
 }
 
 TEST(Metrics, SnapshotDiffSince) {
@@ -383,27 +370,6 @@ TEST(EventLog, ConcurrentWritersKeepAccountingExact) {
   for (const obs::LogEvent& e : log.events()) EXPECT_EQ(e.event, "tick");
 }
 
-TEST(Trace, RingWrapsAroundOldestFirst) {
-  obs::TraceRing ring(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    ring.push(static_cast<double>(i), obs::TraceKind::kTxInjected, i, 0);
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.total_pushed(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  const auto events = ring.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest surviving event first: 6, 7, 8, 9.
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].subject, 6u + i);
-    EXPECT_DOUBLE_EQ(events[i].time, 6.0 + static_cast<double>(i));
-  }
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
 TEST(Phase, ScopedPhaseRecordsClockDelta) {
   sim::Simulator sim;
   sim.run_until(1.0);
@@ -445,32 +411,6 @@ TEST(Export, JsonRoundTrip) {
   EXPECT_EQ(*back, s);
   // Serialization itself is stable.
   EXPECT_EQ(j.dump(), obs::snapshot_to_json(*back).dump());
-}
-
-TEST(Export, CsvContainsEveryScalar) {
-  obs::MetricsRegistry reg;
-  reg.counter("a").inc(3);
-  reg.gauge("g").set(2.0);
-  reg.histogram("h", {1.0}).observe(0.5);
-  const std::string csv = obs::snapshot_to_csv(reg.snapshot());
-  EXPECT_NE(csv.find("a,counter,3"), std::string::npos);
-  EXPECT_NE(csv.find("g,gauge,2"), std::string::npos);
-  EXPECT_NE(csv.find("h.count,histogram,1"), std::string::npos);
-  EXPECT_NE(csv.find("h.le_1,histogram,1"), std::string::npos);
-  EXPECT_NE(csv.find("h.le_inf,histogram,0"), std::string::npos);
-}
-
-TEST(Export, TraceToJson) {
-  obs::TraceRing ring(8);
-  ring.push(1.5, obs::TraceKind::kTxEvicted, 7, 3);
-  const rpc::Json j = obs::trace_to_json(ring);
-  ASSERT_TRUE(j.is_object());
-  EXPECT_DOUBLE_EQ(j["dropped"].as_number(), 0.0);
-  const rpc::Json& events = j["events"];
-  ASSERT_TRUE(events.is_array());
-  ASSERT_EQ(events.as_array().size(), 1u);
-  EXPECT_EQ(events[0]["kind"].as_string(), "tx-evicted");
-  EXPECT_DOUBLE_EQ(events[0]["subject"].as_number(), 7.0);
 }
 
 // The paper-level guarantee the subsystem is built around: metrics are
@@ -524,7 +464,6 @@ TEST(ObsWiring, ScenarioMeasurementTouchesAllLayers) {
   EXPECT_GT(s.histograms.at("probe.link_seconds").count, 0u);
   EXPECT_GT(s.gauges.at("sim.events_processed"), 0.0);
   EXPECT_GT(s.gauges.at("sim.queue_high_water"), 0.0);
-  EXPECT_GT(sc.metrics().trace().total_pushed(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Coverage for the causal-tracing layer (obs/span.*), the TraceRing visit
-// API, and the diagnostics report annex: span nesting and stable ids,
-// Chrome-trace schema, strict annex round-trips, and the cause plumbing
-// through the serial one-link driver.
+// Coverage for the causal-tracing layer (obs/span.*) and the diagnostics
+// report annex: span nesting and stable ids, Chrome-trace schema, strict
+// annex round-trips, and the cause plumbing through the serial one-link
+// driver.
 
 #include <gtest/gtest.h>
 
@@ -13,47 +13,11 @@
 #include "core/session.h"
 #include "core/toposhot.h"
 #include "graph/generators.h"
-#include "obs/export.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/cli.h"
 
 namespace topo {
 namespace {
-
-// -- TraceRing visit / export totals ----------------------------------------
-
-TEST(TraceRing, VisitMatchesEventsBeforeAndAfterWrap) {
-  obs::TraceRing ring(4);
-  auto collect = [&ring] {
-    std::vector<obs::TraceEvent> out;
-    ring.visit([&out](const obs::TraceEvent& e) { out.push_back(e); });
-    return out;
-  };
-
-  for (uint64_t i = 0; i < 3; ++i) ring.push(0.1 * i, obs::TraceKind::kTxInjected, i);
-  EXPECT_EQ(collect(), ring.events()) << "pre-wrap walk";
-  EXPECT_EQ(ring.total_pushed(), 3u);
-  EXPECT_EQ(ring.dropped(), 0u);
-
-  for (uint64_t i = 3; i < 10; ++i) ring.push(0.1 * i, obs::TraceKind::kTxEvicted, i);
-  const auto walked = collect();
-  EXPECT_EQ(walked, ring.events()) << "post-wrap walk";
-  ASSERT_EQ(walked.size(), 4u);
-  EXPECT_EQ(walked.front().subject, 6u) << "oldest surviving event first";
-  EXPECT_EQ(walked.back().subject, 9u);
-  EXPECT_EQ(ring.total_pushed(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-}
-
-TEST(TraceRing, ExportCarriesLifetimeTotals) {
-  obs::TraceRing ring(2);
-  for (uint64_t i = 0; i < 5; ++i) ring.push(double(i), obs::TraceKind::kTxForwarded, i);
-  const rpc::Json doc = obs::trace_to_json(ring);
-  EXPECT_EQ(static_cast<uint64_t>(doc["total_pushed"].as_number()), 5u);
-  EXPECT_EQ(static_cast<uint64_t>(doc["dropped"].as_number()), 3u);
-  EXPECT_EQ(doc["events"].as_array().size(), 2u);
-}
 
 // -- stable span ids ---------------------------------------------------------
 
@@ -314,11 +278,13 @@ TEST(ProbeCausePlumbing, OneLinkDriverAnnotatesVerdictsAndSpans) {
 
 // -- CLI flag validation -----------------------------------------------------
 
+// A traced run's numeric flags (here --threads) fail loudly beside an
+// empty --trace-out.
 TEST(TraceCliDeathTest, RejectsMalformedTraceCapacity) {
-  const char* argv[] = {"prog", "--trace-capacity=4k", "--trace-out="};
+  const char* argv[] = {"prog", "--threads=4k", "--trace-out="};
   util::Cli cli(3, const_cast<char**>(argv));
-  EXPECT_EXIT(cli.get_uint("trace-capacity", 4096), ::testing::ExitedWithCode(2),
-              "invalid value for --trace-capacity");
+  EXPECT_EXIT(cli.get_uint("threads", 1), ::testing::ExitedWithCode(2),
+              "invalid value for --threads");
   EXPECT_EQ(cli.get_string("trace-out", "dflt"), "") << "empty path is a string, not a crash";
 }
 
