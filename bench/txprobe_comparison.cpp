@@ -5,8 +5,9 @@
 // TxProbe's isolation trick: the measurement node announces the marker's
 // hash to every node except the pair under test; those nodes then ignore
 // further announcements of the same hash for the blocking window, so the
-// marker can only cross the direct A-B link. This bench runs exactly that
-// probe over every node pair of a small ground-truth overlay, twice:
+// marker can only cross the direct A-B link. This bench runs that probe
+// (core::TxProbeStrategy, through a MeasurementSession) over every node
+// pair of a small ground-truth overlay, twice:
 //
 //   1. Bitcoin mode  — announce-only propagation: isolation holds,
 //      precision stays at 100%;
@@ -15,63 +16,35 @@
 //      (the paper's argument for why a new technique was needed at all).
 
 #include "bench_common.h"
-#include "core/strategy.h"
+#include "core/session.h"
 #include "graph/generators.h"
-#include "p2p/node.h"
 
 namespace {
 
 using namespace topo;
 
-struct ProbeOutcome {
-  core::PrecisionRecall pr;
-};
-
-ProbeOutcome run_txprobe(bool ethereum_mode, const graph::Graph& g, uint64_t seed) {
+core::PrecisionRecall run_txprobe(core::PropagationMode mode, const graph::Graph& g,
+                                  uint64_t seed) {
   core::ScenarioOptions opt = bench::scaled_options(seed);
   opt.background_txs = 64;  // light load; TxProbe does not need full pools
   core::Scenario sc(g, opt);
-  // Same switch TxProbeStrategy::prepare uses: announce-only is the
-  // Bitcoin-style world, push+announce is Geth >= 1.9.11.
-  core::apply_propagation_mode(sc, ethereum_mode ? core::PropagationMode::kPushAndAnnounce
-                                                 : core::PropagationMode::kAnnounceOnly);
+  core::apply_propagation_mode(sc, mode);
   sc.seed_background();
+  core::MeasurementSession session(sc);
+  session.set_strategy(core::StrategyKind::kTxprobe);
 
   core::PrecisionRecall pr;
-  auto& sim = sc.sim();
-  auto& m = sc.m();
-
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (graph::NodeId v = u + 1; v < g.num_nodes(); ++v) {
-      const eth::Address acct = sc.accounts().create_one();
-      const auto marker =
-          sc.factory().make(acct, sc.accounts().allocate_nonce(acct), eth::gwei(1.0));
-
-      // TxProbe step 1: pre-announce the marker hash to every node except
-      // the pair, arming their blocking windows (M never serves the body).
-      for (graph::NodeId w = 0; w < g.num_nodes(); ++w) {
-        if (w == u || w == v) continue;
-        sc.net().send_announce(m.id(), sc.targets()[w], marker.hash());
-      }
-      sim.run_until(sim.now() + 0.5);
-
-      // Step 2: deliver the marker to A and watch for it coming back from
-      // B within the blocking window.
-      const double sent_at = m.send_to(sc.targets()[u], marker);
-      sim.run_until(sim.now() + 3.0);
-      const bool positive = m.received_from_since(marker.hash(), sc.targets()[v], sent_at);
-
+      const bool positive = session.one_link(sc.targets()[u], sc.targets()[v]).value.connected;
       const bool real = g.has_edge(u, v);
       if (positive && real) ++pr.true_positive;
       else if (positive && !real) ++pr.false_positive;
       else if (!positive && real) ++pr.false_negative;
       else ++pr.true_negative;
-
-      // Let the blocking windows expire before the next pair.
-      sim.run_until(sim.now() + 6.0);
     }
   }
-  return {pr};
+  return pr;
 }
 
 }  // namespace
@@ -88,16 +61,16 @@ int main(int argc, char** argv) {
   std::cout << "Probing all " << n * (n - 1) / 2 << " pairs of a " << n << "-node overlay ("
             << g.num_edges() << " true links) with the TxProbe primitive.\n\n";
 
-  const auto bitcoin = run_txprobe(false, g, seed);
-  const auto ethereum = run_txprobe(true, g, seed);
+  const auto bitcoin = run_txprobe(core::PropagationMode::kAnnounceOnly, g, seed);
+  const auto ethereum = run_txprobe(core::PropagationMode::kPushAndAnnounce, g, seed);
 
   util::Table table({"Propagation model", "TP", "FP", "FN", "Precision", "Recall"});
-  table.add_row({"announce-only (Bitcoin-style)", util::fmt(bitcoin.pr.true_positive),
-                 util::fmt(bitcoin.pr.false_positive), util::fmt(bitcoin.pr.false_negative),
-                 util::fmt_pct(bitcoin.pr.precision()), util::fmt_pct(bitcoin.pr.recall())});
-  table.add_row({"push + announce (Ethereum)", util::fmt(ethereum.pr.true_positive),
-                 util::fmt(ethereum.pr.false_positive), util::fmt(ethereum.pr.false_negative),
-                 util::fmt_pct(ethereum.pr.precision()), util::fmt_pct(ethereum.pr.recall())});
+  table.add_row({"announce-only (Bitcoin-style)", util::fmt(bitcoin.true_positive),
+                 util::fmt(bitcoin.false_positive), util::fmt(bitcoin.false_negative),
+                 util::fmt_pct(bitcoin.precision()), util::fmt_pct(bitcoin.recall())});
+  table.add_row({"push + announce (Ethereum)", util::fmt(ethereum.true_positive),
+                 util::fmt(ethereum.false_positive), util::fmt(ethereum.false_negative),
+                 util::fmt_pct(ethereum.precision()), util::fmt_pct(ethereum.recall())});
   table.print(std::cout);
 
   std::cout << "\nPaper reference (§4.1): \"The existence of direct propagation, no matter\n"

@@ -45,9 +45,10 @@ if [[ "${1:-}" != "--fast" ]]; then
   configure_and_build build-asan -DCMAKE_BUILD_TYPE=Asan
   # A build type whose flags never reached the compiler builds and passes
   # just the same, unsanitized: refuse to go on unless the test binary
-  # really carries both runtimes. (grep -c reads all of nm's output, so
-  # pipefail never sees nm die of SIGPIPE.)
-  for symbol in __asan_init __ubsan_handle_; do
+  # really carries both runtimes, and the float-cast-overflow check that
+  # -fsanitize=undefined leaves out on GCC. (grep -c reads all of nm's
+  # output, so pipefail never sees nm die of SIGPIPE.)
+  for symbol in __asan_init __ubsan_handle_ __ubsan_handle_float_cast_overflow; do
     if ! nm build-asan/tests/toposhot_tests | grep -c "$symbol" > /dev/null; then
       echo "build-asan/tests/toposhot_tests lacks $symbol: the Asan build is not sanitized" >&2
       exit 1
@@ -74,7 +75,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   # step, FlatPriceIndex*); discovery (DiscV4*: datagram bodies move out of
   # a recycled slab before handlers that send again run); the JSON parser
   # (Json*: recursion bounded by the nesting limit, 100,000-deep input
-  # rejected). The full ctest run above already ran them under
+  # rejected); the JSON decoders (ReportIo*, Export*, MonitorJson*,
+  # MonitorRpc*, Health*: hostile integers such as 1e300, whose cast
+  # float-cast-overflow traps). The full ctest run above already ran them under
   # ASan; this pass only proves a filter or discovery change did not drop
   # them: each pattern must match at least one test in the sanitized
   # binary, and every test it matches must be registered with ctest.
@@ -87,7 +90,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     'TopologyMonitor*' 'TopologyDiffTest*' 'MonitorStatusTest*' 'MonitorJson*'
     'MonitorSchedule*' 'MonitorRpc*' 'MonitorGolden*' 'EvaluateTracking*' 'EventLog*'
     'Health*' 'Prometheus*' 'Mempool*' '*MempoolFuzz*' 'FlatPriceIndex*' 'DiscV4*' 'Json*'
-    'Miner*' 'MeasurementLog*'
+    'Miner*' 'MeasurementLog*' 'ReportIo*' 'Export*'
   )
   # ctest's `-N` listing in machine-readable form. Its display names
   # rewrite value-parameterized suffixes (`Fuzz/0 # GetParam() = 1` shows

@@ -97,13 +97,6 @@ struct MeasureConfig {
   /// the measurement trajectory, only what is reported about it.
   bool collect_diagnostics = false;
 
-  /// Strict isolation check: a positive requires that M received txA from
-  /// the sink and from *no other* peer — any other reception proves a node
-  /// lost its txC shield and leaked txA, so the measurement is discarded
-  /// instead of reported. Keeps precision at 100% by construction (the
-  /// property the paper's protocol guarantees analytically).
-  bool strict_isolation_check = true;
-
   // Derived prices (exact integer arithmetic).
   eth::Wei price_txC() const { return price_Y; }
   eth::Wei price_future() const { return scale(price_Y, 10000 + bump_bp); }
@@ -120,9 +113,8 @@ struct MeasureConfig {
   /// Shape of a future flood of `z` transactions: how many fresh sender
   /// accounts to create and how many futures each one crafts. U == 0
   /// ("unlimited" — the target imposes no per-account future cap) crafts
-  /// one future per account, so the flood is never empty. Both measurement
-  /// drivers derive their flood loops from this plan (core/flood.h), which
-  /// is what keeps them from diverging.
+  /// one future per account, so the flood is never empty. TopoShot's
+  /// flood crafting (core/strategy.cpp) derives its loops from this plan.
   struct FloodPlan {
     size_t accounts = 0;
     uint64_t per_account = 0;
@@ -181,7 +173,6 @@ class MeasureConfig::Builder {
   Builder& inconclusive_retries(size_t v) { cfg_.inconclusive_retries = v; return *this; }
   Builder& collect_diagnostics(bool v) { cfg_.collect_diagnostics = v; return *this; }
   Builder& eip1559(bool v) { cfg_.eip1559 = v; return *this; }
-  Builder& strict_isolation_check(bool v) { cfg_.strict_isolation_check = v; return *this; }
 
   /// Validates and returns the config. Throws std::invalid_argument when
   /// the parameters cannot yield a sound measurement: non-positive timing

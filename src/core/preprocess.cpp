@@ -1,6 +1,6 @@
 #include "core/preprocess.h"
 
-#include "core/one_link.h"
+#include "core/strategy.h"
 
 namespace topo::core {
 
@@ -74,9 +74,8 @@ size_t Preprocessor::probe_flood_size(p2p::PeerId target, p2p::PeerId local_b,
   for (size_t z : z_ladder) {
     MeasureConfig cfg = config_;
     cfg.flood_Z = z;
-    OneLinkMeasurement one(net_, m_, accounts_, factory_, cfg);
-    const OneLinkResult r = one.measure(target, local_b);
-    if (r.connected) return z;
+    ToposhotStrategy probe(net_, m_, accounts_, factory_, cfg);
+    if (probe.measure_pair(target, local_b).connected) return z;
   }
   return 0;
 }

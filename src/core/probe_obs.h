@@ -1,9 +1,9 @@
 #pragma once
 
 // Interned handles for the measurement-primitive metrics (`probe.*`).
-// Shared by the serial (OneLinkMeasurement) and parallel
-// (ParallelMeasurement) drivers so their phase timings land in the same
-// histograms and the per-link cost analyses see one namespace.
+// Every strategy's serial (measure_pair) and batch (measure_batch) probes
+// share them, so their phase timings land in the same histograms and the
+// per-link cost analyses see one namespace.
 
 #include "obs/metrics.h"
 #include "sim/simulator.h"

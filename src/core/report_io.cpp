@@ -1,6 +1,7 @@
 #include "core/report_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace topo::core {
@@ -22,18 +23,16 @@ Json graph_to_json(const graph::Graph& g) {
 }
 
 std::optional<graph::Graph> graph_from_json(const Json& j) {
-  if (!j.is_object() || !j["nodes"].is_number() || !j["edges"].is_array()) return std::nullopt;
-  const auto n = static_cast<size_t>(j["nodes"].as_number());
-  graph::Graph g(n);
+  const std::optional<uint64_t> n = j["nodes"].as_uint();
+  if (!j.is_object() || !n || !j["edges"].is_array()) return std::nullopt;
+  graph::Graph g(*n);
   for (const auto& e : j["edges"].as_array()) {
-    if (!e.is_array() || e.as_array().size() != 2 || !e[size_t{0}].is_number() ||
-        !e[size_t{1}].is_number()) {
+    const std::optional<uint64_t> u = e[size_t{0}].as_uint();
+    const std::optional<uint64_t> v = e[size_t{1}].as_uint();
+    if (!e.is_array() || e.as_array().size() != 2 || !u || !v || *u >= *n || *v >= *n) {
       return std::nullopt;
     }
-    const auto u = static_cast<size_t>(e[size_t{0}].as_number());
-    const auto v = static_cast<size_t>(e[size_t{1}].as_number());
-    if (u >= n || v >= n) return std::nullopt;
-    g.add_edge(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v));
+    g.add_edge(static_cast<graph::NodeId>(*u), static_cast<graph::NodeId>(*v));
   }
   return g;
 }
@@ -122,51 +121,50 @@ bool read_count(const Json& j, const char* key, double& out) {
   return true;
 }
 
+/// The same for the integer fields, which must also be integral and
+/// representable (Json::as_uint).
+template <typename T>
+bool read_uint(const Json& j, const char* key, T& out) {
+  const std::optional<uint64_t> v = j[key].as_uint();
+  if (!v) return false;
+  out = static_cast<T>(*v);
+  return true;
+}
+
 /// Strict parse of the optional fault annex. Same policy as the top-level
 /// fields: any malformed member rejects the whole document.
 std::optional<FaultReport> fault_from_json(const Json& j) {
   if (!j.is_object()) return std::nullopt;
-  double drop_tx = 0.0, drop_announce = 0.0, drop_get_tx = 0.0;
-  double spike_prob = 0.0, spike_mult = 0.0, churn_rate = 0.0;
-  double retries = 0.0, attempts = 0.0, inconclusive = 0.0;
-  if (!read_count(j, "drop_tx", drop_tx) || !read_count(j, "drop_announce", drop_announce) ||
-      !read_count(j, "drop_get_tx", drop_get_tx) || !read_count(j, "spike_prob", spike_prob) ||
-      !read_count(j, "spike_mult", spike_mult) || !read_count(j, "churn_rate", churn_rate) ||
-      !read_count(j, "retries", retries) || !read_count(j, "attempts", attempts) ||
-      !read_count(j, "inconclusive", inconclusive)) {
+  FaultReport f;
+  if (!read_count(j, "drop_tx", f.drop_tx) || !read_count(j, "drop_announce", f.drop_announce) ||
+      !read_count(j, "drop_get_tx", f.drop_get_tx) ||
+      !read_count(j, "spike_prob", f.spike_prob) || !read_count(j, "spike_mult", f.spike_mult) ||
+      !read_count(j, "churn_rate", f.churn_rate) || !read_uint(j, "retries", f.retries) ||
+      !read_uint(j, "attempts", f.attempts) || !read_uint(j, "inconclusive", f.inconclusive) ||
+      !j["retried"].is_array()) {
     return std::nullopt;
   }
-  if (!j["retried"].is_array()) return std::nullopt;
-  FaultReport f;
-  f.drop_tx = drop_tx;
-  f.drop_announce = drop_announce;
-  f.drop_get_tx = drop_get_tx;
-  f.spike_prob = spike_prob;
-  f.spike_mult = spike_mult;
-  f.churn_rate = churn_rate;
-  f.retries = static_cast<size_t>(retries);
-  f.attempts = static_cast<uint64_t>(attempts);
-  f.inconclusive = static_cast<uint64_t>(inconclusive);
   for (const auto& e : j["retried"].as_array()) {
-    if (!e.is_array() || e.as_array().size() != 3 || !e[size_t{0}].is_number() ||
-        !e[size_t{1}].is_number() || !e[size_t{2}].is_number()) {
+    const std::optional<uint64_t> u = e[size_t{0}].as_uint();
+    const std::optional<uint64_t> v = e[size_t{1}].as_uint();
+    const std::optional<uint64_t> attempts = e[size_t{2}].as_uint();
+    if (!e.is_array() || e.as_array().size() != 3 || !u || !v || !attempts ||
+        *attempts > std::numeric_limits<uint32_t>::max()) {
       return std::nullopt;
     }
-    f.retried.push_back({static_cast<size_t>(e[size_t{0}].as_number()),
-                         static_cast<size_t>(e[size_t{1}].as_number()),
-                         static_cast<uint32_t>(e[size_t{2}].as_number())});
+    f.retried.push_back({*u, *v, static_cast<uint32_t>(*attempts)});
   }
   return f;
 }
 
 /// Strict read of a cause-keyed tally object: exactly one non-negative
-/// numeric entry per known cause name, nothing else.
+/// integer entry per known cause name, nothing else.
 bool causes_from_json(const Json& j, std::array<uint64_t, obs::kNumProbeCauses>& out) {
   if (!j.is_object() || j.as_object().size() != obs::kNumProbeCauses) return false;
   for (size_t c = 0; c < obs::kNumProbeCauses; ++c) {
-    double v = 0.0;
-    if (!read_count(j, obs::probe_cause_name(static_cast<obs::ProbeCause>(c)), v)) return false;
-    out[c] = static_cast<uint64_t>(v);
+    if (!read_uint(j, obs::probe_cause_name(static_cast<obs::ProbeCause>(c)), out[c])) {
+      return false;
+    }
   }
   return true;
 }
@@ -181,14 +179,14 @@ std::optional<DiagnosticsReport> diagnostics_from_json(const Json& j) {
     return std::nullopt;
   }
   for (const auto& e : j["inconclusive"].as_array()) {
-    if (!e.is_array() || e.as_array().size() != 3 || !e[size_t{0}].is_number() ||
-        !e[size_t{1}].is_number() || !e[size_t{2}].is_string()) {
+    const std::optional<uint64_t> u = e[size_t{0}].as_uint();
+    const std::optional<uint64_t> v = e[size_t{1}].as_uint();
+    if (!e.is_array() || e.as_array().size() != 3 || !u || !v || !e[size_t{2}].is_string()) {
       return std::nullopt;
     }
     obs::ProbeCause cause = obs::ProbeCause::kNone;
     if (!obs::probe_cause_from_name(e[size_t{2}].as_string(), cause)) return std::nullopt;
-    d.inconclusive.push_back({static_cast<size_t>(e[size_t{0}].as_number()),
-                              static_cast<size_t>(e[size_t{1}].as_number()), cause});
+    d.inconclusive.push_back({*u, *v, cause});
   }
   return d;
 }
@@ -200,19 +198,16 @@ std::optional<NetworkMeasurementReport> report_from_json(const Json& j) {
       j["format"].as_string() != "toposhot-report-v1") {
     return std::nullopt;
   }
-  double iterations = 0.0, pairs_tested = 0.0, sim_seconds = 0.0, txs_sent = 0.0;
-  if (!read_count(j, "iterations", iterations) || !read_count(j, "pairs_tested", pairs_tested) ||
-      !read_count(j, "sim_seconds", sim_seconds) || !read_count(j, "txs_sent", txs_sent)) {
+  NetworkMeasurementReport report;
+  if (!read_uint(j, "iterations", report.iterations) ||
+      !read_uint(j, "pairs_tested", report.pairs_tested) ||
+      !read_count(j, "sim_seconds", report.sim_seconds) ||
+      !read_uint(j, "txs_sent", report.txs_sent)) {
     return std::nullopt;
   }
   auto topo = graph_from_json(j["topology"]);
   if (!topo) return std::nullopt;
-  NetworkMeasurementReport report;
   report.measured = std::move(*topo);
-  report.iterations = static_cast<size_t>(iterations);
-  report.pairs_tested = static_cast<size_t>(pairs_tested);
-  report.sim_seconds = sim_seconds;
-  report.txs_sent = static_cast<uint64_t>(txs_sent);
   if (!j["strategy"].is_null()) {
     // Strict like everything else: a present field must be a known name
     // (absent means the default TopoShot strategy).

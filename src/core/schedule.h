@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/strategy.h"
 #include "graph/graph.h"
 #include "obs/span.h"

@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/one_link.h"
-#include "core/parallel.h"
 #include "core/preprocess.h"
 #include "core/schedule.h"
 #include "core/strategy.h"

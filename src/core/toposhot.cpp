@@ -325,7 +325,14 @@ MeasureConfig Scenario::default_measure_config() const {
 
 std::unique_ptr<MeasurementStrategy> Scenario::make_strategy(StrategyKind kind,
                                                              const MeasureConfig& cfg) {
-  auto strat = ::topo::core::make_strategy(kind, *net_, *m_, accounts_, factory_, cfg);
+  std::unique_ptr<MeasurementStrategy> strat;
+  if (kind == StrategyKind::kDethna) {
+    strat = std::make_unique<DethnaStrategy>(*net_, *m_, accounts_, factory_, cfg);
+  } else if (kind == StrategyKind::kTxprobe) {
+    strat = std::make_unique<TxProbeStrategy>(*net_, *m_, accounts_, factory_, cfg);
+  } else {
+    strat = std::make_unique<ToposhotStrategy>(*net_, *m_, accounts_, factory_, cfg);
+  }
   strat->set_cost_tracker(&costs_);
   strat->set_metrics(&metrics_);
   strat->set_tracer(tracer_);

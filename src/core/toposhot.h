@@ -6,8 +6,6 @@
 
 #include "core/config.h"
 #include "core/cost.h"
-#include "core/one_link.h"
-#include "core/parallel.h"
 #include "core/preprocess.h"
 #include "core/schedule.h"
 #include "core/strategy.h"

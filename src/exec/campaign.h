@@ -19,7 +19,7 @@ struct CampaignOptions {
   size_t group_k = 3;
 
   /// Measurement strategy each shard replica drives its batches through
-  /// (core::make_strategy over the replica's world). The default TopoShot
+  /// (Scenario::make_strategy over the replica's world). The default TopoShot
   /// keeps campaigns byte-identical to pre-seam builds; the choice is part
   /// of the campaign's identity and is echoed in the merged report.
   core::StrategyKind strategy = core::StrategyKind::kToposhot;

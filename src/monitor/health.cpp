@@ -1,42 +1,18 @@
 #include "monitor/health.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
+
+#include "monitor/codec.h"
 
 namespace topo::monitor {
 
 namespace {
-
-[[noreturn]] void bad_field(const char* doc, const std::string& field,
-                            const char* want) {
-  throw std::runtime_error(std::string(doc) + ": field '" + field + "' must be " +
-                           want);
-}
-
-double require_number(const rpc::Json& j, const char* doc, const std::string& field) {
-  const rpc::Json& v = j[field];
-  if (!v.is_number()) bad_field(doc, field, "a number");
-  return v.as_number();
-}
-
-uint64_t require_uint(const rpc::Json& j, const char* doc, const std::string& field) {
-  const double d = require_number(j, doc, field);
-  if (d < 0 || d != std::floor(d)) bad_field(doc, field, "a non-negative integer");
-  return static_cast<uint64_t>(d);
-}
 
 std::string require_string(const rpc::Json& j, const char* doc,
                            const std::string& field) {
   const rpc::Json& v = j[field];
   if (!v.is_string()) bad_field(doc, field, "a string");
   return v.as_string();
-}
-
-void require_schema(const rpc::Json& j, const char* doc, const char* schema) {
-  if (!j.is_object()) throw std::runtime_error(std::string(doc) + ": not an object");
-  if (!j["schema"].is_string() || j["schema"].as_string() != schema)
-    bad_field(doc, "schema", schema);
 }
 
 /// Deterministic number rendering for reason strings — the same integral

@@ -2,29 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "monitor/codec.h"
 
 namespace topo::monitor {
 
 namespace {
-
-[[noreturn]] void bad_field(const char* doc, const std::string& field,
-                            const char* want) {
-  throw std::runtime_error(std::string(doc) + ": field '" + field + "' must be " +
-                           want);
-}
-
-double require_number(const rpc::Json& j, const char* doc, const std::string& field) {
-  const rpc::Json& v = j[field];
-  if (!v.is_number()) bad_field(doc, field, "a number");
-  return v.as_number();
-}
-
-uint64_t require_uint(const rpc::Json& j, const char* doc, const std::string& field) {
-  const double d = require_number(j, doc, field);
-  if (d < 0 || d != std::floor(d)) bad_field(doc, field, "a non-negative integer");
-  return static_cast<uint64_t>(d);
-}
 
 core::Verdict require_verdict(const rpc::Json& j, const char* doc,
                               const std::string& field) {
@@ -33,12 +16,6 @@ core::Verdict require_verdict(const rpc::Json& j, const char* doc,
   if (!v.is_string() || !verdict_from_name(v.as_string(), out))
     bad_field(doc, field, "a verdict name (connected/negative/inconclusive)");
   return out;
-}
-
-void require_schema(const rpc::Json& j, const char* doc, const char* schema) {
-  if (!j.is_object()) throw std::runtime_error(std::string(doc) + ": not an object");
-  if (!j["schema"].is_string() || j["schema"].as_string() != schema)
-    bad_field(doc, "schema", schema);
 }
 
 rpc::Json pair_list_to_json(const std::vector<std::pair<size_t, size_t>>& pairs) {
@@ -59,11 +36,11 @@ std::vector<std::pair<size_t, size_t>> pair_list_from_json(const rpc::Json& j,
   std::vector<std::pair<size_t, size_t>> out;
   out.reserve(arr.as_array().size());
   for (const rpc::Json& e : arr.as_array()) {
-    if (!e.is_array() || e.as_array().size() != 2 || !e[size_t{0}].is_number() ||
-        !e[size_t{1}].is_number())
+    const std::optional<uint64_t> u = e[size_t{0}].as_uint();
+    const std::optional<uint64_t> v = e[size_t{1}].as_uint();
+    if (!e.is_array() || e.as_array().size() != 2 || !u || !v)
       bad_field(doc, field, "an array of [u, v] pairs");
-    out.emplace_back(static_cast<size_t>(e[size_t{0}].as_number()),
-                     static_cast<size_t>(e[size_t{1}].as_number()));
+    out.emplace_back(*u, *v);
   }
   return out;
 }
@@ -314,9 +291,9 @@ MonitorStatus status_from_json(const rpc::Json& j) {
   if (!hist.is_array() || hist.as_array().size() != s.confidence_histogram.size())
     bad_field(doc, "confidence_histogram", "an array of 10 counts");
   for (size_t i = 0; i < s.confidence_histogram.size(); ++i) {
-    const rpc::Json& b = hist[i];
-    if (!b.is_number()) bad_field(doc, "confidence_histogram", "an array of 10 counts");
-    s.confidence_histogram[i] = static_cast<uint64_t>(b.as_number());
+    const std::optional<uint64_t> b = hist[i].as_uint();
+    if (!b) bad_field(doc, "confidence_histogram", "an array of 10 counts");
+    s.confidence_histogram[i] = *b;
   }
   s.trace_total_pushed = require_uint(j, doc, "trace_total_pushed");
   s.trace_dropped = require_uint(j, doc, "trace_dropped");

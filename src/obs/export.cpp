@@ -32,14 +32,15 @@ std::optional<HistogramSnapshot> histogram_from_json(const rpc::Json& j) {
     h.bounds.push_back(b.as_number());
   }
   for (const auto& c : counts.as_array()) {
-    if (!c.is_number()) return std::nullopt;
-    h.counts.push_back(static_cast<uint64_t>(c.as_number()));
+    const std::optional<uint64_t> n = c.as_uint();
+    if (!n) return std::nullopt;
+    h.counts.push_back(*n);
   }
-  if (!j["count"].is_number() || !j["sum"].is_number() || !j["min"].is_number() ||
-      !j["max"].is_number()) {
+  const std::optional<uint64_t> count = j["count"].as_uint();
+  if (!count || !j["sum"].is_number() || !j["min"].is_number() || !j["max"].is_number()) {
     return std::nullopt;
   }
-  h.count = static_cast<uint64_t>(j["count"].as_number());
+  h.count = *count;
   h.sum = j["sum"].as_number();
   h.min = j["min"].as_number();
   h.max = j["max"].as_number();
@@ -78,8 +79,9 @@ std::optional<MetricsSnapshot> snapshot_from_json(const rpc::Json& j) {
   }
   MetricsSnapshot s;
   for (const auto& [name, v] : counters.as_object()) {
-    if (!v.is_number()) return std::nullopt;
-    s.counters[name] = static_cast<uint64_t>(v.as_number());
+    const std::optional<uint64_t> n = v.as_uint();
+    if (!n) return std::nullopt;
+    s.counters[name] = *n;
   }
   for (const auto& [name, v] : gauges.as_object()) {
     if (!v.is_number()) return std::nullopt;

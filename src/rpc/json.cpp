@@ -23,6 +23,15 @@ const Json& Json::operator[](size_t i) const {
   return kNullJson;
 }
 
+std::optional<uint64_t> Json::as_uint() const {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (kind_ != Kind::kNumber || !(num_ >= 0.0 && num_ <= kMaxExact) ||
+      num_ != std::floor(num_)) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(num_);
+}
+
 bool Json::operator==(const Json& o) const {
   if (kind_ != o.kind_) return false;
   switch (kind_) {

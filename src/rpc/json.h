@@ -51,6 +51,13 @@ class Json {
   JsonArray& as_array() { return arr_; }
   JsonObject& as_object() { return obj_; }
 
+  /// The number as an unsigned integer when it is exactly one: finite,
+  /// non-negative, integral and at most 2^53 (beyond that a double skips
+  /// integers). nullopt otherwise, non-numbers included. Decoders read
+  /// every integer field through this; casting an out-of-range double is
+  /// undefined behaviour.
+  std::optional<uint64_t> as_uint() const;
+
   /// Object field lookup; returns a static null for absent keys.
   const Json& operator[](const std::string& key) const;
   /// Array index; static null when out of range.

@@ -1,6 +1,5 @@
 #include "rpc/monitor_rpc.h"
 
-#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -13,15 +12,6 @@ namespace {
 Json method_error(int code, const std::string& message) {
   return Json(JsonObject{{"__error_code", Json(code)},
                          {"__error_message", Json(message)}});
-}
-
-/// Positional version param: a non-negative integral number.
-std::optional<uint64_t> version_param(const Json& params, size_t index) {
-  const Json& p = params[index];
-  if (!p.is_number()) return std::nullopt;
-  const double d = p.as_number();
-  if (d < 0 || d != std::floor(d)) return std::nullopt;
-  return static_cast<uint64_t>(d);
 }
 
 }  // namespace
@@ -60,7 +50,7 @@ Json MonitorRpcServer::dispatch(const std::string& method, const Json& params) {
   if (method == "topo_getSnapshot") {
     std::shared_ptr<const monitor::TopologySnapshot> snap;
     if (params.is_array() && !params.as_array().empty()) {
-      const auto version = version_param(params, 0);
+      const auto version = params[size_t{0}].as_uint();
       if (!version) return method_error(kInvalidParams, "expected [version?]");
       snap = mon_->snapshot(*version);
       if (snap == nullptr) return method_error(kInvalidParams, "unknown version");
@@ -71,8 +61,8 @@ Json MonitorRpcServer::dispatch(const std::string& method, const Json& params) {
     return monitor::snapshot_to_json(*snap);
   }
   if (method == "topo_getDiff") {
-    const auto v1 = version_param(params, 0);
-    const auto v2 = version_param(params, 1);
+    const auto v1 = params[size_t{0}].as_uint();
+    const auto v2 = params[size_t{1}].as_uint();
     if (!params.is_array() || !v1 || !v2) {
       return method_error(kInvalidParams, "expected [fromVersion, toVersion]");
     }

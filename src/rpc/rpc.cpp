@@ -1,5 +1,7 @@
 #include "rpc/rpc.h"
 
+#include <limits>
+
 #include "p2p/node.h"
 #include "wire/messages.h"
 
@@ -265,7 +267,10 @@ std::vector<p2p::PeerId> RpcClient::peers() {
   auto r = call("admin_peers");
   if (!r || !r->is_array()) return out;
   for (const auto& entry : r->as_array()) {
-    if (entry["id"].is_number()) out.push_back(static_cast<p2p::PeerId>(entry["id"].as_number()));
+    const std::optional<uint64_t> id = entry["id"].as_uint();
+    if (id && *id <= std::numeric_limits<p2p::PeerId>::max()) {
+      out.push_back(static_cast<p2p::PeerId>(*id));
+    }
   }
   return out;
 }

@@ -295,6 +295,53 @@ TEST(MonitorJson, FromJsonIsStrict) {
   EXPECT_THROW(status_from_json(good), std::runtime_error) << "schema mismatch";
 }
 
+// Hostile integers: 1e300 passes a "non-negative and integral" check but is
+// no uint64 (the cast is undefined behaviour). Every codec's integer
+// fields — plain fields, [u, v] pairs and the confidence histogram — must
+// reject it.
+TEST(MonitorJson, IntegerFieldsRejectOutOfRangeValues) {
+  LinkTable t(4);
+  t.record(0, 1, core::Verdict::kConnected, 0);
+  const TopologySnapshot a = snap_of(t, 0);
+  t.record(2, 3, core::Verdict::kConnected, 1);
+  const TopologySnapshot b = snap_of(t, 1);
+  const rpc::Json snap = snapshot_to_json(b);
+  const rpc::Json diff = diff_to_json(compute_diff(a, b));
+  const rpc::Json status = status_to_json(make_status(b, 2));
+  const rpc::Json huge(1e300);
+  {
+    rpc::Json j = snap;
+    j.as_object()["nodes"] = huge;
+    EXPECT_THROW(snapshot_from_json(j), std::runtime_error) << "snapshot nodes";
+  }
+  {
+    rpc::Json j = snap;
+    j.as_object()["links"].as_array()[0].as_object()["v"] = huge;
+    EXPECT_THROW(snapshot_from_json(j), std::runtime_error) << "link endpoint";
+  }
+  {
+    rpc::Json j = diff;
+    ASSERT_FALSE(j["added"].as_array().empty());
+    j.as_object()["added"].as_array()[0].as_array()[1] = huge;
+    EXPECT_THROW(diff_from_json(j), std::runtime_error) << "diff pair";
+  }
+  {
+    rpc::Json j = diff;
+    j.as_object()["to"] = huge;
+    EXPECT_THROW(diff_from_json(j), std::runtime_error) << "diff version";
+  }
+  {
+    rpc::Json j = status;
+    j.as_object()["pairs_tracked"] = huge;
+    EXPECT_THROW(status_from_json(j), std::runtime_error) << "status pairs_tracked";
+  }
+  {
+    rpc::Json j = status;
+    j.as_object()["confidence_histogram"].as_array()[0] = huge;
+    EXPECT_THROW(status_from_json(j), std::runtime_error) << "confidence histogram";
+  }
+}
+
 TEST(MonitorJson, StatusV2CarriesRingPressure) {
   LinkTable t(4);
   t.record(0, 1, core::Verdict::kConnected, 0);
@@ -479,6 +526,11 @@ TEST(HealthJson, FromJsonIsStrict) {
   {  // negative count
     rpc::Json j = good;
     j.as_object()["epochs"].as_array()[0].as_object()["flips"] = rpc::Json(-1.0);
+    EXPECT_THROW(health_from_json(j), std::runtime_error);
+  }
+  {  // count no uint64 can hold
+    rpc::Json j = good;
+    j.as_object()["epochs"].as_array()[0].as_object()["flips"] = rpc::Json(1e300);
     EXPECT_THROW(health_from_json(j), std::runtime_error);
   }
 }
@@ -868,6 +920,18 @@ TEST(MonitorRpc, ErrorsForBadVersionsParamsAndMethods) {
   resp = rpc::Json::parse(
       server.handle(R"({"jsonrpc":"2.0","id":4,"method":"topo_getDiff","params":[0]})"));
   EXPECT_DOUBLE_EQ(error_code_of(*resp), rpc::kInvalidParams) << "arity";
+  // Versions no uint64 can hold (the cast is undefined behaviour) are
+  // invalid params, never a wrapped-around version's document.
+  for (const char* huge : {"1e300", "1e400", "18446744073709551616"}) {
+    resp = rpc::Json::parse(server.handle(
+        std::string(R"({"jsonrpc":"2.0","id":6,"method":"topo_getSnapshot","params":[)") + huge +
+        "]}"));
+    EXPECT_DOUBLE_EQ(error_code_of(*resp), rpc::kInvalidParams) << "snapshot " << huge;
+    resp = rpc::Json::parse(server.handle(
+        std::string(R"({"jsonrpc":"2.0","id":7,"method":"topo_getDiff","params":[0,)") + huge +
+        "]}"));
+    EXPECT_DOUBLE_EQ(error_code_of(*resp), rpc::kInvalidParams) << "diff " << huge;
+  }
   resp = rpc::Json::parse(
       server.handle(R"({"jsonrpc":"2.0","id":5,"method":"topo_noSuchMethod","params":[]})"));
   EXPECT_DOUBLE_EQ(error_code_of(*resp), rpc::kMethodNotFound);

@@ -413,6 +413,27 @@ TEST(Export, JsonRoundTrip) {
   EXPECT_EQ(j.dump(), obs::snapshot_to_json(*back).dump());
 }
 
+// Hostile integers: a counter or histogram count of 1e300 cannot be a
+// uint64 (the cast is undefined behaviour), so the decoder rejects it.
+TEST(Export, JsonRejectsOutOfRangeCounts) {
+  obs::MetricsRegistry reg;
+  reg.counter("a.count").inc(3);
+  reg.histogram("c.hist", obs::duration_bounds()).observe(0.2);
+  const rpc::Json good = obs::snapshot_to_json(reg.snapshot());
+  ASSERT_TRUE(obs::snapshot_from_json(good).has_value());
+
+  rpc::Json j = good;
+  j.as_object()["counters"].as_object()["a.count"] = rpc::Json(1e300);
+  EXPECT_FALSE(obs::snapshot_from_json(j).has_value()) << "counter";
+  j = good;
+  j.as_object()["histograms"].as_object()["c.hist"].as_object()["count"] = rpc::Json(1e300);
+  EXPECT_FALSE(obs::snapshot_from_json(j).has_value()) << "histogram count";
+  j = good;
+  j.as_object()["histograms"].as_object()["c.hist"].as_object()["counts"].as_array()[0] =
+      rpc::Json(1e300);
+  EXPECT_FALSE(obs::snapshot_from_json(j).has_value()) << "histogram bucket count";
+}
+
 // The paper-level guarantee the subsystem is built around: metrics are
 // keyed to simulation quantities only, so identically seeded runs export
 // byte-identical documents.

@@ -123,8 +123,8 @@ TEST(OneLinkEdgeCases, DynamicYMatchesMedianEstimator) {
 
 TEST(OneLinkEdgeCases, StrictIsolationDiscardsLeakedMeasurement) {
   // Force a leak: node C has a zero-bump pool, so txA replaces its txC and
-  // C relays txA onward. The strict check must then discard the positive,
-  // while the relaxed check would happily report it.
+  // C relays txA onward. The isolation check must then discard the
+  // positive (txA also reached M through C).
   graph::Graph path(3);
   path.add_edge(0, 2);  // A - C
   path.add_edge(2, 1);  // C - B   (A and B NOT adjacent)
@@ -136,14 +136,10 @@ TEST(OneLinkEdgeCases, StrictIsolationDiscardsLeakedMeasurement) {
   sc.net().node(sc.targets()[2]).pool() = mempool::Mempool(flawed, &sc.chain());
   sc.seed_background();
 
-  MeasureConfig cfg = sc.default_measure_config();
-  cfg.strict_isolation_check = true;
-  auto r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
+  const auto r = MeasurementSession(sc).one_link(sc.targets()[0], sc.targets()[1]).value;
   EXPECT_FALSE(r.connected) << "leak observed at M -> measurement discarded";
-
-  cfg.strict_isolation_check = false;
-  r = MeasurementSession(sc, cfg).one_link(sc.targets()[0], sc.targets()[1]).value;
-  EXPECT_TRUE(r.connected) << "without the check the leak is a false positive";
+  EXPECT_TRUE(sc.m().received_from_since(r.txa_hash, sc.targets()[1], r.started_at))
+      << "txA did arrive from B; only the isolation check ruled the pair out";
 }
 
 TEST(OneLinkEdgeCases, MinedTxCKillsMeasurementSafely) {

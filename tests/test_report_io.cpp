@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/report_io.h"
 #include "graph/generators.h"
@@ -168,6 +170,63 @@ TEST(ReportIo, FromJsonRejectsMalformedFaultAnnex) {
                    R"("inconclusive":0,"retried":[[1,2]]})"))
                    .has_value())
       << "retried triple truncated";
+}
+
+// Mutable lookup along a path of object keys and array indices.
+rpc::Json& at(rpc::Json& j, const std::vector<std::string>& path) {
+  rpc::Json* cur = &j;
+  for (const std::string& k : path) {
+    cur = cur->is_array() ? &cur->as_array().at(std::stoul(k)) : &cur->as_object().at(k);
+  }
+  return *cur;
+}
+
+// Hostile integers: 1e300 is no count a report could hold, and casting it
+// to an integer is undefined behaviour. Every integer field — the counts,
+// the topology, both annexes' triples and tallies — must reject it rather
+// than decode whatever the cast happens to produce.
+TEST(ReportIo, FromJsonRejectsOutOfRangeIntegers) {
+  NetworkMeasurementReport report;
+  report.measured = graph::Graph(3);
+  report.measured.add_edge(0, 1);
+  report.iterations = 1;
+  report.pairs_tested = 3;
+  report.txs_sent = 10;
+  report.fault = FaultReport{};
+  report.fault->retries = 1;
+  report.fault->retried = {{0, 1, 2}};
+  report.diagnostics = DiagnosticsReport{};
+  report.diagnostics->inconclusive = {{1, 2, obs::ProbeCause::kNodeOffline}};
+  const rpc::Json good = report_to_json(report);
+  ASSERT_TRUE(report_from_json(good).has_value());
+
+  const std::vector<std::vector<std::string>> int_fields = {
+      {"iterations"},
+      {"pairs_tested"},
+      {"txs_sent"},
+      {"topology", "edges", "0", "1"},
+      {"fault", "retries"},
+      {"fault", "attempts"},
+      {"fault", "inconclusive"},
+      {"fault", "retried", "0", "0"},
+      {"fault", "retried", "0", "2"},
+      {"diagnostics", "inconclusive", "0", "1"},
+      {"diagnostics", "causes", "node-offline"},
+      {"diagnostics", "cleared", "none"},
+  };
+  for (const auto& path : int_fields) {
+    std::string name;
+    for (const std::string& k : path) name += "/" + k;
+    rpc::Json j = good;
+    at(j, path) = rpc::Json(1e300);
+    EXPECT_FALSE(report_from_json(j).has_value()) << name << " = 1e300";
+  }
+  rpc::Json j = good;
+  at(j, {"topology"}) = *rpc::Json::parse(R"({"nodes":1e300,"edges":[]})");
+  EXPECT_FALSE(report_from_json(j).has_value()) << "/topology/nodes = 1e300";
+  j = good;
+  at(j, {"fault", "retried", "0", "2"}) = rpc::Json(-1.0);
+  EXPECT_FALSE(report_from_json(j).has_value()) << "negative retried attempts";
 }
 
 TEST(ReportIo, LoadRejectsWrongFormat) {

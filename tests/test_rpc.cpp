@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/session.h"
 #include "core/toposhot.h"
 #include "p2p/node.h"
@@ -58,6 +60,21 @@ TEST(Json, RejectsNestingPastTheLimit) {
     EXPECT_FALSE(Json::parse(nested(Json::kMaxDepth + 1)).has_value());
     EXPECT_FALSE(Json::parse(nested(100'000)).has_value()) << "rejected, not a stack overflow";
   }
+}
+
+TEST(Json, AsUintAcceptsOnlyExactUnsignedIntegers) {
+  EXPECT_EQ(Json(0).as_uint(), 0u);
+  EXPECT_EQ(Json(uint64_t{42}).as_uint(), 42u);
+  EXPECT_EQ(Json(9007199254740992.0).as_uint(), uint64_t{1} << 53);
+  EXPECT_FALSE(Json(9007199254740994.0).as_uint().has_value()) << "past 2^53";
+  EXPECT_FALSE(Json(1e300).as_uint().has_value());
+  EXPECT_FALSE(Json(-1.0).as_uint().has_value());
+  EXPECT_FALSE(Json(1.5).as_uint().has_value());
+  EXPECT_FALSE(Json(std::numeric_limits<double>::infinity()).as_uint().has_value());
+  EXPECT_FALSE(Json(std::numeric_limits<double>::quiet_NaN()).as_uint().has_value());
+  EXPECT_FALSE(Json("7").as_uint().has_value());
+  EXPECT_FALSE(Json().as_uint().has_value());
+  EXPECT_FALSE((*Json::parse("[1e400]"))[size_t{0}].as_uint().has_value()) << "infinity";
 }
 
 TEST(Json, UnicodeEscapes) {

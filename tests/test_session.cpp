@@ -1,12 +1,11 @@
-// MeasurementSession facade: equivalence with the raw TopoShot probe built
-// from the Scenario's parts, per-call metrics annotation, the parallel
+// MeasurementSession facade: per-call metrics annotation, the parallel
 // entry point, the MeasureConfig builder, and ScenarioOptions validation.
+// (Equivalence with a hand-wired TopoShot strategy is in test_strategy.cpp.)
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "core/one_link.h"
 #include "core/session.h"
 #include "core/toposhot.h"
 #include "graph/generators.h"
@@ -29,36 +28,6 @@ graph::Graph triangle() {
   g.add_edge(1, 2);
   g.add_edge(0, 2);
   return g;
-}
-
-// The facade must be a pure wrapper: on a fixed seed the session and a
-// OneLinkMeasurement wired to the Scenario's network, measurement node,
-// accounts, factory and ledgers produce identical OneLinkResults.
-TEST(Session, MatchesLegacyScenarioApiOnFixedSeed) {
-  const graph::Graph g = triangle();
-
-  core::Scenario direct(g, small_options());
-  direct.seed_background();
-  core::OneLinkMeasurement one(direct.net(), direct.m(), direct.accounts(), direct.factory(),
-                               direct.default_measure_config());
-  one.set_cost_tracker(&direct.costs());
-  one.set_metrics(&direct.metrics());
-  const auto old_r = one.measure(direct.targets()[0], direct.targets()[1]);
-
-  core::Scenario fresh(g, small_options());
-  fresh.seed_background();
-  core::MeasurementSession session(fresh);
-  const auto new_r = session.one_link(fresh.targets()[0], fresh.targets()[1]);
-
-  EXPECT_EQ(new_r.value.connected, old_r.connected);
-  EXPECT_EQ(new_r.value.txa_hash, old_r.txa_hash);
-  EXPECT_EQ(new_r.value.txb_hash, old_r.txb_hash);
-  EXPECT_EQ(new_r.value.txc_hash, old_r.txc_hash);
-  EXPECT_EQ(new_r.value.txs_sent, old_r.txs_sent);
-  EXPECT_DOUBLE_EQ(new_r.value.started_at, old_r.started_at);
-  EXPECT_DOUBLE_EQ(new_r.value.finished_at, old_r.finished_at);
-  EXPECT_EQ(new_r.value.txc_evicted_on_a, old_r.txc_evicted_on_a);
-  EXPECT_EQ(new_r.value.txc_evicted_on_b, old_r.txc_evicted_on_b);
 }
 
 TEST(Session, AnnotatesResultsWithPerCallDeltas) {

@@ -1,6 +1,7 @@
 // The measurement-strategy seam: name/kind round-trips, the "strategy"
 // report field (omitted-when-default byte identity, strict rejection),
-// dispatch equivalence between the seam and the raw TopoShot probe, and
+// dispatch equivalence between the session and a hand-wired TopoShot
+// strategy, and
 // the two rival strategies' characteristic behaviour — DEthna's cheap
 // timing inference and TxProbe's propagation-regime-dependent isolation
 // (it works announce-only, and honestly fails on Ethereum-style push).
@@ -100,9 +101,9 @@ TEST(StrategyReportField, StrictlyRejectsUnknownOrMistyped) {
       << "a non-string strategy must reject the whole document";
 }
 
-// The seam's default dispatch must be trajectory-identical to driving the
-// raw TopoShot probe (OneLinkMeasurement) by hand: same seed, same probe,
-// same bytes out.
+// The session's default dispatch (Scenario::make_strategy's wiring) must be
+// trajectory-identical to a ToposhotStrategy wired by hand from the
+// scenario's parts: same seed, same probe, same bytes out.
 TEST(StrategySeam, DefaultDispatchMatchesLegacyEntryPoints) {
   util::Rng rng(11);
   const graph::Graph truth = graph::erdos_renyi_gnm(10, 18, rng);
@@ -110,10 +111,10 @@ TEST(StrategySeam, DefaultDispatchMatchesLegacyEntryPoints) {
   Scenario direct(truth, small_options(33));
   direct.seed_background();
   const MeasureConfig cfg = direct.default_measure_config();
-  OneLinkMeasurement one(direct.net(), direct.m(), direct.accounts(), direct.factory(), cfg);
+  ToposhotStrategy one(direct.net(), direct.m(), direct.accounts(), direct.factory(), cfg);
   one.set_cost_tracker(&direct.costs());
   one.set_metrics(&direct.metrics());
-  const OneLinkResult via_direct = one.measure(direct.targets()[0], direct.targets()[1]);
+  const OneLinkResult via_direct = one.measure_pair(direct.targets()[0], direct.targets()[1]);
 
   Scenario seam(truth, small_options(33));
   seam.seed_background();
