@@ -15,8 +15,9 @@
 //
 // Flags: --nodes=N --edges=M --seed=S --group=K --threads=T --retries=R
 //        --out=PATH (write the sweep as a JSON artifact; includes the
-//        per-cause tallies and the "event_mix" object gated by
-//        scripts/bench_compare.py)
+//        per-cause tallies and the "event_mix" object; tier-1 ctest
+//        byte-compares the default run's artifact against
+//        tests/expected/fault_recall.json)
 //        --trace-out=PATH (Chrome trace of the last sweep cell)
 
 #include <map>

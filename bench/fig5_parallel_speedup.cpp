@@ -11,9 +11,10 @@
 //
 // Observability: --trace-out=PATH writes the causal spans of every K run
 // (tid = sweep row) as Chrome trace-event JSON.
-// The --out artifact carries an "event_mix"
-// object (per-kind simulator dispatch counts summed over the sweep) that
-// scripts/bench_compare.py gates against the committed baseline.
+// The --out artifact carries the per-K rows and an "event_mix" object
+// (per-kind simulator dispatch counts summed over the sweep); tier-1 ctest
+// byte-compares the default run's artifact against
+// tests/expected/fig5_parallel_speedup.json.
 
 #include <map>
 

@@ -16,11 +16,10 @@
 //   utilization     — mean post-bootstrap budget utilization (forced
 //                     demand / budget; >= 1 means saturation)
 //
-// The --out artifact uses a "monitor" document shape: one cell per churn
-// level. detect_within_2 and coverage gate as one-sided floors by
-// scripts/bench_compare.py against BENCH_baseline.json; epoch_sim_seconds
-// and budget_utilization gate TWO-SIDED — the runs are deterministic, so
-// cost moving in either direction is a behavior change, not noise.
+// The --out artifact holds one cell per churn level under "monitor". The
+// runs are deterministic, so tier-1 ctest byte-compares the default run's
+// artifact against tests/expected/monitor_tracking.json: any cell moving,
+// in either direction, is a behaviour change, not noise.
 
 #include "bench_common.h"
 #include "graph/generators.h"

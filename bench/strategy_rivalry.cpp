@@ -10,7 +10,7 @@
 // (included transactions from tracked accounts; DEthna's markers are
 // never mineable, so its wei column is structurally zero).
 //
-// The expected shape of the table (and what the CI gate pins):
+// The expected shape of the table (pinned by the tier-1 expectation):
 //   - TopoShot holds its fig4/fig5-grade precision+recall on both mixes —
 //     the price ladder does not care how the marker propagates;
 //   - DEthna trades recall for cost: timing inference is noisy, but it
@@ -25,8 +25,9 @@
 //
 // Flags: --nodes=N --edges=M --seed=S --group=K --threads=T --shards=P
 //        --loss=F (the faulted level; 0.02 default)
-//        --out=PATH (JSON artifact gated by scripts/bench_compare.py;
-//        cells ride under the "rivalry" key)
+//        --out=PATH (JSON artifact, cells under the "rivalry" key; tier-1
+//        ctest byte-compares the default run's artifact against
+//        tests/expected/strategy_rivalry.json)
 
 #include <string>
 #include <vector>

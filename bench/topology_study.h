@@ -202,7 +202,6 @@ inline int run_testnet_study(const TestnetStudyConfig& cfg, int argc, char** arg
   copt.strategy = strategy;
   copt.threads = threads;
   copt.shards = shards;
-  copt.seed_background = true;
   // Live-network churn: organic traffic + mining drain measurement residue
   // between iterations (the role the testnets' own traffic plays).
   copt.churn_rate = 3.0;

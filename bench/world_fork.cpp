@@ -11,14 +11,16 @@
 //
 // and reports wall-clock per replica, the speedup (rebuild/fork), and the
 // process peak RSS after each phase (ru_maxrss is monotone, so the phases
-// run fork-first and the deltas are attributable). The --out artifact uses
-// the "rows" sweep shape (k = world size, speedup as the gated metric) that
-// scripts/bench_compare.py checks against BENCH_baseline.json.
+// run fork-first and the deltas are attributable). The --out artifact is
+// google-benchmark JSON, one entry per world size named "k=<nodes>", with
+// the speedup as its items_per_second: host time, which
+// scripts/bench_compare.py gates against BENCH_baseline.json.
 
 #include <sys/resource.h>
 
 #include <chrono>
 #include <memory>
+#include <string>
 
 #include "bench_common.h"
 #include "graph/generators.h"
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"Nodes", "Replicas", "Rebuild (ms)", "Fork (ms)", "Speedup",
                      "Peak RSS (MiB)"});
-  rpc::JsonArray rows;
+  rpc::JsonArray benchmarks;
 
   for (const size_t n : {size_t{100}, size_t{1'000}, size_t{10'000}}) {
     if (n > max_nodes) continue;
@@ -96,12 +98,13 @@ int main(int argc, char** argv) {
     table.add_row({util::fmt(n), util::fmt(reps), util::fmt(rebuild_ms, 2),
                    util::fmt(fork_ms, 2), util::fmt(speedup, 1) + "x",
                    util::fmt(fork_rss, 0) + " / " + util::fmt(rebuild_rss, 0)});
-    rows.push_back(rpc::Json(rpc::JsonObject{
-        {"k", rpc::Json(static_cast<uint64_t>(n))},
-        {"speedup", rpc::Json(speedup)},
-        {"sim_time", rpc::Json(fork_ms / 1e3)},  // real_time_ns carrier
+    benchmarks.push_back(rpc::Json(rpc::JsonObject{
+        {"name", rpc::Json("k=" + std::to_string(n))},
+        {"iterations", rpc::Json(static_cast<uint64_t>(reps))},
+        {"real_time", rpc::Json(fork_ms)},
+        {"time_unit", rpc::Json("ms")},
+        {"items_per_second", rpc::Json(speedup)},  // the gated metric
         {"rebuild_ms", rpc::Json(rebuild_ms)},
-        {"fork_ms", rpc::Json(fork_ms)},
         {"peak_rss_mb", rpc::Json(rebuild_rss)},
     }));
   }
@@ -112,12 +115,12 @@ int main(int argc, char** argv) {
 
   if (!out.empty()) {
     const rpc::Json doc(rpc::JsonObject{
-        {"bench", rpc::Json("world_fork")},
-        {"seed", rpc::Json(seed)},
-        {"rows", rpc::Json(std::move(rows))},
+        {"context", rpc::Json(rpc::JsonObject{{"executable", rpc::Json("world_fork")},
+                                              {"seed", rpc::Json(seed)}})},
+        {"benchmarks", rpc::Json(std::move(benchmarks))},
     });
     if (obs::write_json_file(out, doc)) {
-      std::cout << "[sweep: " << out << "]\n";
+      std::cout << "[benchmarks: " << out << "]\n";
     } else {
       std::cerr << "failed to write " << out << "\n";
       return 1;

@@ -4,7 +4,9 @@
 Run directly (or via ctest as `bench_compare_selftest`). Builds fake
 google-benchmark JSON in a temp dir, normalizes a baseline from it, then
 checks that `compare` passes on identical numbers, passes within the
-tolerance band, and exits non-zero on a regression beyond the band.
+tolerance band, and exits non-zero on a regression beyond the band; that
+an aggregates-only document is judged by its medians; and that anything
+but google-benchmark JSON is refused.
 """
 
 import json
@@ -25,6 +27,18 @@ def gbench_json(path, items_per_second):
              "items_per_second": 5.0e6},
         ]
     }
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+def gbench_aggregates_json(path, median, mean):
+    """BM_Fast as --benchmark_report_aggregates_only=true reports it."""
+    doc = {"benchmarks": []}
+    for aggregate, ips in (("mean", mean), ("median", median), ("stddev", 1.0e4)):
+        doc["benchmarks"].append(
+            {"name": f"BM_Fast_{aggregate}", "run_name": "BM_Fast",
+             "run_type": "aggregate", "aggregate_name": aggregate,
+             "real_time": 10.0, "time_unit": "ns", "items_per_second": ips})
     with open(path, "w") as f:
         json.dump(doc, f)
 
@@ -64,86 +78,29 @@ def main():
         r = run("compare", baseline, f"micro={regressed}", "--tolerance", "0.5")
         assert r.returncode == 0, "explicit wide band should pass"
 
-        # Event-mix gating is two-sided: counts moving UP beyond the band
-        # fail too (a speedup in dispatch volume still means the simulated
-        # behavior changed).
-        def sweep_json(path, deliver_tx):
-            doc = {"cells": [{"loss": 0.0, "retries": 0, "recall": 1.0,
-                              "precision": 1.0, "attempts": 1, "inconclusive": 0,
-                              "remeasured": 0}],
-                   "event_mix": {"deliver_tx": deliver_tx, "mine_tick": 0}}
-            with open(path, "w") as f:
-                json.dump(doc, f)
+        # Aggregates-only documents (--benchmark_repetitions=N
+        # --benchmark_report_aggregates_only=true): the median stands for
+        # each benchmark under its run_name, so one slow repetition that
+        # drags the mean down 40% still passes...
+        aggregated = os.path.join(d, "aggregated.json")
+        gbench_aggregates_json(aggregated, median=0.95e6, mean=0.6e6)
+        r = run("compare", baseline, f"micro={aggregated}")
+        assert r.returncode == 0, f"median within band should pass: {r.stdout}{r.stderr}"
+        assert "BM_Fast:" in r.stdout and "_mean" not in r.stdout, r.stdout
 
-        sweep_base = os.path.join(d, "sweep.json")
-        sweep_json(sweep_base, 1000.0)
-        r = run("normalize", f"sweep={sweep_base}", "-o", baseline, "--tolerance", "0.10")
-        assert r.returncode == 0, f"sweep normalize failed: {r.stderr}"
-        r = run("compare", baseline, f"sweep={sweep_base}")
-        assert r.returncode == 0, f"identical sweep should pass: {r.stdout}{r.stderr}"
+        # ...and a median beyond the band fails under the plain name.
+        gbench_aggregates_json(aggregated, median=0.6e6, mean=0.95e6)
+        r = run("compare", baseline, f"micro={aggregated}")
+        assert r.returncode != 0, "a median beyond the band must fail the gate"
+        assert "REGRESSED micro/BM_Fast:" in r.stdout, r.stdout
 
-        drifted_up = os.path.join(d, "drift_up.json")
-        sweep_json(drifted_up, 1200.0)  # +20% with a 10% band
-        r = run("compare", baseline, f"sweep={drifted_up}")
-        assert r.returncode != 0, "upward event-mix drift must fail the gate"
-        assert "DRIFTED" in r.stdout and "event_mix/deliver_tx" in r.stdout, r.stdout
-
-        # A kind the baseline never dispatched appearing at all is a drift.
-        new_kind = os.path.join(d, "new_kind.json")
-        sweep_json(new_kind, 1000.0)
-        with open(new_kind) as f:
-            doc = json.load(f)
-        doc["event_mix"]["mine_tick"] = 5.0
-        with open(new_kind, "w") as f:
-            json.dump(doc, f)
-        r = run("compare", baseline, f"sweep={new_kind}")
-        assert r.returncode != 0, "a newly appearing event kind must fail the gate"
-        assert "event_mix/mine_tick" in r.stdout, r.stdout
-
-        # The "monitor" sweep shape: detection rate and coverage gate as
-        # one-sided floors, so a detection drop beyond the band fails; the
-        # cost cells (epoch_sim_seconds, budget_utilization) gate two-sided.
-        def monitor_json(path, detect, epoch_sim=110.0, cost_cells=True):
-            cell = {"churn": 2.0, "budget": 41, "reprobe": 0.149,
-                    "detect_within_2": detect, "coverage": 1.0,
-                    "inconclusive": 0, "scoreable": 10}
-            if cost_cells:
-                cell["epoch_sim_seconds"] = epoch_sim
-                cell["budget_utilization"] = 0.25
-            doc = {"monitor": [cell]}
-            with open(path, "w") as f:
-                json.dump(doc, f)
-
-        mon_base = os.path.join(d, "monitor.json")
-        monitor_json(mon_base, 1.0)
-        r = run("normalize", f"monitor={mon_base}", "-o", baseline, "--tolerance", "0.10")
-        assert r.returncode == 0, f"monitor normalize failed: {r.stderr}"
-        r = run("compare", baseline, f"monitor={mon_base}")
-        assert r.returncode == 0, f"identical monitor sweep should pass: {r.stdout}{r.stderr}"
-
-        mon_regressed = os.path.join(d, "monitor_regressed.json")
-        monitor_json(mon_regressed, 0.6)  # -40% detection with a 10% band
-        r = run("compare", baseline, f"monitor={mon_regressed}")
-        assert r.returncode != 0, "a detection-rate drop must fail the gate"
-        assert "churn=2/detect_within_2" in r.stdout, r.stdout
-
-        # A *faster* epoch still fails: the cost cells are two-sided.
-        mon_faster = os.path.join(d, "monitor_faster.json")
-        monitor_json(mon_faster, 1.0, epoch_sim=50.0)
-        r = run("compare", baseline, f"monitor={mon_faster}")
-        assert r.returncode != 0, "epoch-cost drift in either direction must fail"
-        assert "churn=2/epoch_sim_seconds" in r.stdout, r.stdout
-
-        # Old artifacts without the cost cells still normalize and compare
-        # against their own (cost-less) baseline.
-        mon_old = os.path.join(d, "monitor_old.json")
-        monitor_json(mon_old, 1.0, cost_cells=False)
-        old_baseline = os.path.join(d, "baseline_old.json")
-        r = run("normalize", f"monitor={mon_old}", "-o", old_baseline,
-                "--tolerance", "0.10")
-        assert r.returncode == 0, f"cost-less normalize failed: {r.stderr}"
-        r = run("compare", old_baseline, f"monitor={mon_old}")
-        assert r.returncode == 0, f"cost-less sweep should pass: {r.stdout}{r.stderr}"
+        # Only google-benchmark JSON is read: a deterministic sweep artifact
+        # belongs to the tier-1 expectation checks, not to this gate.
+        sweep = os.path.join(d, "sweep.json")
+        with open(sweep, "w") as f:
+            json.dump({"bench": "fault_recall", "cells": []}, f)
+        r = run("compare", baseline, f"micro={sweep}")
+        assert r.returncode != 0 and "not google-benchmark JSON" in r.stderr, r.stderr
 
     print("bench_compare self-test: OK")
 

@@ -104,7 +104,7 @@ obs::MetricsSnapshot Scenario::snapshot_metrics() {
   metrics_.gauge("sim.queue_depth").set(static_cast<double>(sim_->queued()));
   metrics_.gauge("sim.queue_high_water").set(static_cast<double>(sim_->queue_high_water()));
   // Per-kind dispatch counters: the event-mix fingerprint of the run
-  // (scripts/bench_compare.py gates on these to catch event-mix drift).
+  // (the tier-1 expectations in tests/expected/ pin it byte for byte).
   const auto& dispatched = sim_->dispatch_counts();
   for (size_t k = 0; k < sim::kNumEventKinds; ++k) {
     metrics_.gauge(std::string("sim.dispatch.") +

@@ -20,8 +20,7 @@ CampaignResult run_sharded_campaign(const graph::Graph& truth,
                                     const core::MeasureConfig& cfg,
                                     const CampaignOptions& opt) {
   const size_t n = truth.num_nodes();
-  const size_t budget =
-      opt.max_edges_per_call != 0 ? opt.max_edges_per_call : core::slot_budget(cfg.flood_Z);
+  const size_t budget = core::slot_budget(cfg.flood_Z);
   const std::vector<core::MeasurementBatch> batches =
       opt.pairs.empty() ? core::make_batches(n, opt.group_k, budget)
                         : core::make_batches_for_pairs(opt.pairs, budget);
@@ -50,7 +49,7 @@ CampaignResult run_sharded_campaign(const graph::Graph& truth,
   std::optional<core::WorldSnapshot> base_world;
   if (opt.fork_worlds) {
     core::Scenario base(truth, base_options);
-    if (opt.seed_background) base.seed_background();
+    base.seed_background();
     base_world = base.snapshot();
   }
 
@@ -67,7 +66,7 @@ CampaignResult run_sharded_campaign(const graph::Graph& truth,
       owned = core::Scenario::fork(*base_world);
     } else {
       owned = std::unique_ptr<core::Scenario>(new core::Scenario(truth, base_options));
-      if (opt.seed_background) owned->seed_background();
+      owned->seed_background();
     }
     core::Scenario& sc = *owned;
     sc.reseed(shard.seed);

@@ -33,9 +33,6 @@ struct CampaignOptions {
   /// so it is part of the campaign's seed-like identity, unlike `threads`.
   size_t shards = 0;
 
-  /// Max candidate edges per measurePar call; 0 = the 2Z/5 slot budget.
-  size_t max_edges_per_call = 0;
-
   /// Explicit candidate-pair subset (target indices, caller's priority
   /// order). Empty (the default) measures the full §5.3.2 schedule over all
   /// of truth's pairs; non-empty batches exactly these pairs via
@@ -44,16 +41,15 @@ struct CampaignOptions {
   /// pair list is part of the campaign's identity.
   std::vector<std::pair<size_t, size_t>> pairs;
 
-  /// Replica preparation, mirroring what the sequential benches do on their
-  /// single scenario before measuring.
-  bool seed_background = true;
-  double churn_rate = 0.0;  ///< >0: organic traffic + a mining drain per replica
+  /// >0: organic traffic + a mining drain per replica, mirroring what the
+  /// sequential benches do on their single scenario before measuring.
+  double churn_rate = 0.0;
 
   /// Fault injection, applied per replica with an injector seeded from the
   /// shard seed — the merged report stays a pure function of (truth,
-  /// options, cfg, group_k, shards, max_edges_per_call, fault_plan) at any
-  /// thread count. A default (disabled) plan costs nothing and leaves
-  /// reports byte-identical to pre-fault builds.
+  /// options, cfg, group_k, shards, fault_plan) at any thread count. A
+  /// default (disabled) plan costs nothing and leaves reports
+  /// byte-identical to pre-fault builds.
   fault::FaultPlan fault_plan;
 
   /// Build one warmed base world (populate + background seeding under the
@@ -108,8 +104,8 @@ struct CampaignResult {
 /// Shard results merge via ReportMerger.
 ///
 /// Determinism contract: the result is a pure function of (truth,
-/// base_options, cfg, group_k, shards, max_edges_per_call) — `threads` only
-/// changes wall-clock time, never one byte of the merged report or metrics.
+/// base_options, cfg, group_k, shards) — `threads` only changes wall-clock
+/// time, never one byte of the merged report or metrics.
 CampaignResult run_sharded_campaign(const graph::Graph& truth,
                                     const core::ScenarioOptions& base_options,
                                     const core::MeasureConfig& cfg,

@@ -36,8 +36,7 @@ TopologyMonitor::TopologyMonitor(graph::Graph truth, core::ScenarioOptions world
       world_(world),
       cfg_(core::MeasureConfig::Builder(cfg).collect_diagnostics(true).build()),
       opt_(std::move(opt)),
-      table_(truth_.num_nodes()),
-      log_(opt_.log_capacity) {
+      table_(truth_.num_nodes()) {
   // Publish the pre-run telemetry so readers never see null: an empty ring
   // classifies as stalled, and the registry exposes as an empty document.
   health_ = std::make_shared<const HealthReport>(classify_health({}, opt_.health));
@@ -243,16 +242,6 @@ TopologyMonitor::EpochResult TopologyMonitor::run_epoch() {
 
   // End-of-epoch events stamp with the epoch's end time.
   log_.set_clock(sim_seconds_total_ + result.makespan_sim_seconds);
-  if (opt_.arena_warn_peak > 0.0) {
-    const auto peak_it = result.metrics.gauge_maxes.find("net.arena_peak");
-    const double peak = peak_it == result.metrics.gauge_maxes.end() ? 0.0 : peak_it->second;
-    if (peak > opt_.arena_warn_peak) {
-      log_.log(util::LogLevel::kWarn, "p2p", "arena-pressure",
-               {{"epoch", rpc::Json(epoch)},
-                {"peak", rpc::Json(peak)},
-                {"threshold", rpc::Json(opt_.arena_warn_peak)}});
-    }
-  }
   if (!(epoch == 0 && opt_.bootstrap_full) && !selected.empty() &&
       utilization >= opt_.health.saturation_utilization) {
     log_.log(util::LogLevel::kWarn, "monitor", "budget-saturated",

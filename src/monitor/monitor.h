@@ -85,13 +85,6 @@ struct MonitorOptions {
   /// EpochStats ring depth — how many recent epochs topo_getHealth serves.
   size_t stats_capacity = 32;
 
-  /// Event-log ring depth (obs::EventLog; overwrites count as dropped).
-  size_t log_capacity = obs::EventLog::kDefaultCapacity;
-
-  /// Warn in the event log when a campaign's payload-arena peak
-  /// (`net.arena_peak`) exceeds this many slots; 0 disables.
-  double arena_warn_peak = 0.0;
-
   // -- forwarded into each epoch's CampaignOptions ---------------------------
   size_t group_k = 3;
   core::StrategyKind strategy = core::StrategyKind::kToposhot;

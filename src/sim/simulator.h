@@ -48,7 +48,7 @@ class Simulator {
 
   /// Events fired so far, broken down by EventKind (observability snapshot
   /// publishes them as `sim.dispatch.<kind>`). The event *mix* — not just
-  /// the total — is what bench_compare.py gates on: a protocol change that
+  /// the total — is what tests/expected/ pins: a protocol change that
   /// trades deliveries for fetch timeouts shows up here before it shows up
   /// in throughput.
   const std::array<uint64_t, kNumEventKinds>& dispatch_counts() const {
