@@ -13,12 +13,16 @@
 // The expected shape of the table (pinned by the tier-1 expectation):
 //   - TopoShot holds its fig4/fig5-grade precision+recall on both mixes —
 //     the price ladder does not care how the marker propagates;
-//   - DEthna trades recall for cost: timing inference is noisy, but it
-//     sends an order of magnitude fewer transactions and spends nothing;
-//   - TxProbe's announcement blocking floods through Ethereum's direct
+//   - DEthna trades accuracy for cost: it sends 28 transactions against
+//     TopoShot's 14,840 (about 530x fewer) and spends nothing, but timing
+//     inference is noisy — precision 0.47–0.54, recall 0.81–0.91 on
+//     geth-legacy and 0.25–0.28 on geth-1.9.11;
+//   - TxProbe's announcement blocking leaks through Ethereum's direct
 //     pushes on BOTH mixes (§4.1: "the existence of direct propagation,
 //     no matter how small portion it plays, negates the isolation
-//     property") — precision collapses while recall looks flattering.
+//     property") — precision collapses to 0.23–0.28. Recall is 0.84–0.88
+//     on geth-legacy but 0.375–0.5 on geth-1.9.11, where the blocked
+//     announcements also keep about half the markers from coming back.
 //
 // Diagnostics collection rides every cell, so each strategy also reports
 // *why* probes failed (per-cause tallies) in the annex table.

@@ -11,16 +11,21 @@
 //
 // and reports wall-clock per replica, the speedup (rebuild/fork), and the
 // process peak RSS after each phase (ru_maxrss is monotone, so the phases
-// run fork-first and the deltas are attributable). The --out artifact is
+// run fork-first and the deltas are attributable). Each side is timed in
+// kRounds rounds of `reps` replicas; its per-replica time is the median
+// round, and the speedup is the ratio of the two medians, so one slow
+// round cannot swing the gated cell. The --out artifact is
 // google-benchmark JSON, one entry per world size named "k=<nodes>", with
 // the speedup as its items_per_second: host time, which
 // scripts/bench_compare.py gates against BENCH_baseline.json.
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "graph/generators.h"
@@ -40,6 +45,23 @@ double now_s() {
       .count();
 }
 
+/// Timed rounds per side; odd, so the median is one round's time.
+constexpr size_t kRounds = 5;
+
+/// Per-replica milliseconds of `make(i)` for i in [0, reps): the median of
+/// kRounds timed rounds.
+template <typename Make>
+double median_ms_per_replica(size_t reps, const Make& make) {
+  std::vector<double> rounds;
+  for (size_t r = 0; r < kRounds; ++r) {
+    const double t0 = now_s();
+    for (size_t i = 0; i < reps; ++i) make(i);
+    rounds.push_back((now_s() - t0) * 1e3 / static_cast<double>(reps));
+  }
+  std::sort(rounds.begin(), rounds.end());
+  return rounds[kRounds / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,7 +75,7 @@ int main(int argc, char** argv) {
   std::cout << "Per-replica setup cost: fork a warmed WorldSnapshot vs rebuild\n"
                "+ re-warm from scratch, as run_sharded_campaign does per shard.\n\n";
 
-  util::Table table({"Nodes", "Replicas", "Rebuild (ms)", "Fork (ms)", "Speedup",
+  util::Table table({"Nodes", "Replicas x rounds", "Rebuild (ms)", "Fork (ms)", "Speedup",
                      "Peak RSS (MiB)"});
   rpc::JsonArray benchmarks;
 
@@ -77,30 +99,26 @@ int main(int argc, char** argv) {
 
     // Fork phase first: ru_maxrss is monotone, so sampling after this phase
     // attributes the fork working set before the rebuild phase can mask it.
-    double t0 = now_s();
-    for (size_t i = 0; i < reps; ++i) {
+    const double fork_ms = median_ms_per_replica(reps, [&](size_t i) {
       auto replica = core::Scenario::fork(snap);
       replica->reseed(seed + i);
-    }
-    const double fork_ms = (now_s() - t0) * 1e3 / static_cast<double>(reps);
+    });
     const double fork_rss = peak_rss_mb();
 
-    t0 = now_s();
-    for (size_t i = 0; i < reps; ++i) {
+    const double rebuild_ms = median_ms_per_replica(reps, [&](size_t i) {
       core::Scenario replica(truth, opt);
       replica.seed_background();
       replica.reseed(seed + i);
-    }
-    const double rebuild_ms = (now_s() - t0) * 1e3 / static_cast<double>(reps);
+    });
     const double rebuild_rss = peak_rss_mb();
 
     const double speedup = fork_ms > 0 ? rebuild_ms / fork_ms : 0.0;
-    table.add_row({util::fmt(n), util::fmt(reps), util::fmt(rebuild_ms, 2),
+    table.add_row({util::fmt(n), util::fmt(reps) + " x " + util::fmt(kRounds), util::fmt(rebuild_ms, 2),
                    util::fmt(fork_ms, 2), util::fmt(speedup, 1) + "x",
                    util::fmt(fork_rss, 0) + " / " + util::fmt(rebuild_rss, 0)});
     benchmarks.push_back(rpc::Json(rpc::JsonObject{
         {"name", rpc::Json("k=" + std::to_string(n))},
-        {"iterations", rpc::Json(static_cast<uint64_t>(reps))},
+        {"iterations", rpc::Json(static_cast<uint64_t>(reps * kRounds))},
         {"real_time", rpc::Json(fork_ms)},
         {"time_unit", rpc::Json("ms")},
         {"items_per_second", rpc::Json(speedup)},  // the gated metric

@@ -323,10 +323,16 @@ class DethnaStrategy final : public MeasurementStrategy {
 /// Repetitions union positives, as in the original protocol.
 ///
 /// On Ethereum-style propagation this honestly fails: direct pushes bypass
-/// announcement blocks (§4.1), the marker floods, and false positives
-/// swamp the answer — the paper's motivation for the replacement-price
-/// ladder. Under PropagationMode::kAnnounceOnly worlds the isolation holds
-/// and precision returns; bench/txprobe_comparison measures both.
+/// announcement blocks (§4.1), so the marker leaks past the pair and false
+/// positives outnumber true links about three to one — precision 0.23–0.28
+/// on both client mixes of bench/strategy_rivalry
+/// (tests/expected/strategy_rivalry.json), the paper's motivation for the
+/// replacement-price ladder. Recall splits by mix: 0.84–0.88 where every
+/// peer gets a direct push (geth-legacy), but 0.375–0.5 on geth-1.9.11,
+/// where most of the marker's hops are announcements that the blocking
+/// windows hold back and about half the probes never see it return. Under
+/// PropagationMode::kAnnounceOnly worlds the isolation holds and precision
+/// returns; bench/txprobe_comparison measures both.
 class TxProbeStrategy final : public MeasurementStrategy {
  public:
   using MeasurementStrategy::MeasurementStrategy;

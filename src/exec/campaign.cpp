@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -14,6 +15,19 @@ namespace {
 /// of the shard seed.
 constexpr uint64_t kFaultStream = 0xFA01;
 }  // namespace
+
+std::vector<size_t> dispatch_order(const ShardPlan& plan,
+                                   const std::vector<core::MeasurementBatch>& batches) {
+  std::vector<size_t> cost(plan.size(), 0);
+  for (size_t s = 0; s < plan.size(); ++s) {
+    for (size_t b : plan.shards[s].batch_ids) cost[s] += batches[b].sinks.size();
+  }
+  std::vector<size_t> order(plan.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return cost[a] > cost[b]; });
+  return order;
+}
 
 CampaignResult run_sharded_campaign(const graph::Graph& truth,
                                     const core::ScenarioOptions& base_options,
@@ -53,8 +67,10 @@ CampaignResult run_sharded_campaign(const graph::Graph& truth,
     base_world = base.snapshot();
   }
 
+  const std::vector<size_t> order = dispatch_order(plan, batches);
   const WorkerPool pool(opt.threads);
-  pool.run(plan.size(), [&](size_t s) {
+  pool.run(plan.size(), [&](size_t job) {
+    const size_t s = order[job];
     const ShardPlan::Shard& shard = plan.shards[s];
 
     // Both paths warm the world under the *base* seed, then give the

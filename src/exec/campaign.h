@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "core/config.h"
 #include "core/schedule.h"
@@ -89,6 +90,15 @@ struct CampaignResult {
   size_t batches = 0;
 };
 
+/// The order in which run_sharded_campaign hands `plan`'s shards to its
+/// worker pool: longest first, by an estimate read off the plan — the sum
+/// of sink counts over each shard's batches, since a batch's flood cost
+/// grows with its sinks, not its pairs — with ties in shard order. Only
+/// wall-clock time depends on it: a long shard never starts last and runs
+/// alone at the end of the pool's makespan.
+std::vector<size_t> dispatch_order(const ShardPlan& plan,
+                                   const std::vector<core::MeasurementBatch>& batches);
+
 /// Measures the full topology of `truth` with the parallel schedule,
 /// sharded across a worker pool (the scaling direction of the ROADMAP; the
 /// independence it exploits is the paper's own: batches use disjoint EOAs,
@@ -101,7 +111,8 @@ struct CampaignResult {
 /// when opt.fork_worlds, rebuilt from scratch otherwise — then reseeded
 /// with its SplitMix-derived shard seed, prepared per `opt`, and driven
 /// through the configured core::MeasurementStrategy (TopoShot by default).
-/// Shard results merge via ReportMerger.
+/// Shards run longest first (dispatch_order); their results merge via
+/// ReportMerger in shard order.
 ///
 /// Determinism contract: the result is a pure function of (truth,
 /// base_options, cfg, group_k, shards) — `threads` only changes wall-clock

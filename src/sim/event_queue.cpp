@@ -8,13 +8,21 @@ namespace topo::sim {
 
 namespace {
 
+/// The queue's total order: (t, seq) ascending. Keys are unique.
+struct Earlier {
+  template <typename S>
+  bool operator()(const S& a, const S& b) const {
+    if (a.t != b.t) return a.t < b.t;
+    return a.seq < b.seq;
+  }
+};
+
 /// Pops earliest first: the heap comparator orders *later* slots first so a
 /// std::*_heap family max-heap behaves as a min-heap by (t, seq).
 struct Later {
   template <typename S>
   bool operator()(const S& a, const S& b) const {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;
+    return Earlier{}(b, a);
   }
 };
 
@@ -40,20 +48,21 @@ void EventQueue::link(std::array<uint32_t, N>& heads, std::array<uint64_t, N / 6
 void EventQueue::wheel_push(const Scheduled& slot) {
   // cur_slot_ never jumps forward on push: it tracks the bucket currently
   // draining, so only genuine same-bucket (or clamped-past) events take the
-  // binary-insert path into due_. Jumping cur_slot_ to a far-future first
-  // event would classify every earlier push as "past" and grow due_ into a
-  // quadratic insertion-sorted vector; far-future firsts are instead found
-  // by refill_due's window scan / L1 / overflow cascade on the next pop.
+  // side heap. Jumping cur_slot_ to a far-future first event would classify
+  // every earlier push as "past" and grow the side heap into one global
+  // heap; far-future firsts are instead found by refill_due's window scan /
+  // L1 / overflow cascade on the next pop.
   const int64_t s = slot_of(slot.t);
   if (s <= cur_slot_) {
-    // Lands in (or before) the bucket currently draining — push into the
-    // drain heap so the exact (t, seq) order holds even for same-time
-    // follow-ups scheduled mid-bucket. O(log k) keeps dense single-bucket
-    // bursts (flood frontiers with sub-tick latencies) from degenerating
-    // into an insertion sort.
-    due_.push_back(slot);
-    std::push_heap(due_.begin(), due_.end(), Later{});
-    if (due_.size() > stats_.due_peak) stats_.due_peak = due_.size();
+    // Lands in (or before) the bucket currently draining. Its seq is above
+    // every run event's, but its time may fall before the run's tail, so
+    // it waits in the side heap and pop() merges the two heads: the exact
+    // (t, seq) order holds even for same-time follow-ups, and a dense
+    // burst into one bucket costs O(log k) per op, not an insertion sort.
+    side_.push_back(slot);
+    std::push_heap(side_.begin(), side_.end(), Later{});
+    const size_t backlog = run_.size() - run_head_ + side_.size();
+    if (backlog > stats_.due_peak) stats_.due_peak = backlog;
     return;
   }
   if (s < l0_base_ + static_cast<int64_t>(kL0Buckets)) {
@@ -74,10 +83,10 @@ void EventQueue::wheel_push(const Scheduled& slot) {
 void EventQueue::push(Time t, Event ev) {
   ++size_;
   wheel_push(Scheduled{t, next_seq_++, ev});
-  // Invariant: due_ is non-empty whenever size_ > 0 (next_time() and pop()
-  // read due_.front() unconditionally). A push into a drained queue lands
-  // in the rings, so pull the earliest bucket forward here.
-  if (due_.empty()) refill_due();
+  // Invariant: the drain is non-empty whenever size_ > 0 (next_time() and
+  // pop() read its heads unconditionally). A push into a drained queue
+  // lands in the rings, so pull the earliest bucket forward here.
+  if (drained()) refill_due();
 }
 
 void EventQueue::cascade_l1(size_t l1_index) {
@@ -134,7 +143,8 @@ void EventQueue::drain_overflow_into_wheel() {
 }
 
 void EventQueue::refill_due() {
-  // due_ is empty but events remain in the wheel levels or the overflow.
+  // The drain is spent but events remain in the wheel levels or the
+  // overflow.
   for (;;) {
     // 1. Next occupied L0 bucket in the current window.
     const int64_t from = std::max(cur_slot_ + 1, l0_base_);
@@ -157,16 +167,18 @@ void EventQueue::refill_due() {
       cur_slot_ = found;
       const size_t idx = static_cast<size_t>(found) & (kL0Buckets - 1);
       l0_bits_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
-      // due_ is empty here; its buffer is the one drain heap every bucket
-      // shares, so moving a bucket in allocates nothing once warm.
+      // The run is spent here; its buffer is the one every bucket shares,
+      // so moving a bucket in allocates nothing once warm.
+      run_.clear();
+      run_head_ = 0;
       for (uint32_t n = l0_head_[idx]; n != kNil;) {
         const uint32_t next = nodes_.next(n);
-        due_.push_back(nodes_[n]);
+        run_.push_back(nodes_[n]);
         nodes_.release(n);
         n = next;
       }
-      std::make_heap(due_.begin(), due_.end(), Later{});
-      if (due_.size() > stats_.due_peak) stats_.due_peak = due_.size();
+      std::sort(run_.begin(), run_.end(), Earlier{});
+      if (run_.size() > stats_.due_peak) stats_.due_peak = run_.size();
       return;
     }
 
@@ -225,11 +237,13 @@ void EventQueue::refill_due() {
 }
 
 std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
-  // Collect every buried slot — drain heap, both wheel levels, overflow —
-  // then sort by the total order. O(n log n), capture path only.
+  // Collect every buried slot — drain run and side heap, both wheel
+  // levels, overflow — then sort by the total order. O(n log n), capture
+  // path only.
   std::vector<Scheduled> slots;
   slots.reserve(size_);
-  slots.insert(slots.end(), due_.begin(), due_.end());
+  slots.insert(slots.end(), run_.begin() + static_cast<std::ptrdiff_t>(run_head_), run_.end());
+  slots.insert(slots.end(), side_.begin(), side_.end());
   const auto take_lists = [&](const auto& heads, const auto& bits) {
     for (size_t idx = 0; idx < heads.size(); ++idx) {
       if ((bits[idx >> 6] >> (idx & 63) & 1) == 0) continue;
@@ -240,24 +254,31 @@ std::vector<EventQueue::Scheduled> EventQueue::pending_snapshot() const {
   take_lists(l1_head_, l1_bits_);
   slots.insert(slots.end(), overflow_.begin(), overflow_.end());
   assert(slots.size() == size_);
-  std::sort(slots.begin(), slots.end(), [](const Scheduled& a, const Scheduled& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.seq < b.seq;
-  });
+  std::sort(slots.begin(), slots.end(), Earlier{});
   return slots;
 }
 
+bool EventQueue::side_first() const {
+  return !side_.empty() && (run_head_ == run_.size() || Later{}(run_[run_head_], side_.front()));
+}
+
 Time EventQueue::next_time() const {
-  return size_ == 0 ? 0.0 : due_.front().t;
+  if (size_ == 0) return 0.0;
+  return side_first() ? side_.front().t : run_[run_head_].t;
 }
 
 EventQueue::Scheduled EventQueue::pop() {
   assert(size_ > 0);
   --size_;
-  std::pop_heap(due_.begin(), due_.end(), Later{});
-  const Scheduled out = due_.back();
-  due_.pop_back();
-  if (due_.empty() && size_ > 0) refill_due();
+  Scheduled out;
+  if (side_first()) {
+    std::pop_heap(side_.begin(), side_.end(), Later{});
+    out = side_.back();
+    side_.pop_back();
+  } else {
+    out = run_[run_head_++];
+  }
+  if (drained() && size_ > 0) refill_due();
   return out;
 }
 

@@ -24,21 +24,23 @@ namespace topo::sim {
 /// spanning a whole L0 rotation (~17 min horizon — covers announce
 /// timeouts, block intervals, churn gaps); anything farther sits in a
 /// binary min-heap and cascades in when the wheel reaches it. Buckets are
-/// unsorted on insert; a bucket becomes a (time, seq) min-heap when the
-/// wheel reaches it, and events scheduled *into the current bucket while
-/// it drains* (same-time follow-ups, clamped past events) are heap-pushed
-/// so the global order stays exact — FIFO within a bucket for equal times,
-/// seq tiebreak at bucket boundaries, heap order beyond the horizon. Dense
-/// single-bucket bursts therefore cost O(log k) per op, never worse than
-/// one global binary heap.
+/// unsorted on insert. When the wheel reaches an L0 bucket, its events are
+/// sorted once by (time, seq) into the drain run and pop from its front in
+/// O(1). Events scheduled *into the current bucket while it drains*
+/// (same-time follow-ups, clamped past events, sub-tick latencies) go to a
+/// small side min-heap, and pop()/next_time() take whichever of the two
+/// heads is earlier, so the global order stays exact — FIFO within a
+/// bucket for equal times, seq tiebreak at bucket boundaries, heap order
+/// beyond the horizon. A dense single-bucket burst therefore costs
+/// O(log k) per op at worst, never worse than one global binary heap.
 ///
 /// Storage: every slot is 48 bytes of plain data (time, seq, Event). The
 /// events of both wheel levels live in one node pool (util::ListPool) with
-/// an intrusive list per bucket; reaching a bucket moves its list into the
-/// single drain heap and returns the nodes to the pool, so steady-state
+/// an intrusive list per bucket; reaching a bucket copies its list into
+/// the single drain run and returns the nodes to the pool, so steady-state
 /// scheduling allocates nothing and no bucket keeps capacity of its own.
 /// Within a bucket the list order is arbitrary: (t, seq) keys are unique,
-/// so the heap pops them in the same order whatever order they arrive in.
+/// so the sort yields the same run whatever order they arrive in.
 /// pop() returns its entry by value, so a handler may schedule while it
 /// runs.
 class EventQueue {
@@ -65,9 +67,13 @@ class EventQueue {
     uint64_t l1_cascades = 0;        ///< L1 buckets cascaded into L0
     uint64_t overflow_cascaded = 0;  ///< events pulled from the overflow heap into the wheel
     uint64_t overflow_rebuilds = 0;  ///< full wheel jumps to the overflow minimum
-    uint64_t due_peak = 0;           ///< deepest drain heap (bucket burst high-water)
+    uint64_t due_peak = 0;           ///< deepest drain backlog (run left + side heap)
     uint64_t overflow_peak = 0;      ///< deepest overflow heap (far-future backlog)
   };
+
+  /// Width of one level-0 bucket: events whose times fall in the same
+  /// tick drain together as one sorted run.
+  static constexpr Time kTickSeconds = 1.0 / 512.0;  // ~2 ms; L0 spans ~2 s
 
   /// Schedules an event under the next sequence number.
   void push(Time t, Event ev);
@@ -76,8 +82,9 @@ class EventQueue {
   size_t size() const { return size_; }
   const Stats& stats() const { return stats_; }
 
-  /// Exact timestamp of the next event (0 when empty). O(1): the wheel
-  /// keeps due_.front() the global minimum whenever the queue is non-empty.
+  /// Exact timestamp of the next event (0 when empty). O(1): whenever the
+  /// queue is non-empty, the earlier of the run's and the side heap's
+  /// heads is the global minimum.
   Time next_time() const;
 
   /// Pops the earliest event by (time, seq); undefined if empty.
@@ -96,7 +103,6 @@ class EventQueue {
   static constexpr int kL0Bits = 10;
   static constexpr size_t kL0Buckets = size_t{1} << kL0Bits;  // 1024
   static constexpr size_t kL1Buckets = 512;
-  static constexpr Time kTickSeconds = 1.0 / 512.0;  // ~2 ms; L0 spans ~2 s
 
   static int64_t slot_of(Time t) {
     const double s = t / kTickSeconds;
@@ -112,9 +118,16 @@ class EventQueue {
   void link(std::array<uint32_t, N>& heads, std::array<uint64_t, N / 64>& bits, size_t idx,
             uint32_t n);
 
-  /// Re-establishes the invariant: if size_ > 0, due_ is non-empty and its
-  /// front is the global minimum. Advances the wheel, cascading L1 buckets
-  /// and overflow-heap events as their horizons are reached.
+  /// True when the run and the side heap are both spent.
+  bool drained() const { return run_head_ == run_.size() && side_.empty(); }
+  /// True when the side heap's head pops before the run's.
+  bool side_first() const;
+
+  /// Re-establishes the invariant: if size_ > 0, the drain (run or side
+  /// heap) is non-empty and its earlier head is the global minimum.
+  /// Advances the wheel to the next occupied bucket, cascading L1 buckets
+  /// and overflow-heap events as their horizons are reached, and sorts
+  /// that bucket into the run.
   void refill_due();
   void reset_wheel_to(int64_t slot);
   void cascade_l1(size_t l1_index);
@@ -126,11 +139,14 @@ class EventQueue {
   Stats stats_;
 
   // -- timing-wheel state ---------------------------------------------------
-  // due_ holds the events of the bucket currently draining (plus any
-  // pushed at/before it) as a min-heap by (t, seq): front() is the
-  // minimum; pops and mid-drain pushes are O(log bucket-size).
-  std::vector<Scheduled> due_;
-  int64_t cur_slot_ = -1;  ///< L0 slot whose events live in due_
+  // The drain: run_ holds the bucket currently draining, sorted by
+  // (t, seq), with run_[run_head_] its earliest unpopped event; side_ is a
+  // min-heap by (t, seq) of the events pushed at or before that bucket
+  // after it was sorted.
+  std::vector<Scheduled> run_;
+  size_t run_head_ = 0;
+  std::vector<Scheduled> side_;
+  int64_t cur_slot_ = -1;  ///< L0 slot being drained
   int64_t l0_base_ = 0;    ///< first absolute L0 slot of the current window (kL0Buckets-aligned)
   util::ListPool<Scheduled> nodes_;  ///< events of both wheel levels
   std::array<uint32_t, kL0Buckets> l0_head_{};  ///< list heads; valid where the bit is set

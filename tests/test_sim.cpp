@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -113,11 +114,23 @@ struct Spawner final : EventSink {
   std::vector<uint64_t> fired;  ///< chain tags, in firing order
 };
 
+/// The level-0 bucket of time `t`, as the wheel computes it.
+int64_t tick_of(Time t) {
+  const double s = t / EventQueue::kTickSeconds;
+  return s <= 0.0 ? 0 : static_cast<int64_t>(s);
+}
+
 /// Applies every operation to the wheel and the reference heap alike and
 /// asserts they agree: next_time() before each pop, each popped
 /// (time, seq, event), and pending_snapshot() on demand. Every
 /// event is tagged with a unique payload and compared; chain events are
 /// also fired on both sides and must log the same tag.
+///
+/// It also models the wheel's drain: the bucket being drained (`draining`)
+/// moves to the earliest pending bucket whenever no pending event is at or
+/// before it, and the drain backlog is the number of pending events at or
+/// before that bucket — the sorted run's rest plus the side heap. Its peak
+/// must equal stats().due_peak.
 struct Lockstep {
   RecordingSink sink;
   EventQueue wheel;
@@ -127,13 +140,39 @@ struct Lockstep {
   uint64_t next_tag = 0;
   double now = 0.0;  ///< time of the latest pop
   std::vector<uint64_t> popped;  ///< seqs, in pop order
+  std::map<int64_t, size_t> pending_ticks;  ///< pending events per bucket
+  int64_t draining = -1;                    ///< bucket being drained
+  uint64_t backlog_peak = 0;                ///< deepest modelled drain backlog
 
   Event tagged() { return Event::typed(EventKind::kMaintenance, &sink, 0, 0, next_tag++); }
+
+  /// Moves the modelled drain on when nothing pending is at or before it,
+  /// then records its backlog.
+  void model_settle() {
+    if (!pending_ticks.empty() && pending_ticks.begin()->first > draining) {
+      draining = pending_ticks.begin()->first;
+    }
+    uint64_t backlog = 0;
+    for (auto it = pending_ticks.begin(); it != pending_ticks.end() && it->first <= draining; ++it) {
+      backlog += it->second;
+    }
+    backlog_peak = std::max(backlog_peak, backlog);
+  }
+  void model_push(Time t) {
+    ++pending_ticks[tick_of(t)];
+    model_settle();
+  }
+  void model_pop(Time t) {
+    const auto it = pending_ticks.find(tick_of(t));
+    if (--it->second == 0) pending_ticks.erase(it);
+    model_settle();
+  }
 
   void push(double t) {
     const Event ev = tagged();
     wheel.push(t, ev);
     ref.push(t, ev);
+    model_push(t);
   }
 
   /// A chain event at `t` that, when fired, schedules a chain of `depth`
@@ -143,6 +182,7 @@ struct Lockstep {
     next_tag += static_cast<uint64_t>(depth) + 1;
     wheel.push(t, wheel_chains.start(t, dt, depth, tag));
     ref.push(t, ref_chains.start(t, dt, depth, tag));
+    model_push(t);
   }
 
   /// A random chain: zero to three successors, each at the same time
@@ -163,13 +203,18 @@ struct Lockstep {
     ASSERT_EQ(w.ev.payload, r.ev.payload);
     popped.push_back(w.seq);
     now = std::max(now, w.t);
+    model_pop(w.t);
     if (w.ev.kind != kChainKind) return;
     w.fire();
     r.fire();
+    if (w.ev.a > 0) model_push(wheel_chains.chains[w.ev.b].t);
     ASSERT_EQ(wheel_chains.fired.size(), ref_chains.fired.size());
     ASSERT_EQ(wheel_chains.fired.back(), ref_chains.fired.back());
   }
 
+  /// pending_snapshot() matches the reference, and replaying it into a
+  /// fresh queue — the world-fork path, usually taken mid-drain here —
+  /// pops the same events in the same order.
   void check_snapshot() const {
     const auto w = wheel.pending_snapshot();
     const auto r = ref.pending_snapshot();
@@ -180,6 +225,16 @@ struct Lockstep {
       ASSERT_EQ(w[i].ev.kind, r[i].ev.kind);
       ASSERT_EQ(w[i].ev.payload, r[i].ev.payload);
     }
+    EventQueue replay;
+    for (const EventQueue::Scheduled& slot : w) replay.push(slot.t, slot.ev);
+    for (const EventQueue::Scheduled& slot : w) {
+      ASSERT_EQ(replay.next_time(), slot.t);
+      const EventQueue::Scheduled got = replay.pop();
+      ASSERT_EQ(got.t, slot.t);
+      ASSERT_EQ(got.ev.kind, slot.ev.kind);
+      ASSERT_EQ(got.ev.payload, slot.ev.payload);
+    }
+    ASSERT_TRUE(replay.empty());
   }
 
   /// Pops both queues dry.
@@ -189,6 +244,7 @@ struct Lockstep {
     while (!wheel.empty()) ASSERT_NO_FATAL_FAILURE(pop());
     ASSERT_EQ(ref.size(), 0u);
     ASSERT_EQ(wheel_chains.fired, ref_chains.fired);
+    ASSERT_EQ(wheel.stats().due_peak, backlog_peak);
   }
 };
 
@@ -202,6 +258,32 @@ TEST(EventQueue, BothBackendsOrderIdentically) {
   q.push(30.0);      // L1 horizon
   ASSERT_NO_FATAL_FAILURE(q.drain());
   EXPECT_EQ(q.popped, (std::vector<uint64_t>{1, 2, 0, 4, 3}));
+}
+
+// The drain, directed: a bucket reached by the wheel becomes one sorted
+// run, and pushes into it while it drains wait in the side heap. A push at
+// the run head's time ties with it and pops after it (higher seq); a
+// sub-tick latency slots between two run events; a past event, before the
+// draining bucket, pops next. A snapshot taken mid-drain replays the same
+// order, and due_peak is the run's rest plus the side heap at its deepest.
+TEST(EventQueue, DrainMergesMidBucketPushesWithTheSortedRun) {
+  const double t = 1.0;                           // a bucket boundary
+  const double d = EventQueue::kTickSeconds / 8;  // t + k * d shares t's bucket for k < 8
+  Lockstep q;
+  q.push(0.5);        // seq 0: an earlier bucket, drained first
+  q.push(t + 6 * d);  // seq 1
+  q.push(t);          // seq 2
+  q.push(t + 4 * d);  // seq 3
+  q.push(t);          // seq 4
+  ASSERT_NO_FATAL_FAILURE(q.pop());  // seq 0; t's bucket becomes the run [2, 4, 3, 1]
+  ASSERT_NO_FATAL_FAILURE(q.pop());  // seq 2
+  q.push(t);          // seq 5: ties with the run's head, seq 4
+  q.push(t + 5 * d);  // seq 6: between seqs 3 and 1
+  q.push(0.25);       // seq 7: before the draining bucket
+  ASSERT_NO_FATAL_FAILURE(q.check_snapshot());
+  EXPECT_EQ(q.wheel.stats().due_peak, 6u);
+  ASSERT_NO_FATAL_FAILURE(q.drain());
+  EXPECT_EQ(q.popped, (std::vector<uint64_t>{0, 2, 7, 4, 5, 3, 6, 1}));
 }
 
 // Directed regression: an event beyond the L1 horizon (overflow heap) must
@@ -228,13 +310,27 @@ TEST(EventQueue, OverflowPopsBeforeLaterL1PushAfterWheelAdvance) {
 // equal-time bursts, far-future outliers, interleaved pops, same-bucket
 // re-pushes, event chains that schedule their successors while they
 // fire — the wheel pops the exact (time, seq) order the reference binary
-// heap does.
+// heap does. Wide single-bucket bursts build long sorted runs, and pushes
+// into the draining bucket (same-time follow-ups that tie with the run's
+// head, events clamped to now, sub-tick latencies) interleave with them
+// through the side heap; snapshots are taken and replayed mid-drain.
 TEST(EventQueue, WheelMatchesReferenceHeapUnderRandomBursts) {
   util::Rng rng(99);
   Lockstep q;
-  for (int round = 0; round < 4000; ++round) {
+  for (int round = 0; round < 6000; ++round) {
     const double r = rng.uniform();
-    if (r < 0.06) {
+    if (r < 0.015) {
+      // One bucket, many distinct times: a long sorted run.
+      const double base = (static_cast<double>(tick_of(q.now)) + 1.0 + rng.index(4)) *
+                          EventQueue::kTickSeconds;
+      const size_t n = 16 + rng.index(160);
+      for (size_t i = 0; i < n; ++i) {
+        q.push(base + rng.uniform() * EventQueue::kTickSeconds * 0.99);
+      }
+    } else if (r < 0.08 && !q.wheel.empty()) {
+      // Into the draining bucket: clamped to now, or a sub-tick latency.
+      q.push(rng.uniform() < 0.5 ? q.now : q.now + rng.uniform() * EventQueue::kTickSeconds);
+    } else if (r < 0.12) {
       q.random_chain(rng, q.now + rng.uniform() * (rng.uniform() < 0.1 ? 3000.0 : 3.0));
     } else if (r < 0.45) {
       double dt = rng.uniform() * 3.0;  // within the L0/L1 horizon
